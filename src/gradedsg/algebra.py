@@ -24,13 +24,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     DegreeMismatch,
     InhomogeneousExpression,
     MixedParameterFamilies,
     NonNilpotentRemainder,
+    NonTermination,
     NotScalarDegree,
     OutsideWindow,
     UnsupportedAtom,
@@ -57,11 +58,18 @@ HALF = Q(1, 2)
 # truncation context
 
 class Context(NamedTuple):
-    """Truncation settings: z-order bound and Laurent window in a."""
+    """Truncation settings: z-order bound and Laurent window in a.
+
+    ``commuting_params`` makes the '-','+' spinor-parameter product lose its
+    minus sign, i.e. the parameters (wrongly) commute; it exists only so
+    that sabotage checks can show a cancellation depends on it.  Being part
+    of the context, it keys every cache that depends on products.
+    """
 
     nz: int = 1
     amin: int = -2
     amax: int = 8
+    commuting_params: bool = False
 
 
 DEFAULT_CTX = Context()
@@ -114,10 +122,6 @@ def field_info(name: str) -> FieldInfo:
         return _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown field {name!r}") from None
-
-
-def is_scalar_field(name: str) -> bool:
-    return field_info(name).degree == DEG_EVEN
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +177,12 @@ _ETA_TABLE = {
     ("-", "-"): (-1, "1", +1),
 }
 
-# Test hook: when True the '-','+' product loses its minus sign, i.e. the
-# spinor parameters are (wrongly) made to commute.  Used by sabotage tests.
-_SABOTAGE_COMMUTING_PARAMS = False
-
-
 def cf_degree(cf: tuple[str, str]) -> Degree:
     return _CF_DEGREE[cf]
 
 
-def cf_mul(cf1: tuple[str, str], cf2: tuple[str, str]) -> tuple[int, tuple[str, str], int]:
+def cf_mul(cf1: tuple[str, str], cf2: tuple[str, str],
+           ctx: Context) -> tuple[int, tuple[str, str], int]:
     """Product of two clifford slots: (sign, cf, v-shift)."""
     fam1, k1 = cf1
     fam2, k2 = cf2
@@ -196,24 +196,10 @@ def cf_mul(cf1: tuple[str, str], cf2: tuple[str, str]) -> tuple[int, tuple[str, 
     fam = fam1 or fam2
     table = _ETA_TABLE if fam == "E" else _LAMBDA_TABLE
     sign, kind, vshift = table[(k1, k2)]
-    if _SABOTAGE_COMMUTING_PARAMS and (k1, k2) == ("-", "+"):
+    if ctx.commuting_params and (k1, k2) == ("-", "+"):
         sign = -sign
     out_fam = "" if kind in ("1", "a") else fam
     return sign, (out_fam, kind), vshift
-
-
-class commuting_params:
-    """Context manager flipping the '-+' parameter product sign (sabotage)."""
-
-    def __enter__(self):
-        global _SABOTAGE_COMMUTING_PARAMS
-        _SABOTAGE_COMMUTING_PARAMS = True
-        return self
-
-    def __exit__(self, *exc):
-        global _SABOTAGE_COMMUTING_PARAMS
-        _SABOTAGE_COMMUTING_PARAMS = False
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +472,7 @@ class GradedExpr:
         truncated = self.truncated or other.truncated
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                for k, c in _mul_keys(k1, k2, ctx):
+                for k, c in _mul_keys_cached(k1, k2, ctx):
                     if c == 0:
                         continue
                     if k is _TRUNCATED:
@@ -539,7 +525,7 @@ class GradedExpr:
         return f"GradedExpr({to_text(self)!r})"
 
 
-# sentinel used by _mul_keys to report a window drop
+# sentinel used by _mul_keys_cached to report a window drop
 _TRUNCATED = object()
 
 
@@ -556,7 +542,7 @@ def _mul_keys_cached(k1: Key, k2: Key, ctx: Context) -> tuple:
     if a < ctx.amin or a > ctx.amax:
         return ((_TRUNCATED, Q(1)),)
     sign = _cross_sign(k1, k2)
-    csign, cf, vshift = cf_mul(cf1, cf2)
+    csign, cf, vshift = cf_mul(cf1, cf2, ctx)
     sign *= csign
     v = v1 + v2 + vshift
     gj = _merge_jets(gj1, gj2, graded=True)
@@ -573,16 +559,6 @@ def _mul_keys_cached(k1: Key, k2: Key, ctx: Context) -> tuple:
         return tuple(out)
     trig = t1 if t1 is not None else t2
     return (((z, tm, tp, cf, v, a, gj, bj, trig), coef),)
-
-
-def _mul_keys(k1: Key, k2: Key, ctx: Context):
-    if _SABOTAGE_COMMUTING_PARAMS:
-        return _mul_keys_uncached(k1, k2, ctx)
-    return _mul_keys_cached(k1, k2, ctx)
-
-
-def _mul_keys_uncached(k1, k2, ctx):
-    return _mul_keys_cached.__wrapped__(k1, k2, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -1020,6 +996,53 @@ def substitute_jets(e: GradedExpr,
     return out
 
 
+class JetRewriter:
+    """Fixed-point jet rewriting with lazily prolonged first-order rules.
+
+    Built from ordered base rules ``((name, m, n), expr)``.  The jet
+    ``(name, m, n)`` is rewritten by the most specific base of that name
+    with ``bm <= m`` and ``bn <= n`` (the largest ``bm + bn``; on a tie the
+    base listed first), differentiated ``m - bm`` times by d- and ``n - bn``
+    times by d+.  Prolongations are cached on the instance.
+    """
+
+    def __init__(self, base_rules: Iterable[tuple[tuple[str, int, int], GradedExpr]]):
+        self._bases: dict[str, list[tuple[int, int, GradedExpr]]] = {}
+        for (name, m, n), expr in base_rules:
+            self._bases.setdefault(name, []).append((m, n, expr))
+        self._prolonged: dict[tuple[str, int, int], Optional[GradedExpr]] = {}
+
+    def rule(self, name: str, m: int, n: int) -> Optional[GradedExpr]:
+        """Replacement of the jet, or None when no base rule reaches it."""
+        bases = self._bases.get(name)
+        if bases is None:
+            return None
+        try:
+            return self._prolonged[name, m, n]
+        except KeyError:
+            pass
+        reachable = [base for base in bases if base[0] <= m and base[1] <= n]
+        expr = None
+        if reachable:
+            # max() keeps the first of equally specific bases
+            bm, bn, expr = max(reachable, key=lambda base: base[0] + base[1])
+            for _ in range(m - bm):
+                expr = d_minus(expr)
+            for _ in range(n - bn):
+                expr = d_plus(expr)
+        self._prolonged[name, m, n] = expr
+        return expr
+
+    def reduce(self, e: GradedExpr, max_passes: int = 64) -> GradedExpr:
+        """Apply ``substitute_jets`` with these rules until nothing changes."""
+        for _ in range(max_passes):
+            new = substitute_jets(e, self.rule)
+            if new.terms == e.terms:
+                return new
+            e = new
+        raise NonTermination("jet rewriting did not reach a fixed point")
+
+
 _MIRROR_FIELDS = {"psi+": "psi-", "psi-": "psi+", "chi+": "chi-", "chi-": "chi+",
                   "psi+~": "psi-~", "psi-~": "psi+~", "chi+~": "chi-~",
                   "chi-~": "chi+~"}
@@ -1073,15 +1096,7 @@ def substitute(e: GradedExpr, bindings: Mapping[str, GradedExpr],
             if rw is not None and rw != info.weight:
                 raise WeightMismatch(f"{name}: {info.weight}/2 vs {rw}/2")
 
-    @functools.lru_cache(maxsize=None)
-    def repl_jet(name: str, m: int, n: int) -> GradedExpr:
-        expr = bindings[name]
-        for _ in range(m):
-            expr = d_minus(expr)
-        for _ in range(n):
-            expr = d_plus(expr)
-        return expr
-
+    repl_jet = JetRewriter(((name, 0, 0), b) for name, b in bindings.items()).rule
     out = GradedExpr.zero(ctx)
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key

@@ -12,7 +12,8 @@ explicit chain-rule factors (each substitution step is itself checked
 against the engine as an oracle), so no heuristic pattern matching on
 normalized expressions is ever needed for the theorem-level checks.  The
 jet-level rewriter ``bt_reduce`` exposes the same relations as oriented
-rules for interactive use and for the body-system export.
+rules for interactive use; the body-system export rewrites with its own
+first-order body relations.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import algebra as al
 from . import model as md
 from . import superspace as ss
 from .algebra import Context, GradedExpr, Q
-from .errors import InconsistentSystem, NonTermination, UnresolvedGenerator
+from .errors import InconsistentSystem, UnresolvedGenerator
 from .grading import DEG_01, DEG_10
 from .report import Report, timer
 
@@ -196,55 +197,21 @@ def _sector_rules(sys: BTSystem, which: str) -> dict[tuple[str, int, int], Grade
     return rules
 
 
-class BTReducer:
+def bt_rewriter(sys: BTSystem, prefer: str = "eq1") -> al.JetRewriter:
     """Oriented replacement of target-field jets by Backlund right-hand sides.
 
-    Jet lookup picks the most specific base rule (the one already carrying
-    the larger part of the requested derivative string); the ``prefer``
-    argument breaks the tie for jets both equations determine (the auxiliary
-    component).  Prolongations are derivatives of the base rules and are
-    generated lazily.
+    The preferred equation's sector rules are listed first, so they win the
+    tie for jets both equations determine (the auxiliary component).
     """
-
-    def __init__(self, sys: BTSystem, prefer: str = "eq1"):
-        if prefer not in ("eq1", "eq2"):
-            raise ValueError("prefer must be 'eq1' or 'eq2'")
-        self.sys = sys
-        self.prefer = prefer
-        self._bases: dict[tuple[str, int, int], list[tuple[str, GradedExpr]]] = {}
-        for which in ("eq1", "eq2"):
-            for atom, expr in _sector_rules(sys, which).items():
-                self._bases.setdefault(atom, []).append((which, expr))
-
-    @functools.lru_cache(maxsize=None)
-    def _rule(self, name: str, m: int, n: int) -> Optional[GradedExpr]:
-        candidates = []
-        for (bname, bm, bn), variants in self._bases.items():
-            if bname != name or bm > m or bn > n:
-                continue
-            for which, expr in variants:
-                candidates.append((bm + bn, which == self.prefer, bm, bn, which, expr))
-        if not candidates:
-            return None
-        candidates.sort(key=lambda c: (c[0], c[1]), reverse=True)
-        _, _, bm, bn, _, expr = candidates[0]
-        for _ in range(m - bm):
-            expr = al.d_minus(expr)
-        for _ in range(n - bn):
-            expr = al.d_plus(expr)
-        return expr
-
-    def reduce(self, e: GradedExpr, max_passes: int = 64) -> GradedExpr:
-        for _ in range(max_passes):
-            new = al.substitute_jets(e, self._rule)
-            if new.terms == e.terms:
-                return new
-            e = new
-        raise NonTermination("Backlund rewriting did not reach a fixed point")
+    if prefer not in ("eq1", "eq2"):
+        raise ValueError("prefer must be 'eq1' or 'eq2'")
+    order = ("eq1", "eq2") if prefer == "eq1" else ("eq2", "eq1")
+    return al.JetRewriter(rule for which in order
+                          for rule in _sector_rules(sys, which).items())
 
 
 def bt_reduce(e: GradedExpr, sys: BTSystem, prefer: str = "eq1") -> GradedExpr:
-    return BTReducer(sys, prefer).reduce(e)
+    return bt_rewriter(sys, prefer).reduce(e)
 
 
 # ---------------------------------------------------------------------------
@@ -674,30 +641,16 @@ def export_body_system(sys: BTSystem, on_shell_seed: bool = True) -> BodyBTSpec:
                 raise UnresolvedGenerator(
                     f"odd generator survived in the {name} body relation")
 
+    # classical seed equation: mixed second derivative of the body
+    seed_rule = ((seed.body, 1, 1),
+                 al.trig("s", {seed.body: Q(1)}, ctx=ctx).scale(QUARTER))
+
     def mismatch(relA: GradedExpr, relB: GradedExpr) -> GradedExpr:
         # d2(relA) - d1(relB) with target first derivatives resubstituted by
         # the relations and the seed taken on shell (classical sector).
-        def rule(name, m, n):
-            if name != target.body:
-                return None
-            if (m, n) == jet1:
-                return relA
-            if (m, n) == jet2:
-                return relB
-            return None
-
-        res = sys.d2_jet(relA) - sys.d1_jet(relB)
-        for _ in range(8):
-            new = al.substitute_jets(res, rule)
-            if new.terms == res.terms:
-                break
-            res = new
-        # classical seed equation: mixed second derivative of the body
-        seed_rule = lambda name, m, n: (
-            al.trig("s", {seed.body: Q(1)}, ctx=ctx).scale(QUARTER)
-            if name == seed.body and m >= 1 and n >= 1 and (m, n) == (1, 1) else None)
-        res = al.substitute_jets(res, seed_rule)
-        return res
+        rewriter = al.JetRewriter((((target.body, *jet1), relA),
+                                   ((target.body, *jet2), relB), seed_rule))
+        return rewriter.reduce(sys.d2_jet(relA) - sys.d1_jet(relB))
 
     mis_raw = mismatch(rel1, rel2_raw)
     # completion: flip the trig-term sign of the second relation

@@ -221,8 +221,8 @@ def check_currents(cfg: RunConfig) -> Report:
                     "pass" if sub.passed() else "fail",
                     tuple(t for e in sub.entries for t in e.residual_terms
                           if e.status == "fail"))
-        with al.commuting_params():
-            sab = bt.verify_current_conservation(bt.BTSystem())
+        sab = bt.verify_current_conservation(
+            bt.BTSystem(ctx=al.BT_CTX._replace(commuting_params=True)))
         rep.add("cancellation requires anticommuting parameters",
                 "pass" if not sab.passed() else "fail")
     return rep

@@ -65,10 +65,6 @@ class ConfigError(GradedSGError):
     """Bad run configuration."""
 
 
-class GoldenMismatch(GradedSGError):
-    """A deterministic report no longer matches its golden file."""
-
-
 class MiniLangSyntaxError(GradedSGError):
     """Syntax error in the expression mini-language, with position info."""
 

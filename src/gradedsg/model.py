@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from . import algebra as al
 from . import superspace as ss
 from .algebra import GradedExpr, Q
-from .errors import NonTermination, UnsupportedAtom
+from .errors import UnsupportedAtom
 
 HALF = Q(1, 2)
 
@@ -148,77 +148,33 @@ def classical_residual(field: Optional[ss.SuperField] = None) -> GradedExpr:
 # ---------------------------------------------------------------------------
 # on-shell reduction
 
-class OnShellRewriter:
+@functools.lru_cache(maxsize=None)
+def on_shell_rewriter(field: ss.SuperField) -> al.JetRewriter:
     """Oriented rewriting with the component equations of motion.
 
     Rules eliminate the auxiliary component, mixed x-derivatives of the body
     and the 'wrong-handed' derivatives of the fermions; prolongations are
-    generated on demand and cached.  The canonical remainder mentions only
-    pure d- strings of X and psi+, pure d+ strings of X and psi-, and trig
-    atoms.
+    generated on demand and cached with the rewriter, one per superfield.
+    The canonical remainder mentions only pure d- strings of X and psi+,
+    pure d+ strings of X and psi-, and trig atoms.
     """
-
-    def __init__(self, field: ss.SuperField):
-        self.field = field
-        self.ctx = field.expr.ctx
-        self._base: dict[str, GradedExpr] = {}
-        body, psip, psim = field.body, field.component("psi+"), field.component("psi-")
-        ctx = self.ctx
-        alpha = al.gen("alpha", ctx)
-        sin_half = al.trig("s", {body: HALF}, ctx=ctx)
-        cos_half = al.trig("c", {body: HALF}, ctx=ctx)
-        sin_full = al.trig("s", {body: Q(1)}, ctx=ctx)
-        self._names = (body, psip, psim, field.component("F"))
-        self._base["F"] = (alpha * sin_half).scale(Q(-1, 2))
-        self._base["X"] = (sin_full.scale(Q(1, 4))
-                           + (alpha * al.jet(psim, ctx=ctx) * al.jet(psip, ctx=ctx)
-                              * sin_half).scale(HALF))
-        self._base["psi+"] = (alpha * al.jet(psim, ctx=ctx) * cos_half).scale(Q(-1, 2))
-        self._base["psi-"] = (alpha * al.jet(psip, ctx=ctx) * cos_half).scale(Q(-1, 2))
-
-    @functools.lru_cache(maxsize=None)
-    def _rule(self, name: str, m: int, n: int) -> Optional[GradedExpr]:
-        fld = self.field
-        if name == fld.component("F"):
-            expr = self._base["F"]
-            for _ in range(m):
-                expr = al.d_minus(expr)
-            for _ in range(n):
-                expr = al.d_plus(expr)
-            return expr
-        if name == fld.body and m >= 1 and n >= 1:
-            expr = self._base["X"]
-            for _ in range(m - 1):
-                expr = al.d_minus(expr)
-            for _ in range(n - 1):
-                expr = al.d_plus(expr)
-            return expr
-        if name == fld.component("psi+") and n >= 1:
-            expr = self._base["psi+"]
-            for _ in range(m):
-                expr = al.d_minus(expr)
-            for _ in range(n - 1):
-                expr = al.d_plus(expr)
-            return expr
-        if name == fld.component("psi-") and m >= 1:
-            expr = self._base["psi-"]
-            for _ in range(m - 1):
-                expr = al.d_minus(expr)
-            for _ in range(n):
-                expr = al.d_plus(expr)
-            return expr
-        return None
-
-    def reduce(self, e: GradedExpr, max_passes: int = 64) -> GradedExpr:
-        for _ in range(max_passes):
-            new = al.substitute_jets(e, self._rule)
-            if new.terms == e.terms:
-                return new
-            e = new
-        raise NonTermination("on-shell rewriting did not reach a fixed point")
+    ctx = field.expr.ctx
+    body, psip, psim = field.body, field.component("psi+"), field.component("psi-")
+    alpha = al.gen("alpha", ctx)
+    sin_half = al.trig("s", {body: HALF}, ctx=ctx)
+    cos_half = al.trig("c", {body: HALF}, ctx=ctx)
+    sin_full = al.trig("s", {body: Q(1)}, ctx=ctx)
+    return al.JetRewriter((
+        ((field.component("F"), 0, 0), (alpha * sin_half).scale(Q(-1, 2))),
+        ((body, 1, 1), (sin_full.scale(Q(1, 4))
+                        + (alpha * al.jet(psim, ctx=ctx) * al.jet(psip, ctx=ctx)
+                           * sin_half).scale(HALF))),
+        ((psip, 0, 1), (alpha * al.jet(psim, ctx=ctx) * cos_half).scale(Q(-1, 2))),
+        ((psim, 1, 0), (alpha * al.jet(psip, ctx=ctx) * cos_half).scale(Q(-1, 2))),
+    ))
 
 
 def reduce_on_shell(e: GradedExpr, field: Optional[ss.SuperField] = None) -> GradedExpr:
     if field is None:
         field = ss.generic_superfield("Phi", nz=0)
-    return OnShellRewriter(field).reduce(e)
+    return on_shell_rewriter(field).reduce(e)

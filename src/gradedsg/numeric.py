@@ -89,13 +89,6 @@ class GradedNumber:
     def scalar_part(self) -> float:
         return float(self.coords[0])
 
-    @property
-    def alpha_part(self) -> float:
-        return float(self.coords[1])
-
-    def odd_part(self) -> np.ndarray:
-        return self.coords[2:]
-
     def __repr__(self):
         return " + ".join(f"{c:g}*{b}" for c, b in zip(self.coords, BASIS) if c)
 
@@ -126,15 +119,14 @@ class FieldState:
     psip: np.ndarray
     psim: np.ndarray
     t: float = 0.0
-    bc: str = "kink"  # 'kink' (clamped ends) or 'periodic'
 
     @staticmethod
-    def empty(L: float = 20.0, h: float = 2.0 ** -7, bc: str = "kink") -> "FieldState":
+    def empty(L: float = 20.0, h: float = 2.0 ** -7) -> "FieldState":
         n = int(round(2 * L / h)) + 1
         x = np.linspace(-L, L, n)
         z = np.zeros(n)
         return FieldState(x, float(x[1] - x[0]), z.copy(), z.copy(),
-                          z.copy(), z.copy(), 0.0, bc)
+                          z.copy(), z.copy(), 0.0)
 
 
 def kink(x, t: float = 0.0, v: float = 0.0, x0: float = 0.0):
@@ -223,7 +215,7 @@ def solve_leapfrog(s0: FieldState, T: float, dt: Optional[float] = None) -> Fiel
     X_cur = X_prev + dt * s0.Xdot + 0.5 * dt * dt * accel(X_prev, src)
     _clamp(X_cur, s0)
     state = FieldState(s0.x, h, X_cur, s0.Xdot.copy(), s0.psip.copy(),
-                       s0.psim.copy(), s0.t + dt, s0.bc)
+                       s0.psim.copy(), s0.t + dt)
     for _ in range(steps - 1):
         _advance_fermions(state, dt)
         src = fermion_source(state)
@@ -239,12 +231,9 @@ def solve_leapfrog(s0: FieldState, T: float, dt: Optional[float] = None) -> Fiel
 
 
 def _clamp(X: np.ndarray, s0: FieldState) -> None:
-    if s0.bc == "kink":
-        X[0] = s0.X[0]
-        X[-1] = s0.X[-1]
-    else:  # periodic: identify end points
-        X[0] = X[-2]
-        X[-1] = X[1]
+    """Hold both end points at their initial values (kink boundaries)."""
+    X[0] = s0.X[0]
+    X[-1] = s0.X[-1]
 
 
 def _advance_fermions(state: FieldState, dt: float) -> None:
@@ -399,7 +388,7 @@ def integrate_bt_body(seed: FieldState, bt: BodyBT,
 
     Xt_dot = (bt.rel_second(Xt, X, dXp) - bt.rel_first(Xt, X, dXm))
     return FieldState(x, h, Xt, Xt_dot, np.zeros_like(X), np.zeros_like(X),
-                      seed.t, seed.bc)
+                      seed.t)
 
 
 def _rk4_step(f: Callable[[float, float], float], x: float, y: float,
@@ -436,8 +425,7 @@ def bt_target_time_march(seed_bt: BodyBT, state: FieldState, dt: float,
         k4 = fdot(cur + dt * k3)
         cur = cur + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         out.append(FieldState(x, state.h, cur.copy(), fdot(cur),
-                              zero.copy(), zero.copy(), state.t + (k + 1) * dt,
-                              state.bc))
+                              zero.copy(), zero.copy(), state.t + (k + 1) * dt))
     return out
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -80,10 +79,6 @@ class Report:
                 "entries": [e.to_json_obj() for e in self.sorted_entries()],
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
-
 
 class timer:
     """Context manager writing elapsed seconds into a report."""

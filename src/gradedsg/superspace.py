@@ -115,10 +115,6 @@ def weight_of(e: GradedExpr) -> Optional[BoostWeight]:
     return e.weight()
 
 
-def degree_of(e: GradedExpr) -> Optional[Degree]:
-    return e.degree()
-
-
 # ---------------------------------------------------------------------------
 # superfields
 
@@ -264,19 +260,6 @@ def superalgebra_checks(probe: Optional[GradedExpr] = None):
                 rhs1 = nested(C, A, B, probe).scale(-s_c_ab)
                 rhs2 = nested(B, A, C, probe).scale(sgn)
                 yield f"jacobi[{na},[{nb},{nc}]]", lhs - rhs1 - rhs2
-
-
-def verify_superalgebra(probe: Optional[GradedExpr] = None):
-    """Full relation suite as a structured report (all residuals listed)."""
-    from . import algebra as al
-    from .report import Report, timer
-    rep = Report("verify-superalgebra")
-    with timer(rep):
-        for label, res in superalgebra_checks(probe):
-            ok = res.is_zero()
-            rep.add(label, "pass" if ok else "fail",
-                    () if ok else (al.to_text(res),))
-    return rep
 
 
 def derivation_covariance_checks(probe: Optional[GradedExpr] = None):

@@ -98,8 +98,8 @@ def test_criterion_6_current_conservation():
         ok &= div.details["halves_cancel"] is True
     # the cancellation pattern needs the anticommutator of the parameters to
     # vanish: making them commute leaves the sine-product residual
-    with al.commuting_params():
-        ok &= not bt.verify_current_conservation(bt.BTSystem()).passed()
+    sab = bt.BTSystem(ctx=al.BT_CTX._replace(commuting_params=True))
+    ok &= not bt.verify_current_conservation(sab).passed()
     _verdict(6, ok, "spinor-current divergence is exactly zero via the "
                     "anticommutation cancellation")
 

@@ -6,7 +6,8 @@ import pytest
 
 from gradedsg import algebra as al
 from gradedsg.errors import (MixedParameterFamilies, NonNilpotentRemainder,
-                             NotScalarDegree, OutsideWindow, UnsupportedAtom)
+                             NonTermination, NotScalarDegree, OutsideWindow,
+                             UnsupportedAtom)
 
 CTX = al.BT_CTX
 
@@ -281,6 +282,23 @@ def test_substitute_checks_degree_and_weight():
         al.substitute(psi_p, {"psi+": al.jet("psi+", 1, 0, CTX)})
 
 
+def test_jet_rewriter_picks_most_specific_base():
+    A, B = al.jet("Y", ctx=CTX), al.jet("Y", 0, 2, CTX).scale(3)
+    r = al.JetRewriter([(("X", 1, 0), A), (("X", 0, 1), B), (("X", 0, 2), A)])
+    assert r.rule("X", 0, 0) is None
+    assert r.rule("Y", 1, 0) is None
+    assert expr_eq(r.rule("X", 1, 1), al.d_plus(A))  # tie: listed first wins
+    assert expr_eq(r.rule("X", 0, 3), al.d_plus(A))  # (0,2) beats (0,1)
+    assert expr_eq(r.rule("X", 2, 1), al.d_minus(al.d_plus(A)))
+
+
+def test_jet_rewriter_non_termination():
+    X, Y = al.jet("X", ctx=CTX), al.jet("Y", ctx=CTX)
+    r = al.JetRewriter([(("X", 0, 0), X + Y)])
+    with pytest.raises(NonTermination):
+        r.reduce(X)
+
+
 def test_series_coefficient():
     ctx = CTX
     X = al.jet("X", ctx=ctx)
@@ -310,10 +328,10 @@ def test_mirror_involution():
 
 
 def test_sabotage_hook_scoped():
-    lm, lp = g("lambda-"), g("lambda+")
-    with al.commuting_params():
-        assert expr_eq(lm * lp, g("alpha"))
-    assert expr_eq(lm * lp, -g("alpha"))
+    sab = CTX._replace(commuting_params=True)
+    lm, lp = al.gen("lambda-", sab), al.gen("lambda+", sab)
+    assert expr_eq(lm * lp, al.gen("alpha", sab))
+    assert expr_eq(g("lambda-") * g("lambda+"), -g("alpha"))
 
 
 def _random_graded(rng, ctx):

@@ -30,8 +30,7 @@ def test_bt_reduce_first_derivative(sysm):
     # one rewriting pass turns D-(target) into the first right-hand side;
     # the fixed point reduces the target components inside the sine as well
     lhs = ss.apply(ss.D_MINUS, sysm.target_field.expr)
-    reducer = bt.BTReducer(sysm, prefer="eq1")
-    one_pass = al.substitute_jets(lhs, reducer._rule)
+    one_pass = al.substitute_jets(lhs, bt.bt_rewriter(sysm, prefer="eq1").rule)
     assert expr_eq(one_pass, sysm.rhs1)
     assert expr_eq(bt.bt_reduce(lhs, sysm, prefer="eq1"),
                    bt.bt_reduce(sysm.rhs1, sysm, prefer="eq1"))
@@ -39,11 +38,32 @@ def test_bt_reduce_first_derivative(sysm):
 
 def test_bt_reduce_second_derivative(sysm):
     lhs = ss.apply(ss.D_PLUS, sysm.target_field.expr)
-    reducer = bt.BTReducer(sysm, prefer="eq2")
-    one_pass = al.substitute_jets(lhs, reducer._rule)
+    one_pass = al.substitute_jets(lhs, bt.bt_rewriter(sysm, prefer="eq2").rule)
     assert expr_eq(one_pass, sysm.rhs2)
     assert expr_eq(bt.bt_reduce(lhs, sysm, prefer="eq2"),
                    bt.bt_reduce(sysm.rhs2, sysm, prefer="eq2"))
+
+
+def test_bt_rewriter_prefers_listed_equation(sysm):
+    # both equations determine the auxiliary jet; ``prefer`` picks whose rule
+    aux = (sysm.target_field.component("F"), 0, 0)
+    rules = {which: bt._sector_rules(sysm, which)[aux] for which in ("eq1", "eq2")}
+    assert not expr_eq(rules["eq1"], rules["eq2"])
+    for which in ("eq1", "eq2"):
+        assert expr_eq(bt.bt_rewriter(sysm, prefer=which).rule(*aux), rules[which])
+
+
+def test_rewriter_caches_stay_flat_across_runs():
+    # a repeated run reuses the cached on-shell rewriter and its prolongations
+    bt.verify_auto_bt(bt.BTSystem())
+    rewriter = md.on_shell_rewriter(bt.BTSystem().seed_field)
+
+    def sizes():
+        return md.on_shell_rewriter.cache_info().currsize, len(rewriter._prolonged)
+
+    first = sizes()
+    bt.verify_auto_bt(bt.BTSystem())
+    assert sizes() == first
 
 
 def test_bt_reduce_z_condition(sysm):
@@ -197,9 +217,8 @@ def test_current_conservation_exact(sysm, sysp):
 
 
 def test_current_conservation_needs_anticommutation():
-    with al.commuting_params():
-        rep = bt.verify_current_conservation(bt.BTSystem())
-    assert not rep.passed()
+    sab = bt.BTSystem(ctx=al.BT_CTX._replace(commuting_params=True))
+    assert not bt.verify_current_conservation(sab).passed()
 
 
 def test_current_conservation_sabotage():

@@ -95,7 +95,7 @@ def test_vacuum_residuals(phi):
 
 def test_on_shell_rules(phi):
     ctx = phi.expr.ctx
-    r = md.OnShellRewriter(phi)
+    r = md.on_shell_rewriter(phi)
     got = r.reduce(al.jet("psi+", 0, 1, ctx))
     assert expr_eq(got, ps.parse_expr("-1/2*alpha*psi-*cos(1/2*X)", ctx))
     got = r.reduce(al.jet("X", 1, 1, ctx))
