@@ -963,35 +963,46 @@ def _term_factors(key: Key, ctx: Context) -> Iterator[GradedExpr]:
         yield GradedExpr(ctx, {(0, 0, 0, CF_ONE, 0, 0, (), (), t): Q(1)})
 
 
-def substitute_jets(e: GradedExpr,
-                    rule: Callable[[str, int, int], Optional[GradedExpr]]) -> GradedExpr:
+JetRule = Callable[[str, int, int], Optional[GradedExpr]]
+
+
+def _substituted_trig(t: TrigAtom, rule: JetRule, ctx: Context) -> Optional[GradedExpr]:
+    """Trig atom re-expanded on its substituted argument; None if nothing binds."""
+    kind, combo, pioff = t
+    repls = [rule(sym, 0, 0) for sym, _ in combo]
+    if all(repl is None for repl in repls):
+        return None
+    arg = jet("pi", 0, 0, ctx).scale(pioff)
+    for (sym, co), repl in zip(combo, repls):
+        arg = arg + (jet(sym, 0, 0, ctx) if repl is None else repl).scale(co)
+    return trig_of(kind, arg)
+
+
+def substitute_jets(e: GradedExpr, rule: JetRule) -> GradedExpr:
     """Replace individual field jets; one simultaneous pass, no iteration.
 
     ``rule(name, m, n)`` returns a replacement expression or None to keep the
-    jet.  Trig arguments are left alone (their symbols are 0-jets handled by
-    body-level substitution, see ``substitute``).
+    jet.  A trig atom whose argument mentions a symbol with a ``(0, 0)``
+    replacement is re-expanded with ``trig_of`` on the substituted argument,
+    its pi offset kept.
     """
     ctx = e.ctx
     out = GradedExpr.zero(ctx)
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
-        hits = [atom for atom, _ in gj if rule(*atom) is not None]
-        hits += [atom for atom, _ in bj if rule(*atom) is not None]
-        if not hits:
+        new_trig = None if t is None else _substituted_trig(t, rule, ctx)
+        if new_trig is None and all(rule(*atom) is None for atom, _ in gj + bj):
             out = out + GradedExpr(ctx, {key: c})
             continue
         term = GradedExpr.rational(c, ctx)
         for factor in _term_factors(key, ctx):
-            if len(factor.terms) == 1:
-                (fkey, fcoef), = factor.terms.items()
-                atoms = fkey[6] or fkey[7]
-                if fcoef == 1 and atoms and len(atoms) == 1 and atoms[0][1] == 1:
-                    name, m, n = atoms[0][0]
-                    repl = rule(name, m, n)
-                    if repl is not None:
-                        term = term * repl
-                        continue
-            term = term * factor
+            (fkey, _), = factor.terms.items()
+            atoms = fkey[6] or fkey[7]
+            if atoms:
+                repl = rule(*atoms[0][0])
+            else:
+                repl = new_trig if fkey[8] is not None else None
+            term = term * (factor if repl is None else repl)
         out = out + term
     return out
 
@@ -1033,9 +1044,9 @@ class JetRewriter:
         self._prolonged[name, m, n] = expr
         return expr
 
-    def reduce(self, e: GradedExpr, max_passes: int = 64) -> GradedExpr:
+    def reduce(self, e: GradedExpr) -> GradedExpr:
         """Apply ``substitute_jets`` with these rules until nothing changes."""
-        for _ in range(max_passes):
+        for _ in range(64):
             new = substitute_jets(e, self.rule)
             if new.terms == e.terms:
                 return new
@@ -1075,57 +1086,23 @@ def mirror_pm(e: GradedExpr) -> GradedExpr:
     return GradedExpr(e.ctx, acc, e.truncated)
 
 
-def substitute(e: GradedExpr, bindings: Mapping[str, GradedExpr],
-               check: bool = True) -> GradedExpr:
+def substitute(e: GradedExpr, bindings: Mapping[str, GradedExpr]) -> GradedExpr:
     """Field-wide capture-free substitution followed by normalization.
 
     Every jet of a bound field is replaced by the matching x-derivative of
-    its replacement; bound trig-capable bodies are also substituted inside
-    trig arguments (re-expanded via ``trig_of``).
+    its replacement, and bound trig-capable bodies inside trig arguments
+    are re-expanded (see ``substitute_jets``).  A nonzero replacement must
+    carry the degree and boost weight of the field it replaces.
     """
-    ctx = e.ctx
-    if check:
-        for name, repl in bindings.items():
-            info = field_info(name)
-            if repl.is_zero():
-                continue
-            rd = repl.degree()
-            if rd is not None and rd != info.degree:
-                raise DegreeMismatch(f"{name}: {info.degree} vs {rd}")
-            rw = repl.weight()
-            if rw is not None and rw != info.weight:
-                raise WeightMismatch(f"{name}: {info.weight}/2 vs {rw}/2")
-
-    repl_jet = JetRewriter(((name, 0, 0), b) for name, b in bindings.items()).rule
-    out = GradedExpr.zero(ctx)
-    for key, c in e.terms.items():
-        z, tm, tp, cf, v, a, gj, bj, t = key
-        touched = any(atom[0][0] in bindings for atom in gj + bj)
-        if t is not None and any(sym in bindings for sym, _ in t[1]):
-            touched = True
-        if not touched:
-            out = out + GradedExpr(ctx, {key: c})
+    for name, repl in bindings.items():
+        if repl.is_zero():
             continue
-        term = GradedExpr.rational(c, ctx)
-        for factor in _term_factors(key, ctx):
-            (fkey, fcoef), = factor.terms.items()
-            ft = fkey[8]
-            atoms = fkey[6] or fkey[7]
-            if atoms and len(atoms) == 1 and atoms[0][1] == 1 and atoms[0][0][0] in bindings:
-                name, m, n = atoms[0][0]
-                term = term * repl_jet(name, m, n).scale(fcoef) if fcoef != 1 \
-                    else term * repl_jet(name, m, n)
-                continue
-            if ft is not None and any(sym in bindings for sym, _ in ft[1]):
-                kind, combo, pioff = ft
-                arg = GradedExpr.zero(ctx)
-                for sym, co in combo:
-                    base = bindings[sym] if sym in bindings else jet(sym, 0, 0, ctx)
-                    arg = arg + base.scale(co)
-                if pioff:
-                    arg = arg + jet("pi", 0, 0, ctx).scale(pioff)
-                term = term * trig_of(kind, arg).scale(fcoef)
-                continue
-            term = term * factor
-        out = out + term
-    return out
+        info = field_info(name)
+        rd = repl.degree()
+        if rd is not None and rd != info.degree:
+            raise DegreeMismatch(f"{name}: {info.degree} vs {rd}")
+        rw = repl.weight()
+        if rw is not None and rw != info.weight:
+            raise WeightMismatch(f"{name}: {info.weight}/2 vs {rw}/2")
+    rewriter = JetRewriter(((name, 0, 0), b) for name, b in bindings.items())
+    return substitute_jets(e, rewriter.rule)

@@ -64,13 +64,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # individual checks
 
-def _zero_entry(rep: Report, name: str, residual: al.GradedExpr, **details):
-    ok = residual.is_zero()
-    rep.add(name, "pass" if ok else "fail",
-            () if ok else (al.to_text(residual),), **details)
-    return ok
-
-
 def check_verify_algebra(cfg: RunConfig) -> Report:
     rep = Report("verify-algebra")
     with timer(rep):
@@ -100,12 +93,12 @@ def check_derive_eom(cfg: RunConfig) -> Report:
         phi = ss.generic_superfield("Phi", nz=0)
         el = md.euler_lagrange(md.sine_gordon_lagrangian(), phi)
         res = md.sg_residual(phi)
-        _zero_entry(rep, "Euler-Lagrange output equals the field-equation residual",
-                    el - res, equation=al.to_text(res))
+        rep.add_zero_check("Euler-Lagrange output equals the field-equation residual",
+                           el - res, equation=al.to_text(res))
         free = md.euler_lagrange(md.LagrangianExpr.make(1, []), phi)
         kinetic_only = (ss.apply(ss.D_MINUS, ss.apply(ss.D_PLUS, phi.expr))
                         + ss.apply(ss.D_PLUS, ss.apply(ss.D_MINUS, phi.expr)))
-        _zero_entry(rep, "free Lagrangian has no potential term", free - kinetic_only)
+        rep.add_zero_check("free Lagrangian has no potential term", free - kinetic_only)
     return rep
 
 
@@ -122,17 +115,17 @@ def check_components(cfg: RunConfig) -> Report:
             "psi+": "psi+_{+} + 1/2*alpha*psi-*cos(1/2*X)",
             "psi-": "psi-_{-} + 1/2*alpha*psi+*cos(1/2*X)",
         }
-        _zero_entry(rep, "auxiliary sector", raw["aux"] - ps.parse_expr(expected["aux"], ctx))
+        rep.add_zero_check("auxiliary sector", raw["aux"] - ps.parse_expr(expected["aux"], ctx))
         for key in ("X", "psi+", "psi-"):
-            _zero_entry(rep, f"component equation {key}",
-                        eqs[key] - ps.parse_expr(expected[key], ctx),
-                        equation=al.to_text(eqs[key]))
+            rep.add_zero_check(f"component equation {key}",
+                               eqs[key] - ps.parse_expr(expected[key], ctx),
+                               equation=al.to_text(eqs[key]))
         classical = md.classical_residual(phi)
-        _zero_entry(rep, "fermion-free reduction is the classical equation",
-                    classical - ps.parse_expr("X_{-+} - 1/4*sin(X)", ctx),
-                    equation=al.to_text(classical))
+        rep.add_zero_check("fermion-free reduction is the classical equation",
+                           classical - ps.parse_expr("X_{-+} - 1/4*sin(X)", ctx),
+                           equation=al.to_text(classical))
         onshell = md.reduce_on_shell(md.sg_residual(phi), phi)
-        _zero_entry(rep, "field-equation residual vanishes on shell", onshell)
+        rep.add_zero_check("field-equation residual vanishes on shell", onshell)
     return rep
 
 
@@ -162,13 +155,13 @@ def check_expand_bt(cfg: RunConfig) -> Report:
         ctx = sysm.ctx
         series = bt.expand_series(sysm, cfg.order)
         dplus_phi = ss.apply(ss.D_PLUS, sysm.seed_field.expr)
-        _zero_entry(rep, "order 0 equals the seed", series[0] - sysm.seed_field.expr)
+        rep.add_zero_check("order 0 equals the seed", series[0] - sysm.seed_field.expr)
         exp1 = (al.vpow(1, ctx) * al.gen("lambda-", ctx) * dplus_phi).scale(-4)
-        _zero_entry(rep, "order 1 value", series[1] - exp1,
-                    value=al.to_text(series[1]))
+        rep.add_zero_check("order 1 value", series[1] - exp1,
+                           value=al.to_text(series[1]))
         exp2 = (al.vpow(1, ctx) * ss.apply(ss.D_PLUS, dplus_phi)).scale(8)
-        _zero_entry(rep, "order 2 value", series[2] - exp2,
-                    value=al.to_text(series[2]))
+        rep.add_zero_check("order 2 value", series[2] - exp2,
+                           value=al.to_text(series[2]))
         rec = bt.verify_recursion(sysm, cfg.order)
         rep.add("recursion through the requested order",
                 "pass" if rec.passed() else "fail")
@@ -179,8 +172,8 @@ def check_expand_bt(cfg: RunConfig) -> Report:
         # plus-oriented coefficients are the mirror image of the minus ones
         sysp = bt.BTSystem(orientation="plus", order=2)
         mirrored = al.mirror_pm(bt.expand_series(sysm, 2)[1])
-        _zero_entry(rep, "plus system is the mirror image at order 1",
-                    mirrored - bt.expand_series(sysp, 2)[1])
+        rep.add_zero_check("plus system is the mirror image at order 1",
+                           mirrored - bt.expand_series(sysp, 2)[1])
     return rep
 
 

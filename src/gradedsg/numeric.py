@@ -26,6 +26,7 @@ from .errors import (
     ConfigError,
     InconsistentSystem,
     NonFiniteValue,
+    UnsupportedAtom,
     VelocityOutOfRange,
 )
 
@@ -46,7 +47,10 @@ def _structure_tensor() -> np.ndarray:
             prod = ei * ej
             for key, coef in prod.terms.items():
                 z, tm, tp, cf, v, a, gj, bj, trig = key
-                assert not (z or tm or tp or gj or bj or trig or a)
+                if z or tm or tp or gj or bj or trig or a:
+                    raise UnsupportedAtom(
+                        f"{BASIS[i]}*{BASIS[j]} left the parameter algebra: "
+                        + al.term_str(key, coef))
                 T[i, j, keys[cf]] += float(coef)  # v -> 1
     return T
 
@@ -181,7 +185,7 @@ def fermion_source(s: FieldState) -> np.ndarray:
     """Scalar forcing from the fermion bilinear, via the parameter algebra.
 
     The product psi- psi+ lies on the alpha line; multiplying by alpha makes
-    it a real scalar.  Both facts are asserted every call.
+    it a real scalar.  Both facts are checked every call.
     """
     out = np.zeros_like(s.X)
     if not (np.any(s.psip) or np.any(s.psim)):
@@ -190,10 +194,11 @@ def fermion_source(s: FieldState) -> np.ndarray:
     lp = GradedNumber.basis("lambda+")
     alpha = GradedNumber.basis("alpha")
     bilinear = lm * lp  # carries the sign of the parameter table
-    assert abs(bilinear.coords[0]) < 1e-15 and abs(bilinear.coords[2]) < 1e-15 \
-        and abs(bilinear.coords[3]) < 1e-15, "fermion bilinear left the alpha line"
+    if np.max(np.abs(bilinear.coords[[0, 2, 3]])) >= 1e-15:
+        raise InconsistentSystem("fermion bilinear left the alpha line")
     proj = alpha * bilinear
-    assert abs(proj.coords[1]) < 1e-15, "alpha projection is not scalar"
+    if abs(proj.coords[1]) >= 1e-15:
+        raise InconsistentSystem("alpha projection is not scalar")
     return 2.0 * s.psim * s.psip * proj.scalar_part * np.sin(s.X / 2.0)
 
 
@@ -348,8 +353,7 @@ def bt_cross_mismatch(bt: BodyBT, Xt, X, dXm, dXp) -> np.ndarray:
     return dplus_rel1 - dminus_rel2
 
 
-def integrate_bt_body(seed: FieldState, bt: BodyBT,
-                      consistency_tol: float = 1e-6) -> FieldState:
+def integrate_bt_body(seed: FieldState, bt: BodyBT) -> FieldState:
     """Integrate the body relations for the target field over the seed grid.
 
     The spatial profile comes from an RK4 integration of
@@ -381,10 +385,11 @@ def integrate_bt_body(seed: FieldState, bt: BodyBT,
         Xt[i - 1] = _rk4_step(slope, x[i], Xt[i], -h)
 
     mismatch = float(np.max(np.abs(bt_cross_mismatch(bt, Xt, X, dXm, dXp))))
-    if mismatch > consistency_tol:
+    tol = 1e-6
+    if mismatch > tol:
         raise InconsistentSystem(
             f"body relations incompatible: cross-derivative mismatch "
-            f"{mismatch:.3e} > {consistency_tol:.3e}")
+            f"{mismatch:.3e} > {tol:.3e}")
 
     Xt_dot = (bt.rel_second(Xt, X, dXp) - bt.rel_first(Xt, X, dXm))
     return FieldState(x, h, Xt, Xt_dot, np.zeros_like(X), np.zeros_like(X),
@@ -415,16 +420,14 @@ def bt_target_time_march(seed_bt: BodyBT, state: FieldState, dt: float,
     cur = state.X.copy()
     x = state.x
     zero = np.zeros_like(cur)
+
+    def fdot(_t, Xt):
+        return (seed_bt.rel_second(Xt, zero, zero)
+                - seed_bt.rel_first(Xt, zero, zero))
+
     for k in range(steps):
-        def fdot(Xt):
-            return (seed_bt.rel_second(Xt, zero, zero)
-                    - seed_bt.rel_first(Xt, zero, zero))
-        k1 = fdot(cur)
-        k2 = fdot(cur + dt / 2 * k1)
-        k3 = fdot(cur + dt / 2 * k2)
-        k4 = fdot(cur + dt * k3)
-        cur = cur + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out.append(FieldState(x, state.h, cur.copy(), fdot(cur),
+        cur = _rk4_step(fdot, 0.0, cur, dt)
+        out.append(FieldState(x, state.h, cur.copy(), fdot(0.0, cur),
                               zero.copy(), zero.copy(), state.t + (k + 1) * dt))
     return out
 
@@ -539,14 +542,15 @@ def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarr
 # ---------------------------------------------------------------------------
 # CSV output
 
-def dump_csv(path: str, states: list[FieldState], config: dict,
-             residual: Optional[np.ndarray] = None) -> None:
-    """Write (t, x, X, fermion coordinates, residual) rows with a JSON header."""
+def dump_csv(path: str, states: list[FieldState], config: dict) -> None:
+    """Write (t, x, X, fermion coordinates, residual) rows with a JSON header.
+
+    The residual column is kept for the file format and is always 0.
+    """
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(config, sort_keys=True) + "\n")
         fh.write("t,x,X,psi_plus_lambda_plus_coeff,psi_minus_lambda_minus_coeff,residual\n")
         for s in states:
-            res = residual if residual is not None else np.zeros_like(s.X)
             for i in range(len(s.x)):
                 fh.write(f"{s.t:.10g},{s.x[i]:.10g},{s.X[i]:.10g},"
-                         f"{s.psip[i]:.10g},{s.psim[i]:.10g},{res[i]:.10g}\n")
+                         f"{s.psip[i]:.10g},{s.psim[i]:.10g},0\n")

@@ -25,7 +25,7 @@ from typing import Optional
 from . import algebra as al
 from . import superspace as ss
 from .algebra import Context, GradedExpr
-from .errors import MiniLangSyntaxError, UnknownSymbol
+from .errors import InhomogeneousExpression, MiniLangSyntaxError, UnknownSymbol
 
 _FIELD_NAMES = ["psi+~", "psi-~", "chi+~", "chi-~", "psi+", "psi-", "chi+",
                 "chi-", "X~", "F~", "G~", "Y~", "X", "F", "G", "Y"]
@@ -215,12 +215,12 @@ def describe(e: GradedExpr) -> dict:
     try:
         deg = e.degree()
         deg_s = str(deg) if deg is not None else "any (zero)"
-    except Exception:
+    except InhomogeneousExpression:
         deg_s = "inhomogeneous"
     try:
         w = e.weight()
         w_s = weight_str(w) if w is not None else "any (zero)"
-    except Exception:
+    except InhomogeneousExpression:
         w_s = "inhomogeneous"
     return {"text": al.to_text(e), "degree": deg_s, "weight": w_s,
             "terms": len(e.terms)}

@@ -5,6 +5,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from . import algebra as al
+
 
 @dataclass
 class Entry:
@@ -41,6 +43,18 @@ class Report:
         entry = Entry(name, status, tuple(residual_terms), dict(details))
         self.entries.append(entry)
         return entry
+
+    def add_zero_check(self, name: str, residual: al.GradedExpr, **details) -> Entry:
+        """Pass when the residual is exactly zero; a failure prints it."""
+        if residual.is_zero():
+            return self.add(name, "pass", **details)
+        return self.add(name, "fail", (al.to_text(residual),), **details)
+
+    def add_finding(self, name: str, residual: al.GradedExpr, **details) -> Entry:
+        """Informational residual: printed when nonzero, with ``is_zero``."""
+        zero = residual.is_zero()
+        return self.add(name, "info", () if zero else (al.to_text(residual),),
+                        is_zero=zero, **details)
 
     @property
     def status(self) -> str:

@@ -189,9 +189,6 @@ _EXPECTED_BRACKETS = {
     ("Q+", "Q+"): ("P+", 1),
     ("Q-", "Q+"): ("Z-+", 1),
     ("Q+", "Q-"): ("Z-+", -1),  # pairing 0: [A,B] = -[B,A]
-}
-
-_EXPECTED_D_BRACKETS = {
     ("D-", "D-"): ("P-", -1),
     ("D+", "D+"): ("P+", -1),
     ("D-", "D+"): ("Z-+", -1),
@@ -199,8 +196,7 @@ _EXPECTED_D_BRACKETS = {
 }
 
 
-def _by_name() -> dict[str, Derivation]:
-    return {D.name: D for D in SUPERTRANSLATIONS + COVARIANT}
+_BY_NAME = {D.name: D for D in SUPERTRANSLATIONS + COVARIANT}
 
 
 def superalgebra_checks(probe: Optional[GradedExpr] = None):
@@ -212,47 +208,40 @@ def superalgebra_checks(probe: Optional[GradedExpr] = None):
     """
     if probe is None:
         probe = generic_superfield("Phi", nz=1).expr
-    ops = _by_name()
 
     def expected(n1: str, n2: str) -> GradedExpr:
-        table = dict(_EXPECTED_BRACKETS)
-        table.update(_EXPECTED_D_BRACKETS)
-        if (n1, n2) in table:
-            tgt, sgn = table[(n1, n2)]
-            return ops[tgt](probe).scale(sgn)
+        if (n1, n2) in _EXPECTED_BRACKETS:
+            tgt, sgn = _EXPECTED_BRACKETS[(n1, n2)]
+            return _BY_NAME[tgt](probe).scale(sgn)
         return GradedExpr.zero(probe.ctx)
 
     names_st = [D.name for D in SUPERTRANSLATIONS]
     for n1 in names_st:
         for n2 in names_st:
-            res = bracket(ops[n1], ops[n2], probe) - expected(n1, n2)
+            res = bracket(_BY_NAME[n1], _BY_NAME[n2], probe) - expected(n1, n2)
             yield f"[{n1},{n2}]", res
     for n1 in ("D-", "D+"):
         for n2 in ("D-", "D+"):
-            res = bracket(ops[n1], ops[n2], probe) - expected(n1, n2)
+            res = bracket(_BY_NAME[n1], _BY_NAME[n2], probe) - expected(n1, n2)
             yield f"[{n1},{n2}]", res
     for q in ("Q-", "Q+"):
         for d in ("D-", "D+"):
-            yield f"[{q},{d}]", bracket(ops[q], ops[d], probe)
-            yield f"[{d},{q}]", bracket(ops[d], ops[q], probe)
+            yield f"[{q},{d}]", bracket(_BY_NAME[q], _BY_NAME[d], probe)
+            yield f"[{d},{q}]", bracket(_BY_NAME[d], _BY_NAME[q], probe)
     # graded Jacobi: [A,[B,C]] - [[A,B],C] - (-1)^<a,b> [B,[A,C]]
-    def brk(D1: Derivation, D2: Derivation, e: GradedExpr) -> GradedExpr:
-        s = commutation_sign(D1.degree, D2.degree)
-        return D1(D2(e)) - D2(D1(e)).scale(s)
-
     def nested(Douter: Derivation, Dinner1: Derivation, Dinner2: Derivation,
                e: GradedExpr) -> GradedExpr:
         # [Douter, [Dinner1, Dinner2]] on e; the inner bracket has degree
         # equal to the sum of its members' degrees.
         inner_deg = degree_add(Dinner1.degree, Dinner2.degree)
         s = commutation_sign(Douter.degree, inner_deg)
-        return (Douter(brk(Dinner1, Dinner2, e))
-                - brk(Dinner1, Dinner2, Douter(e)).scale(s))
+        return (Douter(bracket(Dinner1, Dinner2, e))
+                - bracket(Dinner1, Dinner2, Douter(e)).scale(s))
 
     for na in names_st:
         for nb in names_st:
             for nc in names_st:
-                A, B, C = ops[na], ops[nb], ops[nc]
+                A, B, C = _BY_NAME[na], _BY_NAME[nb], _BY_NAME[nc]
                 sgn = commutation_sign(A.degree, B.degree)
                 lhs = nested(A, B, C, probe)
                 # [[A,B],C](e) = -(sign(c, a+b)) * [C, [A,B]](e)

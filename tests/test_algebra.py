@@ -272,6 +272,17 @@ def test_substitute_fields_and_bodies():
     assert expr_eq(out, al.trig("s", {"X~": Q(1, 2)}, ctx=ctx))
 
 
+def test_substitute_jets_reexpands_trig_arguments():
+    s = al.trig("s", {"X": Q(1, 2)}, ctx=CTX)
+    rule = al.JetRewriter([(("X", 0, 0), al.jet("X~", ctx=CTX))]).rule
+    out = al.substitute_jets(s, rule)
+    assert al.to_text(out) == "sin(1/2*X~)"
+    assert expr_eq(out, al.trig("s", {"X~": Q(1, 2)}, ctx=CTX))
+    # the pi offset survives the re-expansion
+    c = al.trig("c", {"X": Q(1)}, Q(1, 3), ctx=CTX)
+    assert expr_eq(al.substitute_jets(c, rule), al.trig("c", {"X~": Q(1)}, Q(1, 3), ctx=CTX))
+
+
 def test_substitute_checks_degree_and_weight():
     from gradedsg.errors import DegreeMismatch, WeightMismatch
     psi_p = al.jet("psi+", ctx=CTX)

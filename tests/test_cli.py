@@ -36,6 +36,33 @@ def test_parse_print_roundtrip_on_engine_output():
 
 
 # ---------------------------------------------------------------------------
+# report entries
+
+def test_report_zero_check_and_finding():
+    from gradedsg.report import Report
+    ctx = al.BT_CTX
+    zero = al.GradedExpr.zero(ctx)
+    residual = al.jet("X", 1, 0, ctx) - al.jet("Y", ctx=ctx)
+    rep = Report("r")
+    rep.add_zero_check("zero", zero, note="n")
+    assert rep.status == "pass"
+    rep.add_zero_check("nonzero", residual)
+    rep.add_finding("finding", residual)
+    rep.add_finding("no finding", zero)
+    by_name = {e.name: e for e in rep.entries}
+    assert (by_name["zero"].status, by_name["zero"].residual_terms) == ("pass", ())
+    assert by_name["zero"].details == {"note": "n"}
+    assert by_name["nonzero"].status == "fail"
+    assert by_name["nonzero"].residual_terms == ("X_{-} - Y",)
+    assert by_name["finding"].status == "info"
+    assert by_name["finding"].residual_terms == ("X_{-} - Y",)
+    assert by_name["finding"].details == {"is_zero": False}
+    assert by_name["no finding"].residual_terms == ()
+    assert by_name["no finding"].details == {"is_zero": True}
+    assert rep.status == "fail"
+
+
+# ---------------------------------------------------------------------------
 # run orchestration
 
 def test_run_light_checks_exit_zero(capsys):

@@ -24,6 +24,37 @@ def cached_methods(source: str) -> list[str]:
     return found
 
 
+def call_sites(source: str, callee: str) -> list[str]:
+    """Innermost enclosing function ('<module>' at top level) of each call."""
+    sites = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == callee:
+                sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def assert_lines(source: str) -> list[int]:
+    """Line numbers of ``assert`` statements."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def package_sources() -> list[Path]:
+    sources = sorted(Path(gradedsg.__file__).parent.glob("*.py"))
+    assert sources
+    return sources
+
+
 def test_guard_detects_cached_methods():
     source = ("import functools\n"
               "class A:\n"
@@ -38,8 +69,40 @@ def test_guard_detects_cached_methods():
 
 def test_no_lru_cache_on_methods():
     # a method cache keys on self and keeps every instance alive
-    sources = sorted(Path(gradedsg.__file__).parent.glob("*.py"))
-    assert sources
-    offenders = [f"{path.name}: {name}" for path in sources
+    offenders = [f"{path.name}: {name}" for path in package_sources()
                  for name in cached_methods(path.read_text())]
+    assert offenders == []
+
+
+def test_guard_finds_call_sites():
+    source = ("def f():\n"
+              "    g(1)\n"
+              "    def h():\n"
+              "        return al.g(2)\n"
+              "g(3)\n"
+              "gg(4)\n")
+    assert call_sites(source, "g") == ["f", "h", "<module>"]
+
+
+def test_one_monomial_rebuild_loop():
+    # substitute_jets is the only place that takes a monomial apart and
+    # multiplies it back together with replacements
+    sites = [f"{path.name}: {where}" for path in package_sources()
+             for where in call_sites(path.read_text(), "_term_factors")]
+    assert sites == ["algebra.py: substitute_jets"]
+
+
+def test_guard_finds_asserts():
+    source = ("x = 1\n"
+              "assert x\n"
+              "def f():\n"
+              "    assert not x, 'message'\n"
+              "    raise AssertionError\n")
+    assert assert_lines(source) == [2, 4]
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements; invariants raise typed errors
+    offenders = [f"{path.name}:{line}" for path in package_sources()
+                 for line in assert_lines(path.read_text())]
     assert offenders == []
