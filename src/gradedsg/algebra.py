@@ -22,6 +22,7 @@ to sum), which makes the zero test decidable.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -223,44 +224,27 @@ def _canon_trig(kind: str, combo: Mapping[str, Fraction],
         elif co != 0:
             items[sym] = Q(co)
     coef = Q(1)
-    if items:
-        ordered = sorted(items.items())
-        if ordered[0][1] < 0:
-            ordered = [(s, -c) for s, c in ordered]
-            pioff = -pioff
-            if kind == "s":
-                coef = -coef
-        pioff %= 2
-        if pioff >= 1:
-            pioff -= 1
-            coef = -coef
-        if pioff >= HALF:
-            pioff -= HALF
-            if kind == "s":
-                kind = "c"
-            else:
-                kind = "s"
-                coef = -coef
-        return coef, (kind, tuple(ordered), pioff)
-    # constant angle
-    q = pioff % 2
-    if q.denominator in (1, 2):
+    ordered = sorted(items.items())
+    if ordered and ordered[0][1] < 0:
+        ordered = [(s, -c) for s, c in ordered]
+        pioff = -pioff
         if kind == "s":
-            val = {Q(0): 0, Q(1): 0, HALF: 1, Q(3, 2): -1}[q]
-        else:
-            val = {Q(0): 1, Q(1): -1, HALF: 0, Q(3, 2): 0}[q]
-        return Q(val), None
-    if q >= 1:
-        q -= 1
+            coef = -coef
+    pioff %= 2
+    if pioff >= 1:
+        pioff -= 1
         coef = -coef
-    if q >= HALF:
-        q -= HALF
+    if pioff >= HALF:
+        pioff -= HALF
         if kind == "s":
             kind = "c"
         else:
             kind = "s"
             coef = -coef
-    return coef, (kind, (), q)
+    if not ordered and pioff == 0:
+        # constant angle, a multiple of pi/2: exact value
+        return (coef if kind == "c" else Q(0)), None
+    return coef, (kind, tuple(ordered), pioff)
 
 
 def _trig_arg_add(t1: TrigAtom, t2: TrigAtom, sub: bool) -> tuple[dict, Fraction]:
@@ -399,26 +383,43 @@ def _key_sortable(key: Key):
 # expressions
 
 class GradedExpr:
-    """Canonical-form element of the graded algebra (immutable by convention)."""
+    """Canonical-form element of the graded algebra (immutable by convention).
+
+    ``terms`` is any iterable of ``(key, coefficient)`` pairs.  Coefficients
+    of a repeated key are summed and zero results dropped; this constructor
+    is the only place where coefficients are added.
+    """
 
     __slots__ = ("ctx", "terms", "truncated")
 
-    def __init__(self, ctx: Context, terms: Mapping[Key, Fraction],
+    def __init__(self, ctx: Context, terms: Iterable[tuple[Key, Fraction]] = (),
                  truncated: bool = False):
+        acc: dict[Key, Fraction] = {}
+        get = acc.get
+        for k, c in terms:
+            old = get(k)
+            if old is None:
+                if c:
+                    acc[k] = c
+            else:
+                c = old + c
+                if c:
+                    acc[k] = c
+                else:
+                    del acc[k]
         self.ctx = ctx
-        self.terms = {k: v for k, v in terms.items() if v != 0}
+        self.terms = acc
         self.truncated = truncated
 
     # -- helpers ------------------------------------------------------------
 
     @staticmethod
     def zero(ctx: Context = DEFAULT_CTX) -> "GradedExpr":
-        return GradedExpr(ctx, {})
+        return GradedExpr(ctx)
 
     @staticmethod
     def rational(q, ctx: Context = DEFAULT_CTX) -> "GradedExpr":
-        q = Q(q)
-        return GradedExpr(ctx, {KEY_ONE: q} if q else {})
+        return GradedExpr(ctx, ((KEY_ONE, Q(q)),))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -433,19 +434,13 @@ class GradedExpr:
         if isinstance(other, (int, Fraction)):
             other = GradedExpr.rational(other, self.ctx)
         self._require_same_ctx(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            nc = terms.get(k, Q(0)) + c
-            if nc:
-                terms[k] = nc
-            else:
-                terms.pop(k, None)
-        return GradedExpr(self.ctx, terms, self.truncated or other.truncated)
+        return GradedExpr(self.ctx, itertools.chain(self.terms.items(), other.terms.items()),
+                          self.truncated or other.truncated)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedExpr(self.ctx, {k: -c for k, c in self.terms.items()},
+        return GradedExpr(self.ctx, ((k, -c) for k, c in self.terms.items()),
                           self.truncated)
 
     def __sub__(self, other):
@@ -460,7 +455,7 @@ class GradedExpr:
         q = Q(q)
         if q == 0:
             return GradedExpr.zero(self.ctx)
-        return GradedExpr(self.ctx, {k: q * c for k, c in self.terms.items()},
+        return GradedExpr(self.ctx, ((k, q * c) for k, c in self.terms.items()),
                           self.truncated)
 
     def __mul__(self, other):
@@ -468,22 +463,17 @@ class GradedExpr:
             return self.scale(other)
         self._require_same_ctx(other)
         ctx = self.ctx
-        acc: dict[Key, Fraction] = {}
+        products = []
         truncated = self.truncated or other.truncated
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                for k, c in _mul_keys_cached(k1, k2, ctx):
-                    if c == 0:
-                        continue
-                    if k is _TRUNCATED:
-                        truncated = True
-                        continue
-                    nc = acc.get(k, Q(0)) + c1 * c2 * c
-                    if nc:
-                        acc[k] = nc
-                    else:
-                        acc.pop(k, None)
-        return GradedExpr(ctx, acc, truncated)
+                keys = _mul_keys_cached(k1, k2, ctx)
+                if keys is _TRUNCATED:
+                    truncated = True
+                    continue
+                for k, c in keys:
+                    products.append((k, c1 * c2 * c))
+        return GradedExpr(ctx, products, truncated)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -525,7 +515,7 @@ class GradedExpr:
         return f"GradedExpr({to_text(self)!r})"
 
 
-# sentinel used by _mul_keys_cached to report a window drop
+# returned by _mul_keys_cached when the product leaves the a-window
 _TRUNCATED = object()
 
 
@@ -540,7 +530,7 @@ def _mul_keys_cached(k1: Key, k2: Key, ctx: Context) -> tuple:
         return ()
     a = a1 + a2
     if a < ctx.amin or a > ctx.amax:
-        return ((_TRUNCATED, Q(1)),)
+        return _TRUNCATED
     sign = _cross_sign(k1, k2)
     csign, cf, vshift = cf_mul(cf1, cf2, ctx)
     sign *= csign
@@ -584,17 +574,17 @@ def gen(name: str, ctx: Context = DEFAULT_CTX) -> GradedExpr:
         key = _GEN_KEYS[name]
     except KeyError:
         raise KeyError(f"unknown generator {name!r}") from None
-    return GradedExpr(ctx, {key: Q(1)})
+    return GradedExpr(ctx, ((key, Q(1)),))
 
 
 def apow(k: int, ctx: Context = DEFAULT_CTX) -> GradedExpr:
     if k < ctx.amin or k > ctx.amax:
-        return GradedExpr(ctx, {}, truncated=True)
-    return GradedExpr(ctx, {(0, 0, 0, CF_ONE, 0, k, (), (), None): Q(1)})
+        return GradedExpr(ctx, truncated=True)
+    return GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, k, (), (), None), Q(1)),))
 
 
 def vpow(k: int, ctx: Context = DEFAULT_CTX) -> GradedExpr:
-    return GradedExpr(ctx, {(0, 0, 0, CF_ONE, k, 0, (), (), None): Q(1)})
+    return GradedExpr(ctx, (((0, 0, 0, CF_ONE, k, 0, (), (), None), Q(1)),))
 
 
 def jet(name: str, m: int = 0, n: int = 0, ctx: Context = DEFAULT_CTX) -> GradedExpr:
@@ -606,7 +596,7 @@ def jet(name: str, m: int = 0, n: int = 0, ctx: Context = DEFAULT_CTX) -> Graded
         key = (0, 0, 0, CF_ONE, 0, 0, (), atom, None)
     else:
         key = (0, 0, 0, CF_ONE, 0, 0, atom, (), None)
-    return GradedExpr(ctx, {key: Q(1)})
+    return GradedExpr(ctx, ((key, Q(1)),))
 
 
 def trig(kind: str, combo: Mapping[str, Fraction], pioff=Q(0),
@@ -616,10 +606,7 @@ def trig(kind: str, combo: Mapping[str, Fraction], pioff=Q(0),
         if not field_info(sym).trig:
             raise UnsupportedAtom(f"{sym!r} may not appear inside a trig argument")
     coef, atom = _canon_trig(kind, combo, Q(pioff))
-    if coef == 0:
-        return GradedExpr.zero(ctx)
-    key = (0, 0, 0, CF_ONE, 0, 0, (), (), atom)
-    return GradedExpr(ctx, {key: coef})
+    return GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, 0, (), (), atom), coef),))
 
 
 # ---------------------------------------------------------------------------
@@ -736,15 +723,7 @@ def _expand_exps(jets) -> list[tuple[str, int, int]]:
 def d_x(e: GradedExpr, direction: str) -> GradedExpr:
     """Abstract x-derivative (direction '-' or '+'): shifts jet indices."""
     dm, dn = (1, 0) if direction == "-" else (0, 1)
-    acc: dict[Key, Fraction] = {}
-
-    def put(key, c):
-        nc = acc.get(key, Q(0)) + c
-        if nc:
-            acc[key] = nc
-        else:
-            acc.pop(key, None)
-
+    out = []
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
         # graded jets
@@ -752,13 +731,13 @@ def d_x(e: GradedExpr, direction: str) -> GradedExpr:
         for i, (name, m, n) in enumerate(flat):
             if field_info(name).constant:
                 continue
-            mult = 1  # identical copies handled by repeated positions
+            # identical copies are handled by their repeated positions
             new = flat[:i] + [(name, m + dm, n + dn)] + flat[i + 1:]
             res = _resort_gj(new)
             if res is None:
                 continue
             sgn, gj2 = res
-            put((z, tm, tp, cf, v, a, gj2, bj, t), c * sgn * mult)
+            out.append(((z, tm, tp, cf, v, a, gj2, bj, t), c * sgn))
         # scalar jets
         for idx, ((name, m, n), exp) in enumerate(bj):
             if field_info(name).constant:
@@ -770,8 +749,8 @@ def d_x(e: GradedExpr, direction: str) -> GradedExpr:
                 counts[(name, m, n)] = exp - 1
             atom2 = (name, m + dm, n + dn)
             counts[atom2] = counts.get(atom2, 0) + 1
-            put((z, tm, tp, cf, v, a, gj, tuple(sorted(counts.items())), t),
-                c * exp)
+            out.append(((z, tm, tp, cf, v, a, gj, tuple(sorted(counts.items())), t),
+                        c * exp))
         # trig chain rule
         if t is not None:
             kind, combo, pioff = t
@@ -783,9 +762,9 @@ def d_x(e: GradedExpr, direction: str) -> GradedExpr:
                 counts = dict(bj)
                 atom2 = (sym, dm, dn)
                 counts[atom2] = counts.get(atom2, 0) + 1
-                put((z, tm, tp, cf, v, a, gj, tuple(sorted(counts.items())),
-                     (newkind, combo, pioff)), c * factor)
-    return GradedExpr(e.ctx, acc, e.truncated)
+                out.append(((z, tm, tp, cf, v, a, gj, tuple(sorted(counts.items())),
+                             (newkind, combo, pioff)), c * factor))
+    return GradedExpr(e.ctx, out, e.truncated)
 
 
 def d_minus(e: GradedExpr) -> GradedExpr:
@@ -797,31 +776,18 @@ def d_plus(e: GradedExpr) -> GradedExpr:
 
 
 def d_z(e: GradedExpr) -> GradedExpr:
-    acc = {}
-    for key, c in e.terms.items():
-        z, rest = key[0], key[1:]
-        if z:
-            acc[(z - 1, *rest)] = acc.get((z - 1, *rest), Q(0)) + c * z
-    return GradedExpr(e.ctx, acc, e.truncated)
+    return GradedExpr(e.ctx, (((key[0] - 1, *key[1:]), c * key[0])
+                              for key, c in e.terms.items() if key[0]),
+                      e.truncated)
 
 
 def d_theta(e: GradedExpr, which: str) -> GradedExpr:
     """Left derivative in theta- ('-') or theta+ ('+')."""
-    acc = {}
-    for key, c in e.terms.items():
-        z, tm, tp, cf, v, a, gj, bj, t = key
-        if which == "-":
-            if not tm:
-                continue
-            sign = -1 if z % 2 else 1
-            k2 = (z, 0, tp, cf, v, a, gj, bj, t)
-        else:
-            if not tp:
-                continue
-            sign = -1 if z % 2 else 1
-            k2 = (z, tm, 0, cf, v, a, gj, bj, t)
-        acc[k2] = acc.get(k2, Q(0)) + c * sign
-    return GradedExpr(e.ctx, acc, e.truncated)
+    slot = 1 if which == "-" else 2
+    return GradedExpr(e.ctx, (((*key[:slot], 0, *key[slot + 1:]),
+                               -c if key[0] % 2 else c)
+                              for key, c in e.terms.items() if key[slot]),
+                      e.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -829,10 +795,10 @@ def d_theta(e: GradedExpr, which: str) -> GradedExpr:
 
 def component_split(e: GradedExpr) -> dict[tuple[int, int], GradedExpr]:
     """Split by theta sector; values have the theta bits removed."""
-    out: dict[tuple[int, int], dict] = {}
+    out: dict[tuple[int, int], list] = {}
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
-        out.setdefault((tm, tp), {})[(z, 0, 0, cf, v, a, gj, bj, t)] = c
+        out.setdefault((tm, tp), []).append(((z, 0, 0, cf, v, a, gj, bj, t), c))
     return {sec: GradedExpr(e.ctx, terms, e.truncated)
             for sec, terms in out.items()}
 
@@ -841,27 +807,16 @@ def series_coefficient(e: GradedExpr, n: int) -> GradedExpr:
     """Coefficient of a^n (a removed from the result)."""
     if n < e.ctx.amin or n > e.ctx.amax:
         raise OutsideWindow(f"a^{n} outside window [{e.ctx.amin}, {e.ctx.amax}]")
-    acc = {}
-    for key, c in e.terms.items():
-        z, tm, tp, cf, v, a, gj, bj, t = key
-        if a == n:
-            acc[(z, tm, tp, cf, v, 0, gj, bj, t)] = c
-    return GradedExpr(e.ctx, acc, e.truncated)
+    return GradedExpr(e.ctx, (((*key[:5], 0, *key[6:]), c)
+                              for key, c in e.terms.items() if key[5] == n),
+                      e.truncated)
 
 
 def with_context(e: GradedExpr, ctx: Context) -> GradedExpr:
     """Reinterpret under another truncation context, dropping what falls out."""
-    acc = {}
-    truncated = e.truncated
-    for key, c in e.terms.items():
-        z, tm, tp, cf, v, a, gj, bj, t = key
-        if z > ctx.nz:
-            continue
-        if a < ctx.amin or a > ctx.amax:
-            truncated = True
-            continue
-        acc[key] = c
-    return GradedExpr(ctx, acc, truncated)
+    kept = [(key, c) for key, c in e.terms.items() if key[0] <= ctx.nz]
+    inside = [(key, c) for key, c in kept if ctx.amin <= key[5] <= ctx.amax]
+    return GradedExpr(ctx, inside, e.truncated or len(inside) < len(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -871,22 +826,23 @@ def _body_split(e: GradedExpr) -> tuple[dict[str, Fraction], Fraction, GradedExp
     """Split into (linear body combo, pi offset, remainder)."""
     combo: dict[str, Fraction] = {}
     pioff = Q(0)
-    rest: dict[Key, Fraction] = {}
+    rest = []
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
         if (z == 0 and not tm and not tp and cf == CF_ONE and v == 0 and a == 0
                 and not gj and t is None and len(bj) == 1):
             (name, m, n), exp = bj[0]
             if exp == 1 and m == 0 and n == 0 and field_info(name).trig:
+                # each symbol is one key, so it is met at most once
                 if name == "pi":
-                    pioff += c
+                    pioff = c
                 else:
-                    combo[name] = combo.get(name, Q(0)) + c
+                    combo[name] = c
                 continue
         if key == KEY_ONE:
             raise UnsupportedAtom(
                 "constant trig offsets must be rational multiples of pi")
-        rest[key] = c
+        rest.append((key, c))
     return combo, pioff, GradedExpr(e.ctx, rest, e.truncated)
 
 
@@ -926,7 +882,7 @@ def trig_of(kind: str, e: GradedExpr, half=Q(1)) -> GradedExpr:
         coef *= fk_sign
         if coef != 0:
             base_key = (0, 0, 0, CF_ONE, 0, 0, (), (), atom)
-            base = GradedExpr(ctx, {base_key: coef / kfact})
+            base = GradedExpr(ctx, ((base_key, coef / kfact),))
             result = result + base * power
         k += 1
         if k > 64:
@@ -942,25 +898,27 @@ def _term_factors(key: Key, ctx: Context) -> Iterator[GradedExpr]:
     """Factor a monomial into single-slot expressions, in normal order."""
     z, tm, tp, cf, v, a, gj, bj, t = key
     if z:
-        yield GradedExpr(ctx, {(z, 0, 0, CF_ONE, 0, 0, (), (), None): Q(1)})
+        yield GradedExpr(ctx, (((z, 0, 0, CF_ONE, 0, 0, (), (), None), Q(1)),))
     if tm:
         yield gen("theta-", ctx)
     if tp:
         yield gen("theta+", ctx)
     if cf != CF_ONE or v:
-        yield GradedExpr(ctx, {(0, 0, 0, cf, v, 0, (), (), None): Q(1)})
+        yield GradedExpr(ctx, (((0, 0, 0, cf, v, 0, (), (), None), Q(1)),))
     if a:
         yield apow(a, ctx)
     for (name, m, n), exp in gj:
-        atom = GradedExpr(ctx, {(0, 0, 0, CF_ONE, 0, 0, (((name, m, n), 1),), (), None): Q(1)})
+        atom = GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, 0, (((name, m, n), 1),), (), None),
+                                 Q(1)),))
         for _ in range(exp):
             yield atom
     for (name, m, n), exp in bj:
-        atom = GradedExpr(ctx, {(0, 0, 0, CF_ONE, 0, 0, (), (((name, m, n), 1),), None): Q(1)})
+        atom = GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, 0, (), (((name, m, n), 1),), None),
+                                 Q(1)),))
         for _ in range(exp):
             yield atom
     if t is not None:
-        yield GradedExpr(ctx, {(0, 0, 0, CF_ONE, 0, 0, (), (), t): Q(1)})
+        yield GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, 0, (), (), t), Q(1)),))
 
 
 JetRule = Callable[[str, int, int], Optional[GradedExpr]]
@@ -987,12 +945,13 @@ def substitute_jets(e: GradedExpr, rule: JetRule) -> GradedExpr:
     its pi offset kept.
     """
     ctx = e.ctx
-    out = GradedExpr.zero(ctx)
+    pairs = []
+    truncated = False
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
         new_trig = None if t is None else _substituted_trig(t, rule, ctx)
         if new_trig is None and all(rule(*atom) is None for atom, _ in gj + bj):
-            out = out + GradedExpr(ctx, {key: c})
+            pairs.append((key, c))
             continue
         term = GradedExpr.rational(c, ctx)
         for factor in _term_factors(key, ctx):
@@ -1003,8 +962,9 @@ def substitute_jets(e: GradedExpr, rule: JetRule) -> GradedExpr:
             else:
                 repl = new_trig if fkey[8] is not None else None
             term = term * (factor if repl is None else repl)
-        out = out + term
-    return out
+        pairs.extend(term.terms.items())
+        truncated = truncated or term.truncated
+    return GradedExpr(ctx, pairs, truncated)
 
 
 class JetRewriter:
@@ -1067,7 +1027,7 @@ def mirror_pm(e: GradedExpr) -> GradedExpr:
     degree-swapping algebra automorphism, so normal ordering is restored
     with commutation signs where the sort order changes.
     """
-    acc: dict[Key, Fraction] = {}
+    out = []
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
         fam, kind = cf
@@ -1081,9 +1041,8 @@ def mirror_pm(e: GradedExpr) -> GradedExpr:
             continue
         sgn, gj2 = res
         bj2 = tuple(sorted(((name, n, m), exp) for (name, m, n), exp in bj))
-        key2 = (z, tp, tm, cf2, -v, a, gj2, bj2, t)
-        acc[key2] = acc.get(key2, Q(0)) + c * sgn
-    return GradedExpr(e.ctx, acc, e.truncated)
+        out.append(((z, tp, tm, cf2, -v, a, gj2, bj2, t), c * sgn))
+    return GradedExpr(e.ctx, out, e.truncated)
 
 
 def substitute(e: GradedExpr, bindings: Mapping[str, GradedExpr]) -> GradedExpr:

@@ -626,8 +626,8 @@ def export_body_system(sys: BTSystem) -> BodyBTSpec:
 
     mis_raw = mismatch(rel1, rel2_raw)
     # completion: flip the trig-term sign of the second relation
-    rel2 = GradedExpr(ctx, {k: (-c if k[8] is not None else c)
-                            for k, c in rel2_raw.terms.items()})
+    rel2 = GradedExpr(ctx, ((k, -c if k[8] is not None else c)
+                            for k, c in rel2_raw.terms.items()))
     mis_completed = mismatch(rel1, rel2)
     if not mis_completed.is_zero():
         raise InconsistentSystem(

@@ -59,6 +59,15 @@ class RunConfig:
             raise ConfigError(f"--audit-order must be in [0, {al.BT_CTX.amax - 2}]")
         if self.fmt not in ("text", "json"):
             raise ConfigError("--format must be 'text' or 'json'")
+        L, h, dt = self.grid_L, self.grid_h, self.grid_dt
+        if not all(math.isfinite(x) and x > 0 for x in (L, h, dt)):
+            raise ConfigError("--grid values L, h and dt must be finite and positive")
+        if 2 * L / h < 4:
+            raise ConfigError("--grid needs at least 5 points (2L/h >= 4)")
+        if dt >= h:
+            raise ConfigError("--grid needs dt < h")
+        if not math.isfinite(self.bt_a) or self.bt_a == 0:
+            raise ConfigError("--bt-a must be finite and nonzero")
 
 
 # ---------------------------------------------------------------------------
@@ -371,20 +380,16 @@ GOLDEN_CHECKS = ("redundancy", "conservation-audit")
 def _golden_diff(cfg: RunConfig, rep: Report) -> Optional[str]:
     """Compare an informational report against its golden file.
 
-    Returns an error string on mismatch; writes the file when absent."""
+    Returns an error string on mismatch or when the file is missing; never
+    writes anything."""
     if not cfg.golden:
         return None
-    os.makedirs(cfg.golden, exist_ok=True)
     path = os.path.join(cfg.golden, rep.name + ".txt")
-    body = rep.to_text()
     if not os.path.exists(path):
-        with open(path, "w") as fh:
-            fh.write(body)
-        rep.note = (rep.note + " | " if rep.note else "") + "golden file written"
-        return None
+        return f"{rep.name}: golden file {path} missing"
     with open(path) as fh:
         want = fh.read()
-    if want != body:
+    if want != rep.to_text():
         return f"{rep.name}: output differs from golden file {path}"
     return None
 

@@ -265,7 +265,7 @@ def derivation_covariance_checks(probe: Optional[GradedExpr] = None):
         try:
             # probe is inhomogeneous as a whole; check per starting monomial
             for key, c in probe.terms.items():
-                mono = GradedExpr(probe.ctx, {key: c})
+                mono = GradedExpr(probe.ctx, ((key, c),))
                 res = D(mono)
                 if res.is_zero():
                     continue

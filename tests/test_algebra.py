@@ -161,6 +161,75 @@ def test_a_window_truncation_flagged():
     assert not (al.apow(2, CTX) * al.apow(2, CTX)).truncated
 
 
+# ---------------------------------------------------------------------------
+# the normaliser
+
+def _key(e):
+    (key, _), = e.terms.items()
+    return key
+
+
+def test_constructor_sums_repeated_keys():
+    kx, ky = _key(al.jet("X", ctx=CTX)), _key(al.jet("Y", ctx=CTX))
+    e = al.GradedExpr(CTX, [(kx, Q(1, 2)), (ky, Q(1)), (al.KEY_ONE, Q(0)),
+                            (kx, Q(1, 3)), (ky, Q(-1))])
+    assert e.terms == {kx: Q(5, 6)}
+    # a key that cancelled and comes back starts afresh
+    assert al.GradedExpr(CTX, [(kx, Q(1)), (kx, Q(-1)), (kx, Q(2))]).terms == {kx: Q(2)}
+    assert al.GradedExpr(CTX, iter([(kx, Q(1)), (kx, Q(-1))])).terms == {}
+    assert al.GradedExpr(CTX).terms == {}
+
+
+def test_operations_store_no_zero_coefficient():
+    X = al.jet("X", ctx=CTX)
+    assert (X + X).terms == {_key(X): Q(2)}
+    assert (X - X).terms == {}
+    assert X.scale(0).terms == {} and al.GradedExpr.rational(0, CTX).terms == {}
+    # (l+ + l-)^2 = v+ + alpha - alpha - v-: the alpha products cancel inside one product
+    lp, lm = g("lambda+"), g("lambda-")
+    sq = (lp + lm) * (lp + lm)
+    assert sq.terms == (al.vpow(1, CTX) - al.vpow(-1, CTX)).terms
+    assert _key(g("alpha")) not in sq.terms
+    rng = random.Random(5)
+    for _ in range(10):
+        a = _random_expr(rng, CTX, ["X", "psi+", "F"], 3)
+        b = _random_expr(rng, CTX, ["Y", "psi-", "X"], 3)
+        for e in (a + b, a - a, a * b, a * b - b * a, al.d_plus(a * b),
+                  al.mirror_pm(a) + al.mirror_pm(b)):
+            assert all(c != 0 for c in e.terms.values())
+
+
+def test_substitute_jets_accumulates_without_adding(monkeypatch):
+    X, Y = al.jet("X", ctx=CTX), al.jet("Y", ctx=CTX)
+    monos = [al.jet("X", m, n, CTX) * (Y if k == 1 else Y * Y)
+             for m in range(5) for n in range(5) for k in (1, 2)]
+    e = al.GradedExpr(CTX, [(_key(mono), Q(m + 1)) for m, mono in enumerate(monos)])
+    assert len(e.terms) == 50 and all(k[8] is None for k in e.terms)
+    repl = X.scale(2) + 1
+    keep = al.JetRewriter([]).rule
+    bind_y = al.JetRewriter([(("Y", 0, 0), repl)]).rule
+    calls = []
+
+    def counting_add(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    add = al.GradedExpr.__add__
+    monkeypatch.setattr(al.GradedExpr, "__add__", counting_add)
+    monkeypatch.setattr(al.GradedExpr, "__radd__", counting_add)
+    same = al.substitute_jets(e, keep)
+    bound = al.substitute_jets(e, bind_y)
+    assert calls == []
+    monkeypatch.undo()
+    assert same == e
+    want = al.GradedExpr.zero(CTX)
+    for m, mono in enumerate(monos):
+        (name, mm, nn), _ = _key(mono)[7][0]
+        k = 1 if m % 2 == 0 else 2
+        want = want + al.jet("X", mm, nn, CTX) * (repl if k == 1 else repl * repl).scale(m + 1)
+    assert bound == want
+
+
 def test_laurent_paired_parameter_product():
     # (a lambda+ sin) * (a^-1 lambda- sin) lands on the alpha line at a^0
     u = al.apow(1, CTX) * g("lambda+") * al.trig("s", {"X": Q(1, 4), "X~": Q(1, 4)}, ctx=CTX)

@@ -85,7 +85,20 @@ def test_bad_check_name_exits_two():
 
 
 def test_bad_grid_exits_two(capsys):
-    assert cli.main(["--grid", "1,2", "--check", "derive-eom"]) == 2
+    bad = [["--grid", "1,2", "--check", "derive-eom"],
+           ["--grid", "20,0,0.1", "--check", "kink"],         # h = 0
+           ["--grid", "20,-0.5,0.1", "--check", "kink"],      # h < 0
+           ["--grid", "0,0.01,0.005", "--check", "kink"],     # L = 0
+           ["--grid", "1,0.6,0.1", "--check", "kink"],        # under 5 points
+           ["--grid", "20,0.01,0.02", "--check", "kink"],     # dt > h
+           ["--grid", "nan,0.1,0.01", "--check", "kink"],
+           ["--grid", "20,0.1,inf", "--check", "kink"],
+           ["--bt-a", "0", "--check", "bt-numeric"],
+           ["--bt-a", "nan", "--check", "bt-numeric"]]
+    for argv in bad:
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_sabotage_flag_fails_run(capsys):
@@ -128,10 +141,12 @@ def test_output_deterministic(capsys):
 def test_golden_flow(tmp_path, capsys):
     argv = ["--check", "redundancy", "--order", "3",
             "--golden", str(tmp_path)]
-    assert cli.main(argv) == 0  # first run writes the golden file
-    assert (tmp_path / "redundancy.txt").exists()
-    capsys.readouterr()
-    assert cli.main(argv) == 0  # second run matches
+    assert cli.main(argv) == 1  # a missing golden file is a mismatch
+    assert "GOLDEN-MISMATCH" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []  # and nothing was written
+    body = cli.CHECKS["redundancy"](cli.RunConfig(order=3)).to_text()
+    (tmp_path / "redundancy.txt").write_text(body)
+    assert cli.main(argv) == 0  # a file written from the API matches
     capsys.readouterr()
     (tmp_path / "redundancy.txt").write_text("corrupted\n")
     assert cli.main(argv) == 1  # mismatch is an error
