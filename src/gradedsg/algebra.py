@@ -25,7 +25,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import (
     DegreeMismatch,
@@ -45,7 +45,6 @@ from .grading import (
     DEG_EVEN,
     BoostWeight,
     Degree,
-    commutation_sign,
     degree_add,
     is_self_odd,
     pairing,
@@ -166,17 +165,9 @@ _LAMBDA_TABLE = {
 }
 
 # eta relations mirror the lambda ones with v+ <-> v-.
-_ETA_TABLE = {
-    ("a", "a"): (1, "1", 0),
-    ("a", "+"): (-1, "-", -1),
-    ("a", "-"): (-1, "+", +1),
-    ("+", "a"): (1, "-", -1),
-    ("-", "a"): (1, "+", +1),
-    ("+", "+"): (1, "1", -1),
-    ("+", "-"): (1, "a", 0),
-    ("-", "+"): (-1, "a", 0),
-    ("-", "-"): (-1, "1", +1),
-}
+_ETA_TABLE = {kinds: (sign, kind, -vshift)
+              for kinds, (sign, kind, vshift) in _LAMBDA_TABLE.items()}
+
 
 def cf_degree(cf: tuple[str, str]) -> Degree:
     return _CF_DEGREE[cf]
@@ -338,18 +329,10 @@ def _merge_jets(j1, j2, graded: bool):
 
 
 def key_degree(key: Key) -> Degree:
-    z, tm, tp, cf, v, a, gj, bj, trig = key
     d = DEG_EVEN
-    for _ in range(z % 2):
-        d = degree_add(d, DEG_11)
-    if tm:
-        d = degree_add(d, DEG_01)
-    if tp:
-        d = degree_add(d, DEG_10)
-    d = degree_add(d, cf_degree(cf)) if cf != CF_ONE else d
-    for (name, m, n), exp in gj:
-        if exp % 2:
-            d = degree_add(d, _gj_degree(name))
+    for _, deg, mult in _rank_atoms(key):
+        if mult % 2:
+            d = degree_add(d, deg)
     return d
 
 
@@ -692,65 +675,43 @@ def to_text(e: GradedExpr) -> str:
 # ---------------------------------------------------------------------------
 # derivations (primitive layer)
 
-def _resort_gj(atoms: Sequence[tuple[str, int, int]]) -> Optional[tuple[int, tuple]]:
-    """Sort an almost-sorted graded atom list, tracking commutation signs."""
-    lst = list(atoms)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j] < lst[j - 1]:
-            da = _gj_degree(lst[j][0])
-            db = _gj_degree(lst[j - 1][0])
-            sign *= commutation_sign(da, db)
-            lst[j], lst[j - 1] = lst[j - 1], lst[j]
-            j -= 1
-    for i in range(1, len(lst)):
-        if lst[i] == lst[i - 1] and is_self_odd(_gj_degree(lst[i][0])):
-            return None
-    counts: dict[tuple, int] = {}
-    for atom in lst:
-        counts[atom] = counts.get(atom, 0) + 1
-    return sign, tuple(sorted(counts.items()))
-
-
-def _expand_exps(jets) -> list[tuple[str, int, int]]:
-    out = []
-    for (name, m, n), exp in jets:
-        out.extend([(name, m, n)] * exp)
-    return out
-
-
 def d_x(e: GradedExpr, direction: str) -> GradedExpr:
-    """Abstract x-derivative (direction '-' or '+'): shifts jet indices."""
+    """Abstract x-derivative (direction '-' or '+'): shifts jet indices.
+
+    An even derivation: each jet is shifted in place, with no sign from the
+    factors before it.  The shifted jet then moves to its sorted place past
+    the jets of its own field between its old and new index; each such jet
+    of a self-odd field flips the sign, and landing on one gives zero.
+    """
     dm, dn = (1, 0) if direction == "-" else (0, 1)
     out = []
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
-        # graded jets
-        flat = _expand_exps(gj)
-        for i, (name, m, n) in enumerate(flat):
-            if field_info(name).constant:
-                continue
-            # identical copies are handled by their repeated positions
-            new = flat[:i] + [(name, m + dm, n + dn)] + flat[i + 1:]
-            res = _resort_gj(new)
-            if res is None:
-                continue
-            sgn, gj2 = res
-            out.append(((z, tm, tp, cf, v, a, gj2, bj, t), c * sgn))
-        # scalar jets
-        for idx, ((name, m, n), exp) in enumerate(bj):
-            if field_info(name).constant:
-                continue
-            counts = dict(bj)
-            if exp == 1:
-                del counts[(name, m, n)]
-            else:
-                counts[(name, m, n)] = exp - 1
-            atom2 = (name, m + dm, n + dn)
-            counts[atom2] = counts.get(atom2, 0) + 1
-            out.append(((z, tm, tp, cf, v, a, gj, tuple(sorted(counts.items())), t),
-                        c * exp))
+        for graded, jets in ((True, gj), (False, bj)):
+            for atom, exp in jets:
+                name, m, n = atom
+                info = field_info(name)
+                if info.constant:
+                    continue
+                new = (name, m + dm, n + dn)
+                counts = dict(jets)
+                mult = exp
+                if graded and is_self_odd(info.degree):
+                    if new in counts:
+                        continue
+                    if sum(k for other, k in jets if atom < other < new) % 2:
+                        mult = -mult
+                if exp == 1:
+                    del counts[atom]
+                else:
+                    counts[atom] = exp - 1
+                counts[new] = counts.get(new, 0) + 1
+                jets2 = tuple(sorted(counts.items()))
+                if graded:
+                    key2 = (z, tm, tp, cf, v, a, jets2, bj, t)
+                else:
+                    key2 = (z, tm, tp, cf, v, a, gj, jets2, t)
+                out.append((key2, c * mult))
         # trig chain rule
         if t is not None:
             kind, combo, pioff = t
@@ -946,7 +907,7 @@ def substitute_jets(e: GradedExpr, rule: JetRule) -> GradedExpr:
     """
     ctx = e.ctx
     pairs = []
-    truncated = False
+    truncated = e.truncated
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
         new_trig = None if t is None else _substituted_trig(t, rule, ctx)
@@ -1024,24 +985,25 @@ def mirror_pm(e: GradedExpr) -> GradedExpr:
 
     Swaps the odd coordinates, the two fermion components, both jet indices,
     the two parameter families and the dual vector parameters.  This is a
-    degree-swapping algebra automorphism, so normal ordering is restored
-    with commutation signs where the sort order changes.
+    degree-swapping algebra automorphism, so the mirrored graded jets are
+    multiplied back in their original order and the product restores
+    normal ordering.
     """
     out = []
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
         fam, kind = cf
         cf2 = ({"L": "E", "E": "L"}.get(fam, fam), kind)
-        gj_atoms = []
-        for (name, m, n), exp in gj:
-            name2 = _MIRROR_FIELDS.get(name, name)
-            gj_atoms.extend([(name2, n, m)] * exp)
-        res = _resort_gj(gj_atoms)
-        if res is None:
-            continue
-        sgn, gj2 = res
         bj2 = tuple(sorted(((name, n, m), exp) for (name, m, n), exp in bj))
-        out.append(((z, tp, tm, cf2, -v, a, gj2, bj2, t), c * sgn))
+        # the graded jets are the only slot the mirror reorders
+        pairs = (((z, tp, tm, cf2, -v, a, (), bj2, t), c),)
+        for (name, m, n), exp in gj:
+            atom = (0, 0, 0, CF_ONE, 0, 0, (((_MIRROR_FIELDS.get(name, name), n, m), 1),),
+                    (), None)
+            for _ in range(exp):
+                pairs = [(k2, c2 * s) for k, c2 in pairs
+                         for k2, s in _mul_keys_cached(k, atom, e.ctx)]
+        out.extend(pairs)
     return GradedExpr(e.ctx, out, e.truncated)
 
 

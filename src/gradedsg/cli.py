@@ -3,7 +3,7 @@
 stdout carries the comparable report body (deterministic, byte-identical
 across runs for a fixed configuration); timings go to stderr.  Exit codes:
 0 all checks pass, 1 a check failed or a golden file mismatched, 2 bad
-configuration or parse error.
+configuration or expression error.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from . import model as md
 from . import numeric as nm
 from . import parser as ps
 from . import superspace as ss
-from .errors import (ConfigError, GradedSGError, MiniLangSyntaxError,
-                     UnknownSymbol)
+from .errors import ConfigError, GradedSGError
 from .report import Report, timer
 
 SYMBOLIC_CHECKS = ("verify-algebra", "derive-eom", "components", "verify-bt",
@@ -461,7 +460,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.eval is not None:
         try:
             info = ps.describe(ps.parse_expr(args.eval))
-        except (MiniLangSyntaxError, UnknownSymbol) as exc:
+        except GradedSGError as exc:
             print(f"error: {exc}", file=_sys.stderr)
             return 2
         for k in ("text", "degree", "weight", "terms"):
@@ -484,7 +483,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                         sabotage=args.sabotage)
         if cfg.out_dir:
             os.makedirs(cfg.out_dir, exist_ok=True)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     try:

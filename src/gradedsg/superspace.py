@@ -50,51 +50,35 @@ class Derivation:
         return self.fn(e)
 
 
-def _mk_P(direction: str) -> Derivation:
-    deg = DEG_EVEN
-    w = +2 if direction == "-" else -2
-    return Derivation(f"P{direction}", deg, w, lambda e: al.d_x(e, direction))
+def _odd_derivation(side: str, sign: int) -> Derivation:
+    """Supercharge (sign +1) or covariant derivative (sign -1) on one side:
+
+        d/dtheta_s + sign/2 theta_s d_s + zsign/2 theta_o d/dz
+
+    with s the side, o the other side, and zsign = -sign on the '-' side
+    and +sign on the '+' side.
+    """
+    own, other = ("theta-", "theta+") if side == "-" else ("theta+", "theta-")
+    x_factor = sign * HALF
+    z_factor = -x_factor if side == "-" else x_factor
+
+    def fn(e: GradedExpr) -> GradedExpr:
+        ctx = e.ctx
+        return (al.d_theta(e, side)
+                + (al.gen(own, ctx) * al.d_x(e, side)).scale(x_factor)
+                + (al.gen(other, ctx) * al.d_z(e)).scale(z_factor))
+
+    degree, weight = (DEG_01, +1) if side == "-" else (DEG_10, -1)
+    return Derivation(("Q" if sign > 0 else "D") + side, degree, weight, fn)
 
 
-def _mk_Z() -> Derivation:
-    return Derivation("Z-+", DEG_11, 0, al.d_z)
-
-
-def _q_minus(e: GradedExpr) -> GradedExpr:
-    ctx = e.ctx
-    return (al.d_theta(e, "-")
-            + al.gen("theta-", ctx) * al.d_x(e, "-") * HALF
-            - al.gen("theta+", ctx) * al.d_z(e) * HALF)
-
-
-def _q_plus(e: GradedExpr) -> GradedExpr:
-    ctx = e.ctx
-    return (al.d_theta(e, "+")
-            + al.gen("theta+", ctx) * al.d_x(e, "+") * HALF
-            + al.gen("theta-", ctx) * al.d_z(e) * HALF)
-
-
-def _d_minus(e: GradedExpr) -> GradedExpr:
-    ctx = e.ctx
-    return (al.d_theta(e, "-")
-            - al.gen("theta-", ctx) * al.d_x(e, "-") * HALF
-            + al.gen("theta+", ctx) * al.d_z(e) * HALF)
-
-
-def _d_plus(e: GradedExpr) -> GradedExpr:
-    ctx = e.ctx
-    return (al.d_theta(e, "+")
-            - al.gen("theta+", ctx) * al.d_x(e, "+") * HALF
-            - al.gen("theta-", ctx) * al.d_z(e) * HALF)
-
-
-P_MINUS = _mk_P("-")
-P_PLUS = _mk_P("+")
-Z_MINUSPLUS = _mk_Z()
-Q_MINUS = Derivation("Q-", DEG_01, +1, _q_minus)
-Q_PLUS = Derivation("Q+", DEG_10, -1, _q_plus)
-D_MINUS = Derivation("D-", DEG_01, +1, _d_minus)
-D_PLUS = Derivation("D+", DEG_10, -1, _d_plus)
+P_MINUS = Derivation("P-", DEG_EVEN, +2, al.d_minus)
+P_PLUS = Derivation("P+", DEG_EVEN, -2, al.d_plus)
+Z_MINUSPLUS = Derivation("Z-+", DEG_11, 0, al.d_z)
+Q_MINUS = _odd_derivation("-", +1)
+Q_PLUS = _odd_derivation("+", +1)
+D_MINUS = _odd_derivation("-", -1)
+D_PLUS = _odd_derivation("+", -1)
 
 SUPERTRANSLATIONS = (P_MINUS, P_PLUS, Z_MINUSPLUS, Q_MINUS, Q_PLUS)
 COVARIANT = (D_MINUS, D_PLUS)

@@ -159,6 +159,9 @@ def test_a_window_truncation_flagged():
     e = al.apow(5, CTX) * al.apow(5, CTX)
     assert e.is_zero() and e.truncated
     assert not (al.apow(2, CTX) * al.apow(2, CTX)).truncated
+    # substitution keeps the flag of its input
+    kept = al.substitute_jets(e + al.jet("X", ctx=CTX), al.JetRewriter([]).rule)
+    assert kept.truncated
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -94,7 +95,9 @@ def test_bad_grid_exits_two(capsys):
            ["--grid", "nan,0.1,0.01", "--check", "kink"],
            ["--grid", "20,0.1,inf", "--check", "kink"],
            ["--bt-a", "0", "--check", "bt-numeric"],
-           ["--bt-a", "nan", "--check", "bt-numeric"]]
+           ["--bt-a", "nan", "--check", "bt-numeric"],
+           # a path under an existing file: makedirs fails, nothing is made
+           ["--out-dir", os.path.join(__file__, "x"), "--check", "kink"]]
     for argv in bad:
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -112,6 +115,12 @@ def test_eval_mode(capsys):
     assert "text: -alpha" in out
     assert "degree: (1,1)" in out
     assert cli.main(["--eval", "sin()"]) == 2
+    capsys.readouterr()
+    # expressions the engine rejects are expression errors too
+    for text in ("sin(psi+)", "sin(1)", "lambda+*eta+", "sin(X*X)"):
+        assert cli.main(["--eval", text]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (text, err)
 
 
 def test_json_schema(capsys):

@@ -92,6 +92,16 @@ def test_one_monomial_rebuild_loop():
     assert sites == ["algebra.py: substitute_jets"]
 
 
+def test_product_is_the_only_normal_ordering():
+    # graded signs come from the product alone: d_x and mirror_pm reuse it
+    # instead of re-sorting atoms with their own commutation signs
+    algebra = Path(gradedsg.__file__).parent / "algebra.py"
+    assert call_sites(algebra.read_text(), "commutation_sign") == []
+    sites = [f"{path.name}: {where}" for path in package_sources()
+             for where in call_sites(path.read_text(), "_cross_sign")]
+    assert sites == ["algebra.py: _mul_keys_cached"]
+
+
 def test_guard_finds_asserts():
     source = ("x = 1\n"
               "assert x\n"
