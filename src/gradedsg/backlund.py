@@ -29,7 +29,7 @@ from . import superspace as ss
 from .algebra import Context, GradedExpr, Q
 from .errors import InconsistentSystem, UnresolvedGenerator, UnsupportedAtom
 from .grading import DEG_01, DEG_10
-from .report import Report, timer
+from .report import Report
 
 HALF = Q(1, 2)
 QUARTER = Q(1, 4)
@@ -224,48 +224,47 @@ def verify_auto_bt(sys: BTSystem) -> Report:
     asserted against the engine first.
     """
     rep = Report(f"verify-bt[{sys.orientation}]")
-    with timer(rep):
-        ctx = sys.ctx
-        seed = sys.seed_field
-        target = sys.target_field
-        alpha = al.gen("alpha", ctx)
+    ctx = sys.ctx
+    seed = sys.seed_field
+    target = sys.target_field
+    alpha = al.gen("alpha", ctx)
 
-        # chain-rule oracles for both trig factors
-        for label, kind, arg in (("sum", "s", sys.sum_arg), ("diff", "s", sys.diff_arg)):
-            rep.add_zero_check(f"chain-rule oracle D1 {label}",
-                               trig_chain_residual(sys.D1, kind, arg, QUARTER))
-            rep.add_zero_check(f"chain-rule oracle D2 {label}",
-                               trig_chain_residual(sys.D2, kind, arg, QUARTER))
+    # chain-rule oracles for both trig factors
+    for label, kind, arg in (("sum", "s", sys.sum_arg), ("diff", "s", sys.diff_arg)):
+        rep.add_zero_check(f"chain-rule oracle D1 {label}",
+                           trig_chain_residual(sys.D1, kind, arg, QUARTER))
+        rep.add_zero_check(f"chain-rule oracle D2 {label}",
+                           trig_chain_residual(sys.D2, kind, arg, QUARTER))
 
-        # D1(rhs2) with the chain factor substituted via the first relation
-        sign2 = -1 if sys.sabotage == "flip-second" else 1
-        d1_of_trig2 = (al.trig_of("c", sys.diff_arg, QUARTER)
-                       * (sys.rhs1 - ss.apply(sys.D1, seed.expr))).scale(QUARTER)
-        d1_rhs2 = (-ss.apply(sys.D1, ss.apply(sys.D2, seed.expr))
-                   + (al.apow(-1, ctx) * al.gen(sys.param2, ctx)
-                      * d1_of_trig2).scale(2 * sign2))
-        target_residual = (d1_rhs2.scale(2)
-                           + alpha * al.trig_of("s", target.expr, HALF))
-        E = target_residual - md.sg_residual(seed)
-        E = md.reduce_on_shell(E, seed)
-        ok = E.is_zero()
-        rep.add("target residual equals seed residual on shell",
-                "pass" if ok else "fail",
-                () if ok else tuple(sorted(al.term_str(k, c) for k, c in E.terms.items())))
+    # D1(rhs2) with the chain factor substituted via the first relation
+    sign2 = -1 if sys.sabotage == "flip-second" else 1
+    d1_of_trig2 = (al.trig_of("c", sys.diff_arg, QUARTER)
+                   * (sys.rhs1 - ss.apply(sys.D1, seed.expr))).scale(QUARTER)
+    d1_rhs2 = (-ss.apply(sys.D1, ss.apply(sys.D2, seed.expr))
+               + (al.apow(-1, ctx) * al.gen(sys.param2, ctx)
+                  * d1_of_trig2).scale(2 * sign2))
+    target_residual = (d1_rhs2.scale(2)
+                       + alpha * al.trig_of("s", target.expr, HALF))
+    E = target_residual - md.sg_residual(seed)
+    E = md.reduce_on_shell(E, seed)
+    ok = E.is_zero()
+    rep.add("target residual equals seed residual on shell",
+            "pass" if ok else "fail",
+            () if ok else tuple(sorted(al.term_str(k, c) for k, c in E.terms.items())))
 
-        # route asymmetry of the printed system (informational): substituting
-        # the first relation innermost instead leaves a nonzero obstruction.
-        sign1 = -1 if sys.sabotage == "flip-first" else 1
-        d2_of_trig1 = (al.trig_of("c", sys.sum_arg, QUARTER)
-                       * (sys.rhs2 + ss.apply(sys.D2, seed.expr))).scale(QUARTER)
-        d2_rhs1 = (ss.apply(sys.D2, ss.apply(sys.D1, seed.expr))
-                   + (al.gen("a", ctx) * al.gen(sys.param1, ctx)
-                      * d2_of_trig1).scale(2 * sign1))
-        alt = (d2_rhs1.scale(2) + alpha * al.trig_of("s", target.expr, HALF)
-               - md.sg_residual(seed))
-        alt = md.reduce_on_shell(alt, seed)
-        rep.add("route asymmetry (other mixed-derivative route)", "info",
-                (al.to_text(alt),), is_zero=alt.is_zero())
+    # route asymmetry of the printed system (informational): substituting
+    # the first relation innermost instead leaves a nonzero obstruction.
+    sign1 = -1 if sys.sabotage == "flip-first" else 1
+    d2_of_trig1 = (al.trig_of("c", sys.sum_arg, QUARTER)
+                   * (sys.rhs2 + ss.apply(sys.D2, seed.expr))).scale(QUARTER)
+    d2_rhs1 = (ss.apply(sys.D2, ss.apply(sys.D1, seed.expr))
+               + (al.gen("a", ctx) * al.gen(sys.param1, ctx)
+                  * d2_of_trig1).scale(2 * sign1))
+    alt = (d2_rhs1.scale(2) + alpha * al.trig_of("s", target.expr, HALF)
+           - md.sg_residual(seed))
+    alt = md.reduce_on_shell(alt, seed)
+    rep.add("route asymmetry (other mixed-derivative route)", "info",
+            (al.to_text(alt),), is_zero=alt.is_zero())
     return rep
 
 
@@ -321,19 +320,18 @@ def verify_closed_form(sys: BTSystem, N: Optional[int] = None) -> Report:
     if N is None:
         N = sys.order
     rep = Report(f"closed-form[{sys.orientation}]")
-    with timer(rep):
-        series = expand_series(sys, N)
-        for n in range(1, N + 1):
-            printed_sign = -1 if (n + 1) % 2 else 1
-            engine_sign = -1 if (n + n // 2) % 2 else 1
-            rep.add_zero_check(f"order {n}", series[n] - closed_form_coefficient(sys, n),
-                               printed_sign_agrees=(printed_sign == engine_sign))
-        # nilpotency audit: reported, not asserted
-        for n in range(1, N + 1):
-            sq = series[n] * series[n]
-            rep.add(f"nilpotency order {n}", "info",
-                    (al.to_text(sq),) if not sq.is_zero() else (),
-                    square_is_zero=sq.is_zero())
+    series = expand_series(sys, N)
+    for n in range(1, N + 1):
+        printed_sign = -1 if (n + 1) % 2 else 1
+        engine_sign = -1 if (n + n // 2) % 2 else 1
+        rep.add_zero_check(f"order {n}", series[n] - closed_form_coefficient(sys, n),
+                           printed_sign_agrees=(printed_sign == engine_sign))
+    # nilpotency audit: reported, not asserted
+    for n in range(1, N + 1):
+        sq = series[n] * series[n]
+        rep.add(f"nilpotency order {n}", "info",
+                (al.to_text(sq),) if not sq.is_zero() else (),
+                square_is_zero=sq.is_zero())
     return rep
 
 
@@ -342,14 +340,13 @@ def verify_recursion(sys: BTSystem, N: Optional[int] = None) -> Report:
     if N is None:
         N = sys.order
     rep = Report(f"series-recursion[{sys.orientation}]")
-    with timer(rep):
-        series = expand_series(sys, N)
-        p2 = al.gen(sys.param2, sys.ctx)
-        rep.add_zero_check("order 0 anchor (doubled seed derivative)",
-                           sys.d2_cov(series[0]).scale(4) - p2 * series[1])
-        for n in range(1, N):
-            rep.add_zero_check(f"order {n}",
-                               sys.d2_cov(series[n]).scale(2) - p2 * series[n + 1])
+    series = expand_series(sys, N)
+    p2 = al.gen(sys.param2, sys.ctx)
+    rep.add_zero_check("order 0 anchor (doubled seed derivative)",
+                       sys.d2_cov(series[0]).scale(4) - p2 * series[1])
+    for n in range(1, N):
+        rep.add_zero_check(f"order {n}",
+                           sys.d2_cov(series[n]).scale(2) - p2 * series[n + 1])
     return rep
 
 
@@ -374,16 +371,15 @@ def verify_redundancy(sys: BTSystem, N: Optional[int] = None) -> Report:
     if N is None:
         N = sys.order
     rep = Report(f"redundancy[{sys.orientation}]")
-    with timer(rep):
-        phis = series_sum(sys, N)
-        seed = sys.seed_field
-        ctx = sys.ctx
-        lhs = ss.apply(sys.D1, phis) - ss.apply(sys.D1, seed.expr)
-        rhs = (al.gen("a", ctx) * al.gen(sys.param1, ctx)
-               * al.trig_of("s", phis + seed.expr, QUARTER)).scale(2)
-        residual = md.reduce_on_shell(lhs - rhs, seed)
-        for n in range(0, N + 1):
-            rep.add_finding(f"order {n}", al.series_coefficient(residual, n))
+    phis = series_sum(sys, N)
+    seed = sys.seed_field
+    ctx = sys.ctx
+    lhs = ss.apply(sys.D1, phis) - ss.apply(sys.D1, seed.expr)
+    rhs = (al.gen("a", ctx) * al.gen(sys.param1, ctx)
+           * al.trig_of("s", phis + seed.expr, QUARTER)).scale(2)
+    residual = md.reduce_on_shell(lhs - rhs, seed)
+    for n in range(0, N + 1):
+        rep.add_finding(f"order {n}", al.series_coefficient(residual, n))
     return rep
 
 
@@ -411,40 +407,39 @@ def verify_current_conservation(sys: BTSystem) -> Report:
     spinor parameters.
     """
     rep = Report(f"currents[{sys.orientation}]")
-    with timer(rep):
-        ctx = sys.ctx
-        seed = sys.seed_field
-        j1, j2 = currents(sys)
-        deg1, deg2 = j1.degree(), j2.degree()
-        w1, w2 = j1.weight(), j2.weight()
-        exp_first = DEG_01 if sys.orientation == "minus" else DEG_10
-        exp_second = DEG_10 if sys.orientation == "minus" else DEG_01
-        rep.add("current degrees", "pass"
-                if (deg1, deg2) == (exp_first, exp_second) else "fail",
-                degrees=f"{deg1}, {deg2}")
-        wexp = (1, -1) if sys.orientation == "minus" else (-1, 1)
-        rep.add("current weights", "pass" if (w1, w2) == wexp else "fail",
-                weights=f"{w1}/2, {w2}/2")
+    ctx = sys.ctx
+    seed = sys.seed_field
+    j1, j2 = currents(sys)
+    deg1, deg2 = j1.degree(), j2.degree()
+    w1, w2 = j1.weight(), j2.weight()
+    exp_first = DEG_01 if sys.orientation == "minus" else DEG_10
+    exp_second = DEG_10 if sys.orientation == "minus" else DEG_01
+    rep.add("current degrees", "pass"
+            if (deg1, deg2) == (exp_first, exp_second) else "fail",
+            degrees=f"{deg1}, {deg2}")
+    wexp = (1, -1) if sys.orientation == "minus" else (-1, 1)
+    rep.add("current weights", "pass" if (w1, w2) == wexp else "fail",
+            weights=f"{w1}/2, {w2}/2")
 
-        # chain oracles
-        for label, D, arg in (("first", sys.D2, sys.sum_arg),
-                              ("second", sys.D1, sys.diff_arg)):
-            rep.add_zero_check(f"chain-rule oracle {label}",
-                               trig_chain_residual(D, "c", arg, QUARTER))
+    # chain oracles
+    for label, D, arg in (("first", sys.D2, sys.sum_arg),
+                          ("second", sys.D1, sys.diff_arg)):
+        rep.add_zero_check(f"chain-rule oracle {label}",
+                           trig_chain_residual(D, "c", arg, QUARTER))
 
-        # D2 j1 = -(a/4) p1 sin(sum/4) (D2 target + D2 seed) -> rhs2 + D2 seed
-        half_first = (al.gen("a", ctx) * al.gen(sys.param1, ctx)
-                      * al.trig_of("s", sys.sum_arg, QUARTER)
-                      * (sys.rhs2 + ss.apply(sys.D2, seed.expr))).scale(-QUARTER)
-        # D1 j2 = -(a^-1/4) p2 sin(diff/4) (D1 target - D1 seed) -> rhs1 - D1 seed
-        half_second = (al.apow(-1, ctx) * al.gen(sys.param2, ctx)
-                       * al.trig_of("s", sys.diff_arg, QUARTER)
-                       * (sys.rhs1 - ss.apply(sys.D1, seed.expr))).scale(-QUARTER)
-        residual = half_first + half_second
-        rep.add_zero_check("divergence vanishes", residual,
-                           half_first=al.to_text(half_first),
-                           half_second=al.to_text(half_second),
-                           halves_cancel=residual.is_zero() and not half_first.is_zero())
+    # D2 j1 = -(a/4) p1 sin(sum/4) (D2 target + D2 seed) -> rhs2 + D2 seed
+    half_first = (al.gen("a", ctx) * al.gen(sys.param1, ctx)
+                  * al.trig_of("s", sys.sum_arg, QUARTER)
+                  * (sys.rhs2 + ss.apply(sys.D2, seed.expr))).scale(-QUARTER)
+    # D1 j2 = -(a^-1/4) p2 sin(diff/4) (D1 target - D1 seed) -> rhs1 - D1 seed
+    half_second = (al.apow(-1, ctx) * al.gen(sys.param2, ctx)
+                   * al.trig_of("s", sys.diff_arg, QUARTER)
+                   * (sys.rhs1 - ss.apply(sys.D1, seed.expr))).scale(-QUARTER)
+    residual = half_first + half_second
+    rep.add_zero_check("divergence vanishes", residual,
+                       half_first=al.to_text(half_first),
+                       half_second=al.to_text(half_second),
+                       halves_cancel=residual.is_zero() and not half_first.is_zero())
     return rep
 
 
@@ -459,58 +454,57 @@ def conservation_audit(sys: BTSystem, K: int = 4) -> Report:
     """
     N = max(sys.order, K + 2)
     rep = Report(f"conservation-audit[{sys.orientation}]")
-    with timer(rep):
-        ctx = sys.ctx
-        seed = sys.seed_field
-        phis = series_sum(sys, N)
-        u_arg = phis + seed.expr
-        v_arg = phis - seed.expr
-        p1 = al.gen(sys.param1, ctx)
-        p2 = al.gen(sys.param2, ctx)
+    ctx = sys.ctx
+    seed = sys.seed_field
+    phis = series_sum(sys, N)
+    u_arg = phis + seed.expr
+    v_arg = phis - seed.expr
+    p1 = al.gen(sys.param1, ctx)
+    p2 = al.gen(sys.param2, ctx)
 
-        # exact current identity in the D-swapped reading (equivalent to the
-        # divergence computation of the currents report)
-        cons = verify_current_conservation(sys)
-        rep.add("current identity (swapped-derivative reading)",
-                "pass" if cons.passed() else "fail",
-                by="divergence computation")
+    # exact current identity in the D-swapped reading (equivalent to the
+    # divergence computation of the currents report)
+    cons = verify_current_conservation(sys)
+    rep.add("current identity (swapped-derivative reading)",
+            "pass" if cons.passed() else "fail",
+            by="divergence computation")
 
-        # printed placement: p1 D1(cos(sum/4)) + a^-2 p2 D2(cos(diff/4)),
-        # audited order-by-order on the series solution, on shell.
-        w1 = "-" if sys.orientation == "minus" else "+"
-        w2 = "+" if sys.orientation == "minus" else "-"
-        cos_u = al.trig_of("c", u_arg, QUARTER)
-        cos_v = al.trig_of("c", v_arg, QUARTER)
-        lhs = p1 * ss.apply(sys.D1, cos_u)
-        rhs = (al.apow(-2, ctx) * p2 * ss.apply(sys.D2, cos_v)).scale(-1)
-        # independent path: sector-wise recomputation of both derivatives
-        lhs_comp = p1 * component_apply_cov(w1, cos_u)
-        rhs_comp = (al.apow(-2, ctx) * p2 * component_apply_cov(w2, cos_v)).scale(-1)
-        rep.add("two-path agreement (left side)", "pass"
-                if (lhs - lhs_comp).is_zero() else "fail")
-        rep.add("two-path agreement (right side)", "pass"
-                if (rhs - rhs_comp).is_zero() else "fail")
+    # printed placement: p1 D1(cos(sum/4)) + a^-2 p2 D2(cos(diff/4)),
+    # audited order-by-order on the series solution, on shell.
+    w1 = "-" if sys.orientation == "minus" else "+"
+    w2 = "+" if sys.orientation == "minus" else "-"
+    cos_u = al.trig_of("c", u_arg, QUARTER)
+    cos_v = al.trig_of("c", v_arg, QUARTER)
+    lhs = p1 * ss.apply(sys.D1, cos_u)
+    rhs = (al.apow(-2, ctx) * p2 * ss.apply(sys.D2, cos_v)).scale(-1)
+    # independent path: sector-wise recomputation of both derivatives
+    lhs_comp = p1 * component_apply_cov(w1, cos_u)
+    rhs_comp = (al.apow(-2, ctx) * p2 * component_apply_cov(w2, cos_v)).scale(-1)
+    rep.add("two-path agreement (left side)", "pass"
+            if (lhs - lhs_comp).is_zero() else "fail")
+    rep.add("two-path agreement (right side)", "pass"
+            if (rhs - rhs_comp).is_zero() else "fail")
 
-        diff = md.reduce_on_shell(lhs - rhs, seed)
-        for n in range(0, K + 1):
-            rep.add_finding(f"printed placement order {n}", al.series_coefficient(diff, n))
+    diff = md.reduce_on_shell(lhs - rhs, seed)
+    for n in range(0, K + 1):
+        rep.add_finding(f"printed placement order {n}", al.series_coefficient(diff, n))
 
-        # claimed closed-form laws: D1(cos(seed/2)) and
-        # D1(sin(seed/2) * D2^k seed), k = 1..K, on shell.
-        rep.add_finding("claimed law k=0", md.reduce_on_shell(
-            ss.apply(sys.D1, al.trig_of("c", seed.expr, HALF)), seed))
-        dk = seed.expr
-        for k in range(1, K + 1):
-            dk = sys.d2_cov(dk)
-            rep.add_finding(f"claimed law k={k}", md.reduce_on_shell(
-                ss.apply(sys.D1, al.trig_of("s", seed.expr, HALF) * dk), seed))
+    # claimed closed-form laws: D1(cos(seed/2)) and
+    # D1(sin(seed/2) * D2^k seed), k = 1..K, on shell.
+    rep.add_finding("claimed law k=0", md.reduce_on_shell(
+        ss.apply(sys.D1, al.trig_of("c", seed.expr, HALF)), seed))
+    dk = seed.expr
+    for k in range(1, K + 1):
+        dk = sys.d2_cov(dk)
+        rep.add_finding(f"claimed law k={k}", md.reduce_on_shell(
+            ss.apply(sys.D1, al.trig_of("s", seed.expr, HALF) * dk), seed))
 
-        # nilpotency audit of the series coefficients
-        series = expand_series(sys, min(N, 6))
-        for n in range(1, len(series)):
-            sq = series[n] * series[n]
-            rep.add(f"series coefficient {n} square", "info",
-                    square_is_zero=sq.is_zero())
+    # nilpotency audit of the series coefficients
+    series = expand_series(sys, min(N, 6))
+    for n in range(1, len(series)):
+        sq = series[n] * series[n]
+        rep.add(f"series coefficient {n} square", "info",
+                square_is_zero=sq.is_zero())
     return rep
 
 

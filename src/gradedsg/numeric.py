@@ -2,18 +2,21 @@
 
 The even sector is the classical sine-Gordon equation in laboratory
 coordinates, (d_xx - d_tt) X = sin X, obtained from the light-cone form with
-the convention x+- = x +- t.  Odd quantities live in a four-dimensional
-number algebra over the basis (1, alpha, lambda+, lambda-) whose
-multiplication table is generated from the symbolic kernel with the vector
-parameters frozen to one (a boost-frame choice), so the sign structure has a
-single source of truth.
+the convention x+- = x +- t.  The leapfrog solver and the numeric Backlund
+map are classical: a ``FieldState`` carries the even field only.  The
+fermions are integrated on their own light-cone grid by
+``integrate_fermions``, over a given background.  Odd quantities live in a
+four-dimensional number algebra over the basis (1, alpha, lambda+, lambda-)
+whose multiplication table is generated from the symbolic kernel with the
+vector parameters frozen to one (a boost-frame choice), so the sign
+structure has a single source of truth.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -70,18 +73,6 @@ class GradedNumber:
         v[BASIS.index(name)] = 1.0
         return GradedNumber(v)
 
-    @staticmethod
-    def scalar(x: float) -> "GradedNumber":
-        v = np.zeros(4)
-        v[0] = x
-        return GradedNumber(v)
-
-    def __add__(self, other: "GradedNumber") -> "GradedNumber":
-        return GradedNumber(self.coords + other.coords)
-
-    def __sub__(self, other: "GradedNumber") -> "GradedNumber":
-        return GradedNumber(self.coords - other.coords)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return GradedNumber(self.coords * other)
@@ -110,27 +101,19 @@ S_ALPHA_LP = float(_ALPHA_LAMBDA_PLUS.coords[3])
 
 @dataclass
 class FieldState:
-    """Uniform-grid state of the even field and the two fermion lines.
-
-    ``psip`` and ``psim`` hold the lambda+ and lambda- coordinates of the
-    odd fields (their only nonzero lines).
-    """
+    """Uniform-grid state of the even field and its time derivative."""
 
     x: np.ndarray
     h: float
     X: np.ndarray
     Xdot: np.ndarray
-    psip: np.ndarray
-    psim: np.ndarray
     t: float = 0.0
 
     @staticmethod
     def empty(L: float = 20.0, h: float = 2.0 ** -7) -> "FieldState":
         n = int(round(2 * L / h)) + 1
         x = np.linspace(-L, L, n)
-        z = np.zeros(n)
-        return FieldState(x, float(x[1] - x[0]), z.copy(), z.copy(),
-                          z.copy(), z.copy(), 0.0)
+        return FieldState(x, float(x[1] - x[0]), np.zeros(n), np.zeros(n), 0.0)
 
 
 def kink(x, t: float = 0.0, v: float = 0.0, x0: float = 0.0):
@@ -181,29 +164,8 @@ def static_kink_residual(h: float, L: float = 20.0) -> float:
     return float(np.max(np.abs(res[interior])))
 
 
-def fermion_source(s: FieldState) -> np.ndarray:
-    """Scalar forcing from the fermion bilinear, via the parameter algebra.
-
-    The product psi- psi+ lies on the alpha line; multiplying by alpha makes
-    it a real scalar.  Both facts are checked every call.
-    """
-    out = np.zeros_like(s.X)
-    if not (np.any(s.psip) or np.any(s.psim)):
-        return out
-    lm = GradedNumber.basis("lambda-")
-    lp = GradedNumber.basis("lambda+")
-    alpha = GradedNumber.basis("alpha")
-    bilinear = lm * lp  # carries the sign of the parameter table
-    if np.max(np.abs(bilinear.coords[[0, 2, 3]])) >= 1e-15:
-        raise InconsistentSystem("fermion bilinear left the alpha line")
-    proj = alpha * bilinear
-    if abs(proj.coords[1]) >= 1e-15:
-        raise InconsistentSystem("alpha projection is not scalar")
-    return 2.0 * s.psim * s.psip * proj.scalar_part * np.sin(s.X / 2.0)
-
-
 def solve_leapfrog(s0: FieldState, T: float, dt: Optional[float] = None) -> FieldState:
-    """Second-order leapfrog for (d_xx - d_tt) X = sin X + fermion source."""
+    """Second-order leapfrog for the classical equation (d_xx - d_tt) X = sin X."""
     h = s0.h
     if dt is None:
         dt = h / 2
@@ -211,20 +173,15 @@ def solve_leapfrog(s0: FieldState, T: float, dt: Optional[float] = None) -> Fiel
         raise CFLViolation(f"dt = {dt} must be smaller than h = {h}")
     steps = int(round(T / dt))
 
-    def accel(X, src):
-        acc = _second_deriv_4(X, h) - np.sin(X) - src
-        return acc
+    def accel(X):
+        return _second_deriv_4(X, h) - np.sin(X)
 
     X_prev = s0.X.copy()
-    src = fermion_source(s0)
-    X_cur = X_prev + dt * s0.Xdot + 0.5 * dt * dt * accel(X_prev, src)
+    X_cur = X_prev + dt * s0.Xdot + 0.5 * dt * dt * accel(X_prev)
     _clamp(X_cur, s0)
-    state = FieldState(s0.x, h, X_cur, s0.Xdot.copy(), s0.psip.copy(),
-                       s0.psim.copy(), s0.t + dt)
+    state = FieldState(s0.x, h, X_cur, s0.Xdot.copy(), s0.t + dt)
     for _ in range(steps - 1):
-        _advance_fermions(state, dt)
-        src = fermion_source(state)
-        X_next = 2 * state.X - X_prev + dt * dt * accel(state.X, src)
+        X_next = 2 * state.X - X_prev + dt * dt * accel(state.X)
         _clamp(X_next, s0)
         X_prev = state.X
         state.X = X_next
@@ -239,25 +196,6 @@ def _clamp(X: np.ndarray, s0: FieldState) -> None:
     """Hold both end points at their initial values (kink boundaries)."""
     X[0] = s0.X[0]
     X[-1] = s0.X[-1]
-
-
-def _advance_fermions(state: FieldState, dt: float) -> None:
-    """Characteristic (semi-Lagrangian) step for the linear fermion system.
-
-    Along its own characteristic each line obeys du/dt = -s_m w cos(X/2)
-    resp. dw/dt = +s_p u cos(X/2), with the signs s_m, s_p read off the
-    parameter-algebra table (alpha times lambda-+).
-    """
-    if not (np.any(state.psip) or np.any(state.psim)):
-        return
-    x = state.x
-    cosX = np.cos(state.X / 2.0)
-    src_u = -S_ALPHA_LM * state.psim * cosX
-    src_w = S_ALPHA_LP * state.psip * cosX
-    state.psip = (np.interp(x - dt, x, state.psip)
-                  + dt * np.interp(x - dt / 2, x, src_u))
-    state.psim = (np.interp(x + dt, x, state.psim)
-                  + dt * np.interp(x + dt / 2, x, src_w))
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -392,8 +330,7 @@ def integrate_bt_body(seed: FieldState, bt: BodyBT) -> FieldState:
             f"{mismatch:.3e} > {tol:.3e}")
 
     Xt_dot = (bt.rel_second(Xt, X, dXp) - bt.rel_first(Xt, X, dXm))
-    return FieldState(x, h, Xt, Xt_dot, np.zeros_like(X), np.zeros_like(X),
-                      seed.t)
+    return FieldState(x, h, Xt, Xt_dot, seed.t)
 
 
 def _rk4_step(f: Callable[[float, float], float], x: float, y: float,
@@ -428,7 +365,7 @@ def bt_target_time_march(seed_bt: BodyBT, state: FieldState, dt: float,
     for k in range(steps):
         cur = _rk4_step(fdot, 0.0, cur, dt)
         out.append(FieldState(x, state.h, cur.copy(), fdot(0.0, cur),
-                              zero.copy(), zero.copy(), state.t + (k + 1) * dt))
+                              state.t + (k + 1) * dt))
     return out
 
 
@@ -545,12 +482,12 @@ def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarr
 def dump_csv(path: str, states: list[FieldState], config: dict) -> None:
     """Write (t, x, X, fermion coordinates, residual) rows with a JSON header.
 
-    The residual column is kept for the file format and is always 0.
+    The leapfrog is classical, so the two fermion columns and the residual
+    column are kept for the file format and are always 0.
     """
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(config, sort_keys=True) + "\n")
         fh.write("t,x,X,psi_plus_lambda_plus_coeff,psi_minus_lambda_minus_coeff,residual\n")
         for s in states:
             for i in range(len(s.x)):
-                fh.write(f"{s.t:.10g},{s.x[i]:.10g},{s.X[i]:.10g},"
-                         f"{s.psip[i]:.10g},{s.psim[i]:.10g},0\n")
+                fh.write(f"{s.t:.10g},{s.x[i]:.10g},{s.X[i]:.10g},0,0,0\n")

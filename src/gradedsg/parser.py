@@ -14,6 +14,9 @@ derivative, one ``+`` per right derivative) and the two generic superfields
 ``Phi`` / ``Phi~`` which expand to their component form.  The optional
 integer power is an extension over the bare grammar so Laurent powers of
 ``a`` and powers of the vector parameters have a printable, parseable form.
+A rational must have a nonzero denominator, and a power's exponent k must
+satisfy |k| <= MAX_POWER (64) on every base; anything else is a syntax
+error.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from . import algebra as al
 from . import superspace as ss
 from .algebra import Context, GradedExpr
 from .errors import InhomogeneousExpression, MiniLangSyntaxError, UnknownSymbol
+
+MAX_POWER = 64
 
 _FIELD_NAMES = ["psi+~", "psi-~", "chi+~", "chi-~", "psi+", "psi-", "chi+",
                 "chi-", "X~", "F~", "G~", "Y~", "X", "F", "G", "Y"]
@@ -143,6 +148,9 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.next()
+            den = tok.text.partition("/")[2]
+            if den and int(den) == 0:
+                raise MiniLangSyntaxError("zero denominator", tok.line, tok.col)
             return GradedExpr.rational(Fraction(tok.text), self.ctx)
         if tok.kind == "FUNC":
             self.next()
@@ -174,6 +182,9 @@ class _Parser:
                     raise MiniLangSyntaxError("powers must be integers",
                                               ntok.line, ntok.col)
                 k = sign * int(ntok.text)
+                if abs(k) > MAX_POWER:
+                    raise MiniLangSyntaxError(f"|power| must be at most {MAX_POWER}",
+                                              ntok.line, ntok.col)
                 return self._power(tok, base, k)
             return base
         raise MiniLangSyntaxError(f"expected a factor, found {tok.text!r}",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from . import algebra as al
@@ -93,17 +92,3 @@ class Report:
                 "entries": [e.to_json_obj() for e in self.sorted_entries()],
             },
         }
-
-class timer:
-    """Context manager writing elapsed seconds into a report."""
-
-    def __init__(self, report: Report):
-        self.report = report
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self.report
-
-    def __exit__(self, *exc):
-        self.report.elapsed = time.perf_counter() - self._t0
-        return False

@@ -24,6 +24,9 @@ def test_parse_error_positions():
     with pytest.raises(MiniLangSyntaxError) as err:
         ps.parse_expr("sin()")
     assert err.value.line == 1 and err.value.col == 5
+    with pytest.raises(MiniLangSyntaxError, match="zero denominator") as err:
+        ps.parse_expr("1/0")
+    assert err.value.line == 1 and err.value.col == 1
     with pytest.raises(UnknownSymbol):
         ps.parse_expr("frobnicate")
 
@@ -116,8 +119,11 @@ def test_eval_mode(capsys):
     assert "degree: (1,1)" in out
     assert cli.main(["--eval", "sin()"]) == 2
     capsys.readouterr()
-    # expressions the engine rejects are expression errors too
-    for text in ("sin(psi+)", "sin(1)", "lambda+*eta+", "sin(X*X)"):
+    # expressions the engine rejects are expression errors too, and so are
+    # a zero denominator and a power beyond the bound (on any base), which
+    # must fail at once
+    for text in ("sin(psi+)", "sin(1)", "lambda+*eta+", "sin(X*X)", "1/0",
+                 "X^99999999", "a^-65"):
         assert cli.main(["--eval", text]) == 2, text
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (text, err)

@@ -42,19 +42,6 @@ def test_odd_squares_are_table_exact():
     assert sq.scalar_part == pytest.approx(0.49)
 
 
-def test_fermion_bilinear_is_alpha_line():
-    s = nm.FieldState.empty(L=2.0, h=0.25)
-    s.psip[:] = 0.3
-    s.psim[:] = -0.2
-    s.X[:] = 0.0
-    src = nm.fermion_source(s)
-    # alpha (psi- psi+) = -psi- psi+ coefficient-wise, source = 2*that*sin(X/2)
-    assert np.allclose(src, 0.0)  # sin(0) vanishes
-    s.X[:] = math.pi
-    src = nm.fermion_source(s)
-    assert np.allclose(src, 2.0 * 0.2 * 0.3 * 1.0)
-
-
 # ---------------------------------------------------------------------------
 # kink and solver
 
@@ -235,3 +222,5 @@ def test_csv_dump(tmp_path):
     assert lines[1] == ("t,x,X,psi_plus_lambda_plus_coeff,"
                         "psi_minus_lambda_minus_coeff,residual")
     assert len(lines) == 2 + len(s.x)
+    # the leapfrog is classical: both fermion columns and the residual are 0
+    assert all(line.endswith(",0,0,0") for line in lines[2:])
