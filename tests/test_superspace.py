@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from gradedsg import algebra as al
 from gradedsg import superspace as ss
 from gradedsg.errors import InhomogeneousExpression
+from gradedsg.grading import commutation_sign, degree_add
 
 
 def expr_eq(a, b):
@@ -69,6 +71,68 @@ def test_full_superalgebra_suite_is_clean():
     failures = [label for label, res in ss.superalgebra_checks()
                 if not res.is_zero()]
     assert failures == []
+
+
+def test_suite_evaluates_each_word_once(monkeypatch):
+    # 155 words of length 1-3 over the five supertranslations, plus D-, D+,
+    # the four D D words and the eight mixed Q D / D Q words; the one-shot
+    # `bracket` evaluation of the same relations makes 3906 applications
+    calls = []
+    call = ss.Derivation.__call__
+
+    def counted(self, e):
+        calls.append(self.name)
+        return call(self, e)
+
+    monkeypatch.setattr(ss.Derivation, "__call__", counted)
+    for _ in range(2):  # a second call makes as many: no result is kept
+        calls.clear()
+        assert len(list(ss.superalgebra_checks())) == 162
+        assert len(calls) == 169
+
+
+def _relations_by_definition(probe):
+    """The suite's (label, text) list, each relation built from `bracket`."""
+    by = ss._BY_NAME
+
+    def pair(n1, n2):
+        res = ss.bracket(by[n1], by[n2], probe)
+        if (n1, n2) in ss._EXPECTED_BRACKETS:
+            tgt, sgn = ss._EXPECTED_BRACKETS[(n1, n2)]
+            res = res - by[tgt](probe).scale(sgn)
+        return res
+
+    def nested(a, b, c):  # [a, [b, c]] on the probe
+        A, B, C = by[a], by[b], by[c]
+        s = commutation_sign(A.degree, degree_add(B.degree, C.degree))
+        return A(ss.bracket(B, C, probe)) - ss.bracket(B, C, A(probe)).scale(s)
+
+    st = [D.name for D in ss.SUPERTRANSLATIONS]
+    out = [(f"[{a},{b}]", pair(a, b)) for a in st for b in st]
+    out += [(f"[{a},{b}]", pair(a, b)) for a in ("D-", "D+") for b in ("D-", "D+")]
+    for q in ("Q-", "Q+"):
+        for d in ("D-", "D+"):
+            out += [(f"[{q},{d}]", pair(q, d)), (f"[{d},{q}]", pair(d, q))]
+    for a, b, c in itertools.product(st, repeat=3):
+        s_ab = commutation_sign(by[a].degree, by[b].degree)
+        s_c_ab = commutation_sign(by[c].degree,
+                                  degree_add(by[a].degree, by[b].degree))
+        res = (nested(a, b, c) + nested(c, a, b).scale(s_c_ab)
+               - nested(b, a, c).scale(s_ab))
+        out.append((f"jacobi[{a},[{b},{c}]]", res))
+    return [(label, al.to_text(res)) for label, res in out]
+
+
+def test_suite_matches_definitions_under_sabotage(monkeypatch):
+    q = ss._BY_NAME["Q-"]
+    broken = ss.Derivation("Q-", q.degree, q.weight,
+                           lambda e: q(e) + al.d_minus(e))
+    monkeypatch.setitem(ss._BY_NAME, "Q-", broken)
+    probe = ss.generic_superfield("Phi", nz=1).expr
+    got = [(label, al.to_text(res))
+           for label, res in ss.superalgebra_checks(probe)]
+    assert got == _relations_by_definition(probe)
+    assert any(text != "0" for _, text in got)
 
 
 def test_derivation_covariance():
