@@ -15,7 +15,7 @@ from .parser import parse_expr
 from .report import Report
 from .superspace import (D_MINUS, D_PLUS, P_MINUS, P_PLUS, Q_MINUS, Q_PLUS,
                          Z_MINUSPLUS, SuperField, apply, bracket,
-                         generic_superfield, weight_of)
+                         generic_superfield)
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,7 @@ __all__ = [
     "algebra", "apply", "backlund", "bracket", "commutation_sign",
     "degree_add", "gen", "generic_superfield", "grading", "jet", "model",
     "numeric", "pairing", "parse_expr", "parser", "superspace", "to_text",
-    "trig_of", "weight_of",
+    "trig_of",
     "D_MINUS", "D_PLUS", "P_MINUS", "P_PLUS", "Q_MINUS", "Q_PLUS",
     "Z_MINUSPLUS",
 ]

@@ -856,18 +856,14 @@ def trig_of(kind: str, e: GradedExpr, half=Q(1)) -> GradedExpr:
 # substitution
 
 def _term_factors(key: Key, ctx: Context) -> Iterator[GradedExpr]:
-    """Factor a monomial into single-slot expressions, in normal order."""
+    """Factor a monomial into its jet-free prefix and single-slot factors.
+
+    The prefix (z, thetas, parameters, v, a) is one factor; the factors come
+    in normal order, so their product is the monomial with sign +1.
+    """
     z, tm, tp, cf, v, a, gj, bj, t = key
-    if z:
-        yield GradedExpr(ctx, (((z, 0, 0, CF_ONE, 0, 0, (), (), None), Q(1)),))
-    if tm:
-        yield gen("theta-", ctx)
-    if tp:
-        yield gen("theta+", ctx)
-    if cf != CF_ONE or v:
-        yield GradedExpr(ctx, (((0, 0, 0, cf, v, 0, (), (), None), Q(1)),))
-    if a:
-        yield apow(a, ctx)
+    if z or tm or tp or cf != CF_ONE or v or a:
+        yield GradedExpr(ctx, (((z, tm, tp, cf, v, a, (), (), None), Q(1)),))
     for (name, m, n), exp in gj:
         atom = GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, 0, (((name, m, n), 1),), (), None),
                                  Q(1)),))

@@ -11,7 +11,7 @@ The verification strategy substitutes the first-order relations into
 explicit chain-rule factors (each substitution step is itself checked
 against the engine as an oracle), so no heuristic pattern matching on
 normalized expressions is ever needed for the theorem-level checks.  The
-jet-level rewriter ``bt_reduce`` exposes the same relations as oriented
+jet-level rewriter ``bt_rewriter`` exposes the same relations as oriented
 rules for interactive use; the body-system export rewrites with its own
 first-order body relations.
 """
@@ -27,12 +27,27 @@ from . import algebra as al
 from . import model as md
 from . import superspace as ss
 from .algebra import Context, GradedExpr, Q
-from .errors import InconsistentSystem, UnresolvedGenerator, UnsupportedAtom
-from .grading import DEG_01, DEG_10
+from .errors import (ConfigError, InconsistentSystem, OutsideWindow,
+                     UnresolvedGenerator, UnsupportedAtom)
 from .report import Report
 
 HALF = Q(1, 2)
 QUARTER = Q(1, 4)
+
+# orientation -> (side of D1, side of D2, spinor-parameter family): the two
+# systems are mirror images, and every orientation choice is read from here
+_SIDES = {"minus": ("-", "+", "lambda"), "plus": ("+", "-", "eta")}
+_COVARIANT = {"-": ss.D_MINUS, "+": ss.D_PLUS}
+_JET = {"-": (1, 0), "+": (0, 1)}  # (d-, d+) orders of one derivative
+
+# a^-2 is the lowest power of a the systems write, so the Laurent window must
+# reach it, and a series term a^n feeds audit orders down to n - 2
+A_FLOOR = -2
+
+
+def max_audit_order(ctx: Context) -> int:
+    """Highest conservation-audit order that the window keeps complete."""
+    return ctx.amax + A_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -56,36 +71,31 @@ class BTSystem:
     sabotage: Optional[str] = None  # None | 'flip-first' | 'flip-second'
 
     def __post_init__(self):
-        if self.orientation not in ("minus", "plus"):
-            raise ValueError("orientation must be 'minus' or 'plus'")
+        if self.orientation not in _SIDES:
+            raise ConfigError("orientation must be 'minus' or 'plus'")
         if self.ctx.nz != 0:
-            raise ValueError("Backlund systems require the z-independent mode")
+            raise ConfigError("Backlund systems require the z-independent mode")
+        if self.sabotage not in (None, "flip-first", "flip-second"):
+            raise ConfigError("sabotage must be None, 'flip-first' or 'flip-second'")
+        if self.ctx.amin > A_FLOOR:
+            raise OutsideWindow(f"Backlund systems need amin <= {A_FLOOR}")
 
     # derivations and parameters, orientation-resolved
     @property
     def D1(self) -> ss.Derivation:
-        return ss.D_MINUS if self.orientation == "minus" else ss.D_PLUS
+        return _COVARIANT[_SIDES[self.orientation][0]]
 
     @property
     def D2(self) -> ss.Derivation:
-        return ss.D_PLUS if self.orientation == "minus" else ss.D_MINUS
+        return _COVARIANT[_SIDES[self.orientation][1]]
 
     @property
     def param1(self) -> str:
-        return "lambda+" if self.orientation == "minus" else "eta+"
+        return _SIDES[self.orientation][2] + "+"
 
     @property
     def param2(self) -> str:
-        return "lambda-" if self.orientation == "minus" else "eta-"
-
-    def d1_jet(self, e: GradedExpr) -> GradedExpr:
-        return al.d_x(e, "-" if self.orientation == "minus" else "+")
-
-    def d2_jet(self, e: GradedExpr) -> GradedExpr:
-        return al.d_x(e, "+" if self.orientation == "minus" else "-")
-
-    def d2_cov(self, e: GradedExpr) -> GradedExpr:
-        return ss.apply(self.D2, e)
+        return _SIDES[self.orientation][2] + "-"
 
     @functools.cached_property
     def seed_field(self) -> ss.SuperField:
@@ -206,10 +216,6 @@ def bt_rewriter(sys: BTSystem, prefer: str = "eq1") -> al.JetRewriter:
                           for rule in _sector_rules(sys, which).items())
 
 
-def bt_reduce(e: GradedExpr, sys: BTSystem, prefer: str = "eq1") -> GradedExpr:
-    return bt_rewriter(sys, prefer).reduce(e)
-
-
 # ---------------------------------------------------------------------------
 # the auto-Backlund theorem
 
@@ -286,9 +292,9 @@ def expand_series(sys: BTSystem, N: Optional[int] = None) -> list[GradedExpr]:
     alpha_p1 = al.gen("alpha", ctx) * al.gen(sys.param1, ctx)
     out = [seed]
     if N >= 1:
-        out.append((alpha_p1 * sys.d2_cov(seed)).scale(4))
+        out.append((alpha_p1 * ss.apply(sys.D2, seed)).scale(4))
     for n in range(1, N):
-        out.append((alpha_p1 * sys.d2_cov(out[-1])).scale(2))
+        out.append((alpha_p1 * ss.apply(sys.D2, out[-1])).scale(2))
     return out
 
 
@@ -311,7 +317,7 @@ def closed_form_coefficient(sys: BTSystem, n: int) -> GradedExpr:
         cliff = cliff * p2
     deriv = sys.seed_field.expr
     for _ in range(n):
-        deriv = sys.d2_cov(deriv)
+        deriv = ss.apply(sys.D2, deriv)
     sign = -1 if (n + n // 2) % 2 else 1
     return (cliff * deriv).scale(sign * 2 ** (n + 1))
 
@@ -343,10 +349,10 @@ def verify_recursion(sys: BTSystem, N: Optional[int] = None) -> Report:
     series = expand_series(sys, N)
     p2 = al.gen(sys.param2, sys.ctx)
     rep.add_zero_check("order 0 anchor (doubled seed derivative)",
-                       sys.d2_cov(series[0]).scale(4) - p2 * series[1])
+                       ss.apply(sys.D2, series[0]).scale(4) - p2 * series[1])
     for n in range(1, N):
         rep.add_zero_check(f"order {n}",
-                           sys.d2_cov(series[n]).scale(2) - p2 * series[n + 1])
+                           ss.apply(sys.D2, series[n]).scale(2) - p2 * series[n + 1])
     return rep
 
 
@@ -412,13 +418,12 @@ def verify_current_conservation(sys: BTSystem) -> Report:
     j1, j2 = currents(sys)
     deg1, deg2 = j1.degree(), j2.degree()
     w1, w2 = j1.weight(), j2.weight()
-    exp_first = DEG_01 if sys.orientation == "minus" else DEG_10
-    exp_second = DEG_10 if sys.orientation == "minus" else DEG_01
+    # each current carries the degree and weight of the derivation beside it
     rep.add("current degrees", "pass"
-            if (deg1, deg2) == (exp_first, exp_second) else "fail",
+            if (deg1, deg2) == (sys.D1.degree, sys.D2.degree) else "fail",
             degrees=f"{deg1}, {deg2}")
-    wexp = (1, -1) if sys.orientation == "minus" else (-1, 1)
-    rep.add("current weights", "pass" if (w1, w2) == wexp else "fail",
+    rep.add("current weights", "pass"
+            if (w1, w2) == (sys.D1.weight, sys.D2.weight) else "fail",
             weights=f"{w1}/2, {w2}/2")
 
     # chain oracles
@@ -452,7 +457,9 @@ def conservation_audit(sys: BTSystem, K: int = 4) -> Report:
     are engine truth; this report is meant to be diffed against a golden
     file, not asserted.
     """
-    N = max(sys.order, K + 2)
+    if K > max_audit_order(sys.ctx):
+        raise OutsideWindow(f"audit order {K} needs amax >= {K - A_FLOOR}")
+    N = max(sys.order, K - A_FLOOR)
     rep = Report(f"conservation-audit[{sys.orientation}]")
     ctx = sys.ctx
     seed = sys.seed_field
@@ -471,8 +478,7 @@ def conservation_audit(sys: BTSystem, K: int = 4) -> Report:
 
     # printed placement: p1 D1(cos(sum/4)) + a^-2 p2 D2(cos(diff/4)),
     # audited order-by-order on the series solution, on shell.
-    w1 = "-" if sys.orientation == "minus" else "+"
-    w2 = "+" if sys.orientation == "minus" else "-"
+    w1, w2, _ = _SIDES[sys.orientation]
     cos_u = al.trig_of("c", u_arg, QUARTER)
     cos_v = al.trig_of("c", v_arg, QUARTER)
     lhs = p1 * ss.apply(sys.D1, cos_u)
@@ -495,7 +501,7 @@ def conservation_audit(sys: BTSystem, K: int = 4) -> Report:
         ss.apply(sys.D1, al.trig_of("c", seed.expr, HALF)), seed))
     dk = seed.expr
     for k in range(1, K + 1):
-        dk = sys.d2_cov(dk)
+        dk = ss.apply(sys.D2, dk)
         rep.add_finding(f"claimed law k={k}", md.reduce_on_shell(
             ss.apply(sys.D1, al.trig_of("s", seed.expr, HALF) * dk), seed))
 
@@ -537,21 +543,6 @@ class BodyBTSpec:
     induced_fermion_second: str
     mismatch_raw: str
     mismatch_completed: str
-    completion_applied: bool
-
-    def to_pairs(self) -> list[tuple[str, str]]:
-        """(target jet, right-hand side) pairs in the algebra text form."""
-        first = "-" if self.orientation == "minus" else "+"
-        second = "+" if self.orientation == "minus" else "-"
-        return [(f"{self.target_body}_{{{first}}}", self.relation_first),
-                (f"{self.target_body}_{{{second}}}", self.relation_second)]
-
-    def to_text(self) -> str:
-        lines = [f"{jet} = {rhs}" for jet, rhs in self.to_pairs()]
-        lines.append(f"raw second relation: {self.relation_second_raw}")
-        lines.append(f"cross-derivative mismatch raw/completed: "
-                     f"{self.mismatch_raw} / {self.mismatch_completed}")
-        return "\n".join(lines) + "\n"
 
 
 def _extract_trig_coef(expr: GradedExpr):
@@ -590,10 +581,11 @@ def export_body_system(sys: BTSystem) -> BodyBTSpec:
 
     rules1 = _sector_rules(sys, "eq1")
     rules2 = _sector_rules(sys, "eq2")
-    tpsi_first = target.component("psi+") if sys.orientation == "minus" else target.component("psi-")
-    tpsi_second = target.component("psi-") if sys.orientation == "minus" else target.component("psi+")
-    jet1 = (1, 0) if sys.orientation == "minus" else (0, 1)
-    jet2 = (0, 1) if sys.orientation == "minus" else (1, 0)
+    side1, side2, _ = _SIDES[sys.orientation]
+    # each relation's lowest sector induces the fermion of the other side
+    tpsi_first = target.component("psi" + side2)
+    tpsi_second = target.component("psi" + side1)
+    jet1, jet2 = _JET[side1], _JET[side2]
 
     fer1 = al.substitute(rules1[(tpsi_first, 0, 0)], kill)
     fer2 = al.substitute(rules2[(tpsi_second, 0, 0)], kill)
@@ -616,7 +608,7 @@ def export_body_system(sys: BTSystem) -> BodyBTSpec:
         # the relations and the seed taken on shell (classical sector).
         rewriter = al.JetRewriter((((target.body, *jet1), relA),
                                    ((target.body, *jet2), relB), seed_rule))
-        return rewriter.reduce(sys.d2_jet(relA) - sys.d1_jet(relB))
+        return rewriter.reduce(al.d_x(relA, side2) - al.d_x(relB, side1))
 
     mis_raw = mismatch(rel1, rel2_raw)
     # completion: flip the trig-term sign of the second relation
@@ -642,5 +634,4 @@ def export_body_system(sys: BTSystem) -> BodyBTSpec:
         induced_fermion_second=al.to_text(fer2),
         mismatch_raw=al.to_text(mis_raw),
         mismatch_completed=al.to_text(mis_completed),
-        completion_applied=True,
     )

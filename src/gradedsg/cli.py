@@ -47,7 +47,6 @@ class RunConfig:
     grid_dt: float = 2.0 ** -8
     bt_a: float = 1.2
     out_dir: Optional[str] = None
-    sabotage: Optional[str] = None  # test hook: flips one BT sign
 
     def __post_init__(self):
         bad = [c for c in self.checks if c not in ALL_CHECKS]
@@ -55,8 +54,9 @@ class RunConfig:
             raise ConfigError(f"unknown checks: {', '.join(bad)}")
         if self.order < 1 or self.order > al.BT_CTX.amax:
             raise ConfigError(f"--order must be in [1, {al.BT_CTX.amax}]")
-        if self.audit_order < 0 or self.audit_order + 2 > al.BT_CTX.amax:
-            raise ConfigError(f"--audit-order must be in [0, {al.BT_CTX.amax - 2}]")
+        if not 0 <= self.audit_order <= bt.max_audit_order(al.BT_CTX):
+            raise ConfigError("--audit-order must be in "
+                              f"[0, {bt.max_audit_order(al.BT_CTX)}]")
         if self.fmt not in ("text", "json"):
             raise ConfigError("--format must be 'text' or 'json'")
         L, h, dt = self.grid_L, self.grid_h, self.grid_dt
@@ -138,8 +138,7 @@ def check_components(cfg: RunConfig) -> Report:
 def check_verify_bt(cfg: RunConfig) -> Report:
     rep = Report("verify-bt")
     for orientation in ("minus", "plus"):
-        sub = bt.verify_auto_bt(bt.BTSystem(orientation=orientation,
-                                            sabotage=cfg.sabotage))
+        sub = bt.verify_auto_bt(bt.BTSystem(orientation=orientation))
         rep.add(f"{orientation}-oriented system", sub.status if sub.status != "info" else "pass",
                 tuple(t for e in sub.entries for t in e.residual_terms
                       if e.status == "fail"))
@@ -170,7 +169,7 @@ def check_expand_bt(cfg: RunConfig) -> Report:
     rep.add("recursion through the requested order",
             "pass" if rec.passed() else "fail")
     # weight homogeneity of every coefficient (engine-determined value)
-    ws = [ss.weight_of(c) for c in series]
+    ws = [c.weight() for c in series]
     rep.add("series coefficients weight-homogeneous", "pass",
             weights=",".join(str(w) for w in ws))
     # plus-oriented coefficients are the mirror image of the minus ones
@@ -209,8 +208,7 @@ def check_redundancy(cfg: RunConfig) -> Report:
 def check_currents(cfg: RunConfig) -> Report:
     rep = Report("currents")
     for orientation in ("minus", "plus"):
-        sub = bt.verify_current_conservation(
-            bt.BTSystem(orientation=orientation, sabotage=cfg.sabotage))
+        sub = bt.verify_current_conservation(bt.BTSystem(orientation=orientation))
         rep.add(f"{orientation}-oriented conservation",
                 "pass" if sub.passed() else "fail",
                 tuple(t for e in sub.entries for t in e.residual_terms
@@ -441,8 +439,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", metavar="DIR", help="directory for CSV output")
     p.add_argument("--eval", metavar="EXPR",
                    help="parse and normalize a mini-language expression, then exit")
-    p.add_argument("--sabotage", choices=("flip-first", "flip-second"),
-                   help=argparse.SUPPRESS)  # test hook
     return p
 
 
@@ -470,8 +466,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = RunConfig(checks=checks, order=args.order,
                         audit_order=args.audit_order, fmt=args.format,
                         golden=args.golden, grid_L=grid[0], grid_h=grid[1],
-                        grid_dt=grid[2], bt_a=args.bt_a, out_dir=args.out_dir,
-                        sabotage=args.sabotage)
+                        grid_dt=grid[2], bt_a=args.bt_a, out_dir=args.out_dir)
         if cfg.out_dir:
             os.makedirs(cfg.out_dir, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:

@@ -5,11 +5,11 @@ coordinates, (d_xx - d_tt) X = sin X, obtained from the light-cone form with
 the convention x+- = x +- t.  The leapfrog solver and the numeric Backlund
 map are classical: a ``FieldState`` carries the even field only.  The
 fermions are integrated on their own light-cone grid by
-``integrate_fermions``, over a given background.  Odd quantities live in a
-four-dimensional number algebra over the basis (1, alpha, lambda+, lambda-)
-whose multiplication table is generated from the symbolic kernel with the
-vector parameters frozen to one (a boost-frame choice), so the sign
-structure has a single source of truth.
+``integrate_fermions``, over a given background.  The multiplication table
+``STRUCTURE`` of the parameter basis (1, alpha, lambda+, lambda-) is
+generated from the symbolic kernel with the vector parameters frozen to one
+(a boost-frame choice); the two coupling signs of the fermion system are
+read from it, so the sign structure has a single source of truth.
 """
 
 from __future__ import annotations
@@ -61,39 +61,10 @@ def _structure_tensor() -> np.ndarray:
 STRUCTURE = _structure_tensor()
 
 
-@dataclass
-class GradedNumber:
-    """Element of the numeric parameter algebra, coordinates over BASIS."""
-
-    coords: np.ndarray
-
-    @staticmethod
-    def basis(name: str) -> "GradedNumber":
-        v = np.zeros(4)
-        v[BASIS.index(name)] = 1.0
-        return GradedNumber(v)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return GradedNumber(self.coords * other)
-        return GradedNumber(np.einsum("i,j,ijk->k", self.coords, other.coords,
-                                      STRUCTURE))
-    __rmul__ = __mul__
-
-    @property
-    def scalar_part(self) -> float:
-        return float(self.coords[0])
-
-    def __repr__(self):
-        return " + ".join(f"{c:g}*{b}" for c, b in zip(self.coords, BASIS) if c)
-
-
-# signs of the products needed by the fermion system, fetched from the table
-_ALPHA_LAMBDA_MINUS = (GradedNumber.basis("alpha") * GradedNumber.basis("lambda-"))
-_ALPHA_LAMBDA_PLUS = (GradedNumber.basis("alpha") * GradedNumber.basis("lambda+"))
+# signs of the products needed by the fermion system, read from the table:
 # alpha * lambda- = s_m * lambda+, alpha * lambda+ = s_p * lambda-
-S_ALPHA_LM = float(_ALPHA_LAMBDA_MINUS.coords[2])
-S_ALPHA_LP = float(_ALPHA_LAMBDA_PLUS.coords[3])
+S_ALPHA_LM = float(STRUCTURE[1, 3, 2])
+S_ALPHA_LP = float(STRUCTURE[1, 2, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +198,6 @@ class BodyBT:
     arg_q: tuple[tuple[str, float], ...]
     seed_body: str
     target_body: str
-    spec: BodyBTSpec
 
     @staticmethod
     def from_spec(spec: BodyBTSpec, a: float) -> "BodyBT":
@@ -247,7 +217,7 @@ class BodyBT:
 
         p, arg_p = reduce(spec.p)
         q, arg_q = reduce(spec.q)
-        return BodyBT(a, p, q, arg_p, arg_q, spec.seed_body, spec.target_body, spec)
+        return BodyBT(a, p, q, arg_p, arg_q, spec.seed_body, spec.target_body)
 
     def _arg(self, combo, Xt, X):
         vals = {self.seed_body: X, self.target_body: Xt}
@@ -266,10 +236,6 @@ class BodyBT:
     def kink_speed(self) -> float:
         """Velocity of the vacuum-seed kink: (p - q)/(p + q)."""
         return (self.p - self.q) / (self.p + self.q)
-
-    @property
-    def kink_gamma(self) -> float:
-        return (self.p + self.q) / 2.0
 
 
 def bt_cross_mismatch(bt: BodyBT, Xt, X, dXm, dXp) -> np.ndarray:

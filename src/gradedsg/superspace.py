@@ -94,11 +94,6 @@ def bracket(D1: Derivation, D2: Derivation, probe: GradedExpr) -> GradedExpr:
     return D1(D2(probe)) - D2(D1(probe)).scale(sign)
 
 
-def weight_of(e: GradedExpr) -> Optional[BoostWeight]:
-    """Common boost weight (half-units); raises if inhomogeneous."""
-    return e.weight()
-
-
 # ---------------------------------------------------------------------------
 # superfields
 

@@ -7,6 +7,7 @@ from gradedsg import backlund as bt
 from gradedsg import model as md
 from gradedsg import parser as ps
 from gradedsg import superspace as ss
+from gradedsg.errors import ConfigError, OutsideWindow
 
 
 def expr_eq(a, b):
@@ -32,16 +33,16 @@ def test_bt_reduce_first_derivative(sysm):
     lhs = ss.apply(ss.D_MINUS, sysm.target_field.expr)
     one_pass = al.substitute_jets(lhs, bt.bt_rewriter(sysm, prefer="eq1").rule)
     assert expr_eq(one_pass, sysm.rhs1)
-    assert expr_eq(bt.bt_reduce(lhs, sysm, prefer="eq1"),
-                   bt.bt_reduce(sysm.rhs1, sysm, prefer="eq1"))
+    reduce = bt.bt_rewriter(sysm, prefer="eq1").reduce
+    assert expr_eq(reduce(lhs), reduce(sysm.rhs1))
 
 
 def test_bt_reduce_second_derivative(sysm):
     lhs = ss.apply(ss.D_PLUS, sysm.target_field.expr)
     one_pass = al.substitute_jets(lhs, bt.bt_rewriter(sysm, prefer="eq2").rule)
     assert expr_eq(one_pass, sysm.rhs2)
-    assert expr_eq(bt.bt_reduce(lhs, sysm, prefer="eq2"),
-                   bt.bt_reduce(sysm.rhs2, sysm, prefer="eq2"))
+    reduce = bt.bt_rewriter(sysm, prefer="eq2").reduce
+    assert expr_eq(reduce(lhs), reduce(sysm.rhs2))
 
 
 def test_bt_rewriter_prefers_listed_equation(sysm):
@@ -162,7 +163,7 @@ def test_series_weights_engine_value(sysm):
     # every coefficient is weight-homogeneous; parameter weights compensate
     # the derivative weights so the engine value is zero for all orders
     for coef in bt.expand_series(sysm, 6):
-        assert ss.weight_of(coef) == 0
+        assert coef.weight() == 0
 
 
 def test_plus_series_is_mirror(sysm, sysp):
@@ -243,6 +244,32 @@ def test_conservation_audit_deterministic(sysm):
     assert a == b
 
 
+def test_conservation_audit_refuses_orders_past_the_window():
+    # the series term a^(K+2) feeds order K through the a^-2 placement, so
+    # K + 2 > amax would silently change the report
+    with pytest.raises(OutsideWindow):
+        bt.conservation_audit(bt.BTSystem(order=9, ctx=al.Context(0, -2, 8)), K=7)
+    assert bt.max_audit_order(al.Context(0, -2, 8)) == 6
+    # the benchmark's audit points stay inside the bound
+    for amax, K in ((8, 4), (10, 6), (12, 8)):
+        assert K <= bt.max_audit_order(al.Context(0, -2, amax))
+
+
+def test_system_refuses_a_window_without_a_inverse_squared():
+    for amin in (-1, 0):
+        with pytest.raises(OutsideWindow):
+            bt.BTSystem(ctx=al.Context(0, amin, 8))
+
+
+def test_system_fields_raise_config_errors():
+    for kwargs in ({"orientation": "sideways"}, {"ctx": al.Context(1, -2, 8)},
+                   {"sabotage": "flip-frist"}):
+        with pytest.raises(ConfigError):
+            bt.BTSystem(**kwargs)
+    for flag in (None, "flip-first", "flip-second"):
+        bt.BTSystem(sabotage=flag)
+
+
 # ---------------------------------------------------------------------------
 # body export
 
@@ -253,7 +280,6 @@ def test_export_body_system_values(sysm):
     assert spec.relation_second == "-v-*a^-2*sin(1/2*X - 1/2*X~) - X_{+}"
     assert spec.mismatch_raw == "sin(X)"
     assert spec.mismatch_completed == "0"
-    assert spec.completion_applied
     # hand oracle for the first relation's coefficient: one theta sector at
     # second order in the deformation parameter gives exactly a^2 v+
     coef, apow, vpow, combo = spec.p
@@ -284,15 +310,3 @@ def test_export_plus_orientation_mirrors(sysp):
     coef, apow, vpow, combo = spec.p
     assert (coef, apow, vpow) == (Q(1), 2, -1)
 
-
-def test_export_pair_serialization(sysm):
-    spec = bt.export_body_system(sysm)
-    pairs = spec.to_pairs()
-    assert pairs[0] == ("X~_{-}", spec.relation_first)
-    assert pairs[1] == ("X~_{+}", spec.relation_second)
-    # jets in the pair form parse back and match the relation degrees
-    lhs = ps.parse_expr(pairs[0][0], sysm.ctx)
-    rhs = ps.parse_expr(pairs[0][1], sysm.ctx)
-    assert lhs.degree() == rhs.degree()
-    assert lhs.weight() == rhs.weight()
-    assert "mismatch raw/completed: sin(X) / 0" in spec.to_text()

@@ -7,6 +7,7 @@ from gradedsg import algebra as al
 from gradedsg import cli
 from gradedsg import parser as ps
 from gradedsg.errors import MiniLangSyntaxError, UnknownSymbol
+from gradedsg.report import Report
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +108,16 @@ def test_bad_grid_exits_two(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
-def test_sabotage_flag_fails_run(capsys):
-    rc = cli.main(["--check", "verify-bt", "--sabotage", "flip-first"])
-    assert rc == 1
+def test_sabotage_flag_fails_run(capsys, monkeypatch):
+    # a failing check exits 1; sabotage lives in the reports' own controls,
+    # so the command line has no --sabotage option
+    failing = Report("verify-bt")
+    failing.add("planted failure", "fail")
+    monkeypatch.setitem(cli.CHECKS, "verify-bt", lambda cfg: failing)
+    assert cli.main(["--check", "verify-bt"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--check", "verify-bt", "--sabotage", "flip-first"])
+    assert exc.value.code == 2
 
 
 def test_eval_mode(capsys):

@@ -22,7 +22,6 @@ def test_structure_tensor_matches_symbolic_kernel():
         exprs[name] = al.gen(name, ctx)
     for i, bi in enumerate(nm.BASIS):
         for j, bj in enumerate(nm.BASIS):
-            num = nm.GradedNumber.basis(bi) * nm.GradedNumber.basis(bj)
             sym = exprs[bi] * exprs[bj]
             expect = np.zeros(4)
             for key, coef in sym.terms.items():
@@ -30,16 +29,16 @@ def test_structure_tensor_matches_symbolic_kernel():
                 idx = {al.CF_ONE: 0, al.CF_ALPHA: 1, ("L", "+"): 2,
                        ("L", "-"): 3}[cf]
                 expect[idx] += float(coef)  # v-powers frozen to one
-            assert np.allclose(num.coords, expect), (bi, bj)
+            assert np.array_equal(nm.STRUCTURE[i, j], expect), (bi, bj)
 
 
 def test_odd_squares_are_table_exact():
-    psi = nm.GradedNumber.basis("lambda+") * 0.7
-    sq = psi * psi
-    assert sq.coords[1] == 0.0 and sq.coords[2] == 0.0 and sq.coords[3] == 0.0
+    psi = 0.7 * np.eye(4)[nm.BASIS.index("lambda+")]
+    sq = np.einsum("i,j,ijk->k", psi, psi, nm.STRUCTURE)
+    assert sq[1] == 0.0 and sq[2] == 0.0 and sq[3] == 0.0
     # lambda+^2 = v+ = 1 numerically; the pure-odd square of a single line
     # is scalar by the table, not by float cancellation
-    assert sq.scalar_part == pytest.approx(0.49)
+    assert sq[0] == pytest.approx(0.49)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +122,7 @@ def test_vacuum_seed_gives_kink(body_spec):
         exact = nm.kink(tgt.x, 0.0, body.kink_speed, 0.0)
         assert float(np.max(np.abs(tgt.X - exact))) < 1e-6
         # expected boost factor (p+q)/2 matches the profile steepness
-        assert body.kink_gamma == pytest.approx(
+        assert (body.p + body.q) / 2 == pytest.approx(
             1 / math.sqrt(1 - body.kink_speed ** 2))
 
 
@@ -143,7 +142,7 @@ def test_kink_seed_accepted_and_corrupted_sign_rejected(body_spec):
     out = nm.integrate_bt_body(seed, body)  # no exception
     assert np.all(np.isfinite(out.X))
     bad = nm.BodyBT(body.a, body.p, -body.q, body.arg_p, body.arg_q,
-                    body.seed_body, body.target_body, body.spec)
+                    body.seed_body, body.target_body)
     with pytest.raises(InconsistentSystem):
         nm.integrate_bt_body(seed, bad)
 

@@ -116,3 +116,82 @@ def test_no_assert_statements():
     offenders = [f"{path.name}:{line}" for path in package_sources()
                  for line in assert_lines(path.read_text())]
     assert offenders == []
+
+
+# public names kept although nothing in the package or the benchmark calls them
+UNUSED_ALLOWED = {
+    # the reference evaluator the bracket suite is tested against
+    "superspace.bracket",
+    # the truncation projection the kernel tests compare through
+    "algebra.with_context",
+    # the jet-level rewriter offered for interactive use
+    "backlund.bt_rewriter",
+}
+
+
+def public_definitions(source: str) -> list[str]:
+    """Public top-level functions and classes, and the public methods of those
+    classes, as ``name`` or ``Class.method``."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{fn.name}" for fn in node.body
+                      if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+    return found
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names read, attributes taken and identifier strings (hooks by name)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def unused_public_names(modules: dict[str, str], users: list[str]) -> list[str]:
+    """``module.name`` of each public definition that no source refers to.
+
+    ``modules`` maps module names to their sources; ``users`` are further
+    sources whose references count.
+    """
+    used = set()
+    for source in list(modules.values()) + users:
+        used |= referenced_names(source)
+    return [f"{module}.{name}" for module, source in modules.items()
+            for name in public_definitions(source)
+            if name.rsplit(".", 1)[-1] not in used]
+
+
+def test_guard_finds_unused_public_names():
+    modules = {"m": ("def used(): pass\n"
+                     "def unused(): pass\n"
+                     "def _private(): pass\n"
+                     "class C:\n"
+                     "    def method(self): return used()\n"
+                     "    def orphan(self): pass\n"),
+               "n": "from .m import C\nC().method()\n"}
+    assert unused_public_names(modules, ["HOOKED = 'unused'\n"]) == ["m.C.orphan"]
+    assert unused_public_names(modules, []) == ["m.unused", "m.C.orphan"]
+
+
+def test_no_unused_public_names():
+    # a public name must be used by another part of the package or by the
+    # benchmark; re-exports from __init__ do not count as uses
+    modules = {path.stem: path.read_text() for path in package_sources()
+               if path.stem != "__init__"}
+    bench = Path(gradedsg.__file__).parents[2] / "bench"
+    users = [path.read_text() for path in sorted(bench.glob("*.py"))]
+    assert users
+    unused = [name for name in unused_public_names(modules, users)
+              if name not in UNUSED_ALLOWED]
+    assert unused == []

@@ -142,12 +142,12 @@ def test_derivation_covariance():
 def test_weight_examples():
     phi = ss.generic_superfield("Phi", nz=0)
     ctx = phi.expr.ctx
-    assert ss.weight_of(ss.apply(ss.D_PLUS, phi.expr)) == -1  # -1/2 in units
+    assert ss.apply(ss.D_PLUS, phi.expr).weight() == -1  # -1/2 in units
     theta_psi = al.gen("theta-", ctx) * al.jet("psi+", ctx=ctx)
-    assert ss.weight_of(theta_psi) == 0
-    assert ss.weight_of(al.gen("lambda+", ctx) * al.gen("lambda-", ctx)) == 0
+    assert theta_psi.weight() == 0
+    assert (al.gen("lambda+", ctx) * al.gen("lambda-", ctx)).weight() == 0
     with pytest.raises(InhomogeneousExpression):
-        ss.weight_of(al.jet("psi+", ctx=ctx) + al.jet("psi-", ctx=ctx))
+        (al.jet("psi+", ctx=ctx) + al.jet("psi-", ctx=ctx)).weight()
 
 
 def test_z_mode_annihilation():
