@@ -1,7 +1,8 @@
 """Graded-commutative symbolic kernel.
 
 Expressions are finite sums of normal-ordered monomials with exact rational
-coefficients.  A monomial factors into fixed slots, in this global order:
+coefficients, stored as an ``int`` while integral and as a ``Fraction``
+otherwise.  A monomial factors into fixed slots, in this global order:
 
     z^k  *  theta-  *  theta+  *  clifford  *  v+^j  *  a^n  *  graded jets
          *  scalar jets  *  (at most one trig atom)
@@ -16,7 +17,12 @@ the two parameter families deviate from plain graded commutativity.
 The trig layer keeps at most one sine/cosine per term, of an argument that
 is a rational combination of scalar body symbols plus a rational multiple of
 pi.  Products of trig atoms are immediately rewritten to half-sums (product
-to sum), which makes the zero test decidable.
+to sum), which makes the zero test decidable.  Trig atoms are interned, so
+equal atoms are one object with a cached hash.
+
+Monomial products are cached by ``_mul_keys_cached``, keyed on the two keys
+and the sabotage flag only: the z-order, theta and a-window tests run in
+``GradedExpr.__mul__``, so every truncation window shares one cache.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import (
+    ConfigError,
+    ContextMismatch,
     DegreeMismatch,
     InhomogeneousExpression,
     MixedParameterFamilies,
@@ -62,8 +70,8 @@ class Context(NamedTuple):
 
     ``commuting_params`` makes the '-','+' spinor-parameter product lose its
     minus sign, i.e. the parameters (wrongly) commute; it exists only so
-    that sabotage checks can show a cancellation depends on it.  Being part
-    of the context, it keys every cache that depends on products.
+    that sabotage checks can show a cancellation depends on it.  It keys the
+    product cache, which no other field of the context does.
     """
 
     nz: int = 1
@@ -113,7 +121,7 @@ def register_field(name: str, degree: Degree, weight: BoostWeight,
     info = FieldInfo(degree, weight, trig=trig)
     old = _REGISTRY.get(name)
     if old is not None and old != info:
-        raise ValueError(f"field {name!r} already registered differently")
+        raise ConfigError(f"field {name!r} already registered differently")
     _REGISTRY[name] = info
 
 
@@ -174,7 +182,7 @@ def cf_degree(cf: tuple[str, str]) -> Degree:
 
 
 def cf_mul(cf1: tuple[str, str], cf2: tuple[str, str],
-           ctx: Context) -> tuple[int, tuple[str, str], int]:
+           commuting_params: bool) -> tuple[int, tuple[str, str], int]:
     """Product of two clifford slots: (sign, cf, v-shift)."""
     fam1, k1 = cf1
     fam2, k2 = cf2
@@ -188,7 +196,7 @@ def cf_mul(cf1: tuple[str, str], cf2: tuple[str, str],
     fam = fam1 or fam2
     table = _ETA_TABLE if fam == "E" else _LAMBDA_TABLE
     sign, kind, vshift = table[(k1, k2)]
-    if ctx.commuting_params and (k1, k2) == ("-", "+"):
+    if commuting_params and (k1, k2) == ("-", "+"):
         sign = -sign
     out_fam = "" if kind in ("1", "a") else fam
     return sign, (out_fam, kind), vshift
@@ -198,10 +206,32 @@ def cf_mul(cf1: tuple[str, str], cf2: tuple[str, str],
 # trig atoms
 #
 # trig = (kind, combo, pioff): kind 's'|'c', combo a tuple of (symbol, Q)
-# sorted by symbol with nonzero rational coefficients, pioff a rational
-# multiple of pi in [0, 1/2) after canonicalization.
+# sorted by symbol with nonzero rational coefficients, the first positive,
+# pioff a rational multiple of pi in [0, 1/2) after canonicalization; a
+# constant angle (empty combo) is always a sine.  Atoms are interned
+# (hash-consed, Filliatre & Conchon 2006): _trig_atom makes every atom, and
+# equal atoms are one TrigAtom object, which computes its hash once, so
+# hashing a monomial key never reaches the Fractions inside it.
 
-TrigAtom = tuple[str, tuple[tuple[str, Fraction], ...], Fraction]
+
+class TrigAtom(tuple):
+    """A canonical ``(kind, combo, pioff)`` triple; build it with ``_trig_atom``."""
+
+    def __hash__(self):
+        return self._hash
+
+
+_TRIG_ATOMS: dict[tuple, TrigAtom] = {}
+
+
+def _trig_atom(kind: str, combo: tuple, pioff: Fraction) -> TrigAtom:
+    """The one object for an already canonical atom."""
+    plain = (kind, combo, pioff)
+    atom = _TRIG_ATOMS.get(plain)
+    if atom is None:
+        atom = _TRIG_ATOMS[plain] = TrigAtom(plain)
+        atom._hash = hash(plain)
+    return atom
 
 
 def _canon_trig(kind: str, combo: Mapping[str, Fraction],
@@ -214,7 +244,7 @@ def _canon_trig(kind: str, combo: Mapping[str, Fraction],
             pioff += co
         elif co != 0:
             items[sym] = Q(co)
-    coef = Q(1)
+    coef = 1
     ordered = sorted(items.items())
     if ordered and ordered[0][1] < 0:
         ordered = [(s, -c) for s, c in ordered]
@@ -232,10 +262,14 @@ def _canon_trig(kind: str, combo: Mapping[str, Fraction],
         else:
             kind = "s"
             coef = -coef
-    if not ordered and pioff == 0:
-        # constant angle, a multiple of pi/2: exact value
-        return (coef if kind == "c" else Q(0)), None
-    return coef, (kind, tuple(ordered), pioff)
+    if not ordered:
+        if pioff == 0:
+            # constant angle, a multiple of pi/2: exact value
+            return (coef if kind == "c" else 0), None
+        if kind == "c":
+            # one form per constant angle: cos(t*pi) = sin((1/2 - t)*pi)
+            kind, pioff = "s", HALF - pioff
+    return coef, _trig_atom(kind, tuple(ordered), pioff)
 
 
 def _trig_arg_add(t1: TrigAtom, t2: TrigAtom, sub: bool) -> tuple[dict, Fraction]:
@@ -370,7 +404,9 @@ class GradedExpr:
 
     ``terms`` is any iterable of ``(key, coefficient)`` pairs.  Coefficients
     of a repeated key are summed and zero results dropped; this constructor
-    is the only place where coefficients are added.
+    is the only place where coefficients are added.  It is also the one
+    normaliser of their type: a stored coefficient is an ``int`` while it is
+    integral and a ``Fraction`` otherwise.
     """
 
     __slots__ = ("ctx", "terms", "truncated")
@@ -390,6 +426,9 @@ class GradedExpr:
                     acc[k] = c
                 else:
                     del acc[k]
+        for k, c in acc.items():
+            if c.__class__ is Q and c.denominator == 1:
+                acc[k] = c.numerator
         self.ctx = ctx
         self.terms = acc
         self.truncated = truncated
@@ -409,7 +448,7 @@ class GradedExpr:
 
     def _require_same_ctx(self, other: "GradedExpr") -> None:
         if self.ctx != other.ctx:
-            raise ValueError(f"incompatible truncation contexts {self.ctx} vs {other.ctx}")
+            raise ContextMismatch(f"incompatible truncation contexts {self.ctx} vs {other.ctx}")
 
     # -- ring operations ----------------------------------------------------
 
@@ -438,6 +477,8 @@ class GradedExpr:
         q = Q(q)
         if q == 0:
             return GradedExpr.zero(self.ctx)
+        if q.denominator == 1:
+            q = q.numerator
         return GradedExpr(self.ctx, ((k, q * c) for k, c in self.terms.items()),
                           self.truncated)
 
@@ -446,15 +487,21 @@ class GradedExpr:
             return self.scale(other)
         self._require_same_ctx(other)
         ctx = self.ctx
+        nz, amin, amax, commuting = ctx
         products = []
         truncated = self.truncated or other.truncated
         for k1, c1 in self.terms.items():
+            z1, tm1, tp1, a1 = k1[0], k1[1], k1[2], k1[5]
             for k2, c2 in other.terms.items():
-                keys = _mul_keys_cached(k1, k2, ctx)
-                if keys is _TRUNCATED:
+                # a product that vanishes by z-order or a repeated theta is
+                # not a truncation, so these tests come before the a-window
+                if z1 + k2[0] > nz or (tm1 and k2[1]) or (tp1 and k2[2]):
+                    continue
+                a = a1 + k2[5]
+                if a < amin or a > amax:
                     truncated = True
                     continue
-                for k, c in keys:
+                for k, c in _mul_keys_cached(k1, k2, commuting):
                     products.append((k, c1 * c2 * c))
         return GradedExpr(ctx, products, truncated)
 
@@ -498,24 +545,16 @@ class GradedExpr:
         return f"GradedExpr({to_text(self)!r})"
 
 
-# returned by _mul_keys_cached when the product leaves the a-window
-_TRUNCATED = object()
-
-
 @functools.lru_cache(maxsize=200000)
-def _mul_keys_cached(k1: Key, k2: Key, ctx: Context) -> tuple:
+def _mul_keys_cached(k1: Key, k2: Key, commuting_params: bool) -> tuple:
+    """``(key, factor)`` pairs of a monomial product, before the z-order,
+    theta and a-window tests that ``__mul__`` makes; shared by every window."""
     z1, tm1, tp1, cf1, v1, a1, gj1, bj1, t1 = k1
     z2, tm2, tp2, cf2, v2, a2, gj2, bj2, t2 = k2
     z = z1 + z2
-    if z > ctx.nz:
-        return ()
-    if (tm1 and tm2) or (tp1 and tp2):
-        return ()
     a = a1 + a2
-    if a < ctx.amin or a > ctx.amax:
-        return _TRUNCATED
     sign = _cross_sign(k1, k2)
-    csign, cf, vshift = cf_mul(cf1, cf2, ctx)
+    csign, cf, vshift = cf_mul(cf1, cf2, commuting_params)
     sign *= csign
     v = v1 + v2 + vshift
     gj = _merge_jets(gj1, gj2, graded=True)
@@ -524,7 +563,7 @@ def _mul_keys_cached(k1: Key, k2: Key, ctx: Context) -> tuple:
     bj = _merge_jets(bj1, bj2, graded=False)
     tm = tm1 or tm2
     tp = tp1 or tp2
-    coef = Q(sign)
+    coef = sign
     if t1 is not None and t2 is not None:
         out = []
         for tcoef, trig in _trig_mul(t1, t2):
@@ -557,17 +596,17 @@ def gen(name: str, ctx: Context = DEFAULT_CTX) -> GradedExpr:
         key = _GEN_KEYS[name]
     except KeyError:
         raise KeyError(f"unknown generator {name!r}") from None
-    return GradedExpr(ctx, ((key, Q(1)),))
+    return GradedExpr(ctx, ((key, 1),))
 
 
 def apow(k: int, ctx: Context = DEFAULT_CTX) -> GradedExpr:
     if k < ctx.amin or k > ctx.amax:
         return GradedExpr(ctx, truncated=True)
-    return GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, k, (), (), None), Q(1)),))
+    return GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, k, (), (), None), 1),))
 
 
 def vpow(k: int, ctx: Context = DEFAULT_CTX) -> GradedExpr:
-    return GradedExpr(ctx, (((0, 0, 0, CF_ONE, k, 0, (), (), None), Q(1)),))
+    return GradedExpr(ctx, (((0, 0, 0, CF_ONE, k, 0, (), (), None), 1),))
 
 
 def jet(name: str, m: int = 0, n: int = 0, ctx: Context = DEFAULT_CTX) -> GradedExpr:
@@ -579,7 +618,7 @@ def jet(name: str, m: int = 0, n: int = 0, ctx: Context = DEFAULT_CTX) -> Graded
         key = (0, 0, 0, CF_ONE, 0, 0, (), atom, None)
     else:
         key = (0, 0, 0, CF_ONE, 0, 0, atom, (), None)
-    return GradedExpr(ctx, ((key, Q(1)),))
+    return GradedExpr(ctx, ((key, 1),))
 
 
 def trig(kind: str, combo: Mapping[str, Fraction], pioff=Q(0),
@@ -723,8 +762,9 @@ def d_x(e: GradedExpr, direction: str) -> GradedExpr:
                 counts = dict(bj)
                 atom2 = (sym, dm, dn)
                 counts[atom2] = counts.get(atom2, 0) + 1
+                # swapping sin and cos keeps the argument canonical
                 out.append(((z, tm, tp, cf, v, a, gj, tuple(sorted(counts.items())),
-                             (newkind, combo, pioff)), c * factor))
+                             _trig_atom(newkind, combo, pioff)), c * factor))
     return GradedExpr(e.ctx, out, e.truncated)
 
 
@@ -820,7 +860,7 @@ def trig_of(kind: str, e: GradedExpr, half=Q(1)) -> GradedExpr:
     the active truncation.
     """
     if kind not in ("s", "c"):
-        raise ValueError("kind must be 's' or 'c'")
+        raise ConfigError("kind must be 's' or 'c'")
     deg = e.degree()
     if deg not in (None, DEG_EVEN):
         raise NotScalarDegree(f"trig argument has degree {deg}")
@@ -863,19 +903,19 @@ def _term_factors(key: Key, ctx: Context) -> Iterator[GradedExpr]:
     """
     z, tm, tp, cf, v, a, gj, bj, t = key
     if z or tm or tp or cf != CF_ONE or v or a:
-        yield GradedExpr(ctx, (((z, tm, tp, cf, v, a, (), (), None), Q(1)),))
+        yield GradedExpr(ctx, (((z, tm, tp, cf, v, a, (), (), None), 1),))
     for (name, m, n), exp in gj:
         atom = GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, 0, (((name, m, n), 1),), (), None),
-                                 Q(1)),))
+                                 1),))
         for _ in range(exp):
             yield atom
     for (name, m, n), exp in bj:
         atom = GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, 0, (), (((name, m, n), 1),), None),
-                                 Q(1)),))
+                                 1),))
         for _ in range(exp):
             yield atom
     if t is not None:
-        yield GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, 0, (), (), t), Q(1)),))
+        yield GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, 0, (), (), t), 1),))
 
 
 JetRule = Callable[[str, int, int], Optional[GradedExpr]]
@@ -998,7 +1038,7 @@ def mirror_pm(e: GradedExpr) -> GradedExpr:
                     (), None)
             for _ in range(exp):
                 pairs = [(k2, c2 * s) for k, c2 in pairs
-                         for k2, s in _mul_keys_cached(k, atom, e.ctx)]
+                         for k2, s in _mul_keys_cached(k, atom, e.ctx.commuting_params)]
         out.extend(pairs)
     return GradedExpr(e.ctx, out, e.truncated)
 

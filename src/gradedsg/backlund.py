@@ -27,8 +27,8 @@ from . import algebra as al
 from . import model as md
 from . import superspace as ss
 from .algebra import Context, GradedExpr, Q
-from .errors import (ConfigError, InconsistentSystem, OutsideWindow,
-                     UnresolvedGenerator, UnsupportedAtom)
+from .errors import (ConfigError, ContextMismatch, InconsistentSystem,
+                     OutsideWindow, UnresolvedGenerator, UnsupportedAtom)
 from .report import Report
 
 HALF = Q(1, 2)
@@ -161,7 +161,7 @@ def component_apply_cov(which: str, e: GradedExpr) -> GradedExpr:
     reassembles with explicit theta multiplications.
     """
     if e.ctx.nz != 0:
-        raise ValueError("component recomputation works in z-independent mode")
+        raise ContextMismatch("component recomputation works in z-independent mode")
     sec = al.component_split(e)
     ctx = e.ctx
     zero = GradedExpr.zero(ctx)
@@ -179,7 +179,7 @@ def component_apply_cov(which: str, e: GradedExpr) -> GradedExpr:
         return (c01 + tm * c11
                 - (tp * al.d_plus(c00)).scale(HALF)
                 - (tm * (tp * al.d_plus(c10))).scale(HALF))
-    raise ValueError("which must be '-' or '+'")
+    raise ConfigError("which must be '-' or '+'")
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ def _sector_rules(sys: BTSystem, which: str) -> dict[tuple[str, int, int], Grade
             raise UnsupportedAtom(f"left-hand sector {sector} is not a single target jet")
         atom = atoms[0][0]
         target = rsec.get(sector, GradedExpr.zero(sys.ctx))
-        rules[atom] = target.scale(1 / coef)
+        rules[atom] = target.scale(Q(1) / coef)
     return rules
 
 
@@ -210,7 +210,7 @@ def bt_rewriter(sys: BTSystem, prefer: str = "eq1") -> al.JetRewriter:
     tie for jets both equations determine (the auxiliary component).
     """
     if prefer not in ("eq1", "eq2"):
-        raise ValueError("prefer must be 'eq1' or 'eq2'")
+        raise ConfigError("prefer must be 'eq1' or 'eq2'")
     order = ("eq1", "eq2") if prefer == "eq1" else ("eq2", "eq1")
     return al.JetRewriter(rule for which in order
                           for rule in _sector_rules(sys, which).items())

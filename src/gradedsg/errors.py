@@ -62,7 +62,11 @@ class VelocityOutOfRange(GradedSGError):
 
 
 class ConfigError(GradedSGError):
-    """Bad run configuration."""
+    """Bad run configuration or argument value."""
+
+
+class ContextMismatch(GradedSGError):
+    """Operands or an operation need different truncation contexts."""
 
 
 class MiniLangSyntaxError(GradedSGError):

@@ -5,9 +5,10 @@ from fractions import Fraction as Q
 import pytest
 
 from gradedsg import algebra as al
-from gradedsg.errors import (MixedParameterFamilies, NonNilpotentRemainder,
-                             NonTermination, NotScalarDegree, OutsideWindow,
-                             UnsupportedAtom)
+from gradedsg.errors import (ConfigError, ContextMismatch, MixedParameterFamilies,
+                             NonNilpotentRemainder, NonTermination, NotScalarDegree,
+                             OutsideWindow, UnsupportedAtom)
+from gradedsg.grading import DEG_01
 
 CTX = al.BT_CTX
 
@@ -164,6 +165,71 @@ def test_a_window_truncation_flagged():
     assert kept.truncated
 
 
+def test_a_window_test_keeps_its_place_among_the_zero_tests():
+    # an odd jet repeated outside the a-window is truncated: the window test
+    # comes before the jet merge, as it always has
+    odd = al.apow(5, CTX) * al.jet("psi+", ctx=CTX)
+    e = odd * odd
+    assert e.is_zero() and e.truncated
+    # and so is a product of the two parameter families, which inside the
+    # window raises MixedParameterFamilies
+    e = (al.apow(5, CTX) * g("lambda+")) * (al.apow(5, CTX) * g("eta+"))
+    assert e.is_zero() and e.truncated
+    # a product that overflows nz, or repeats a theta, is zero before the
+    # window test, so it is not truncated however far outside the window
+    wide = al.DEFAULT_CTX
+    odd_z = al.gen("z", wide) * al.apow(5, wide) * al.jet("psi+", ctx=wide)
+    e = odd_z * odd_z
+    assert e.is_zero() and not e.truncated
+    odd_t = g("theta-") * al.apow(5, CTX) * al.jet("psi+", ctx=CTX)
+    e = odd_t * odd_t
+    assert e.is_zero() and not e.truncated
+
+
+# ---------------------------------------------------------------------------
+# representation: interned trig atoms, integer coefficients
+
+def test_equal_trig_atoms_are_one_object():
+    u = {"X": Q(1, 2), "X~": Q(-3)}
+    built = _key(al.trig("s", u, Q(1, 3), CTX))[8]
+    _, canon = al._canon_trig("s", u, Q(1, 3))
+    # d- cos(u) = -u_- sin(u): the chain rule makes its sine atom itself
+    chained = [key[8] for key in al.d_minus(al.trig("c", u, Q(1, 3), CTX)).terms]
+    assert canon is built
+    assert len(chained) == 2 and all(atom is built for atom in chained)
+    # an interned atom still equals and hashes like its plain triple
+    assert built == tuple(built) and hash(built) == hash(tuple(built))
+
+
+def test_integral_coefficients_are_stored_as_ints(monkeypatch):
+    from gradedsg import backlund as bt
+    offenders, stored = [], []
+    init = al.GradedExpr.__init__
+
+    def checking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        stored.extend(self.terms.values())
+        offenders.extend(c for c in self.terms.values()
+                         if type(c) is not int and not (type(c) is Q and c.denominator > 1))
+
+    monkeypatch.setattr(al.GradedExpr, "__init__", checking_init)
+    rng = random.Random(3)
+    X = al.jet("X", ctx=CTX)
+    half = al.trig("s", {"X": Q(1, 2)}, ctx=CTX)
+    for _ in range(10):
+        a = _random_expr(rng, CTX, ["X", "psi+", "F"], 3)
+        b = _random_expr(rng, CTX, ["Y", "psi-", "X"], 3)
+        # 3/2 + 1/2 and 2 * 1/2 are integral Fractions until normalised
+        a.scale(Q(3, 2)) + a.scale(Q(1, 2))
+        a.scale(2) * b.scale(Q(1, 2))
+        al.d_plus(a * b * half)
+        al.substitute(a, {"X": X.scale(Q(1, 2)) + X})
+        half * half
+    bt.conservation_audit(bt.BTSystem(order=6, ctx=al.Context(0, -2, 8)), 4)
+    assert offenders == []
+    assert {type(c) for c in stored} == {int, Q}
+
+
 # ---------------------------------------------------------------------------
 # the normaliser
 
@@ -246,6 +312,16 @@ def test_laurent_paired_parameter_product():
 # ---------------------------------------------------------------------------
 # trig layer
 
+def test_constant_angles_have_one_form():
+    # cos(t*pi) = sin((1/2 - t)*pi): without one form per constant angle,
+    # the two orders of sin(u) sin(u + pi/4) differed by cos(pi/4) - sin(pi/4)
+    u = {"X": Q(1)}
+    s, s4 = al.trig("s", u, ctx=CTX), al.trig("s", u, Q(1, 4), CTX)
+    assert (s * s4 - s4 * s).is_zero()
+    assert expr_eq(al.trig("c", {}, Q(1, 3), CTX), al.trig("s", {}, Q(1, 6), CTX))
+    assert expr_eq(al.trig("c", {}, Q(-1, 4), CTX), al.trig("s", {}, Q(1, 4), CTX))
+    assert al.to_text(al.trig("c", {}, Q(1, 4), CTX)) == "sin(1/4*pi)"
+
 def test_product_to_sum_examples():
     u = {"X": Q(1, 2)}
     s, c = al.trig("s", u, ctx=CTX), al.trig("c", u, ctx=CTX)
@@ -325,6 +401,19 @@ def test_trig_of_errors():
         al.trig_of("s", al.jet("X", 0, 1, CTX))  # derivative jet: not a body
     with pytest.raises(UnsupportedAtom):
         al.trig_of("s", al.jet("X", ctx=CTX) + 1)  # bare rational offset
+
+
+@pytest.mark.parametrize("call, error", [
+    # the same name with another degree
+    (lambda: al.register_field("X", DEG_01, 0), ConfigError),
+    # a sum and a product across two truncation contexts
+    (lambda: al.jet("X", ctx=CTX) + al.jet("X", ctx=al.DEFAULT_CTX), ContextMismatch),
+    (lambda: al.jet("X", ctx=CTX) * al.jet("X", ctx=al.DEFAULT_CTX), ContextMismatch),
+    (lambda: al.trig_of("t", al.jet("X", ctx=CTX)), ConfigError),
+], ids=["register_field", "sum contexts", "product contexts", "trig_of kind"])
+def test_bad_arguments_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 # ---------------------------------------------------------------------------

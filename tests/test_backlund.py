@@ -7,7 +7,7 @@ from gradedsg import backlund as bt
 from gradedsg import model as md
 from gradedsg import parser as ps
 from gradedsg import superspace as ss
-from gradedsg.errors import ConfigError, OutsideWindow
+from gradedsg.errors import ConfigError, ContextMismatch, OutsideWindow
 
 
 def expr_eq(a, b):
@@ -268,6 +268,16 @@ def test_system_fields_raise_config_errors():
             bt.BTSystem(**kwargs)
     for flag in (None, "flip-first", "flip-second"):
         bt.BTSystem(sabotage=flag)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda s: bt.component_apply_cov("-", al.jet("X", ctx=al.DEFAULT_CTX)), ContextMismatch),
+    (lambda s: bt.component_apply_cov("x", al.jet("X", ctx=s.ctx)), ConfigError),
+    (lambda s: bt.bt_rewriter(s, "eq3"), ConfigError),
+], ids=["component_apply_cov nz", "component_apply_cov which", "bt_rewriter prefer"])
+def test_bad_arguments_raise_typed_errors(sysm, call, error):
+    with pytest.raises(error):
+        call(sysm)
 
 
 # ---------------------------------------------------------------------------

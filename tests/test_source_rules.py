@@ -111,6 +111,35 @@ def test_guard_finds_asserts():
     assert assert_lines(source) == [2, 4]
 
 
+def raised_names(source: str) -> list[tuple[int, str]]:
+    """(line, exception name) of each ``raise`` of a named exception."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.append((node.lineno, ast.unparse(exc)))
+    return sorted(found)
+
+
+def test_guard_finds_raised_names():
+    source = ("def f(x):\n"
+              "    if x:\n"
+              "        raise ValueError('bad')\n"
+              "    raise errors.ConfigError\n"
+              "try:\n"
+              "    f(1)\n"
+              "except ValueError:\n"
+              "    raise\n")
+    assert raised_names(source) == [(3, "ValueError"), (4, "errors.ConfigError")]
+
+
+def test_no_untyped_value_errors():
+    # every failure maps to a GradedSGError subclass and so to an exit code
+    offenders = [f"{path.name}:{line}" for path in package_sources()
+                 for line, name in raised_names(path.read_text()) if name == "ValueError"]
+    assert offenders == []
+
+
 def test_no_assert_statements():
     # python -O strips assert statements; invariants raise typed errors
     offenders = [f"{path.name}:{line}" for path in package_sources()
