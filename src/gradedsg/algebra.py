@@ -60,6 +60,7 @@ from .grading import (
 
 Q = Fraction
 HALF = Q(1, 2)
+SIXTH = Q(1, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +270,9 @@ def _canon_trig(kind: str, combo: Mapping[str, Fraction],
         if kind == "c":
             # one form per constant angle: cos(t*pi) = sin((1/2 - t)*pi)
             kind, pioff = "s", HALF - pioff
+        if pioff == SIXTH:
+            # sin(t*pi) with 0 < t < 1/2 is rational only at t = 1/6 (Niven)
+            return coef * HALF, None
     return coef, _trig_atom(kind, tuple(ordered), pioff)
 
 

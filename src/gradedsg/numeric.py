@@ -136,7 +136,13 @@ def static_kink_residual(h: float, L: float = 20.0) -> float:
 
 
 def solve_leapfrog(s0: FieldState, T: float, dt: Optional[float] = None) -> FieldState:
-    """Second-order leapfrog for the classical equation (d_xx - d_tt) X = sin X."""
+    """Second-order leapfrog for the classical equation (d_xx - d_tt) X = sin X.
+
+    Finiteness is checked once, on the final field: a NaN or inf at an
+    interior node spreads through the stencil and ``sin`` and never leaves,
+    and the clamp resets only the two end points, so a run that blew up
+    still raises ``NonFiniteValue``.
+    """
     h = s0.h
     if dt is None:
         dt = h / 2
@@ -157,8 +163,8 @@ def solve_leapfrog(s0: FieldState, T: float, dt: Optional[float] = None) -> Fiel
         X_prev = state.X
         state.X = X_next
         state.t += dt
-        if not np.all(np.isfinite(state.X)):
-            raise NonFiniteValue(f"field blew up at t = {state.t}")
+    if not np.all(np.isfinite(state.X)):
+        raise NonFiniteValue(f"field is non-finite at t = {state.t}")
     state.Xdot = (state.X - X_prev) / dt
     return state
 
@@ -262,10 +268,17 @@ def integrate_bt_body(seed: FieldState, bt: BodyBT) -> FieldState:
 
     The spatial profile comes from an RK4 integration of
     d/dx Xt = rel_first + rel_second from the mid-point value pi; the time
-    derivative is read off the relations.  The analytic cross-derivative
-    mismatch of the two relations is evaluated on the result and must stay
-    within tolerance: an incompatible pair (e.g. one with a corrupted trig
-    sign) is rejected whenever the seed makes the mismatch visible.
+    derivative is read off the relations.  The seed (X, d-X, d+X) is
+    interpolated linearly, once per direction, into a table at the three
+    RK4 abscissae of every step from x[i]:
+
+        k1 at x[i],   k2 and k3 at x[i] + step/2,   k4 at x[i] + step,
+
+    with step = +h towards the right end and -h towards the left end.  The
+    analytic cross-derivative mismatch of the two relations is evaluated on
+    the result and must stay within tolerance: an incompatible pair (e.g.
+    one with a corrupted trig sign) is rejected whenever the seed makes the
+    mismatch visible.
     """
     x, h = seed.x, seed.h
     X = seed.X
@@ -273,20 +286,32 @@ def integrate_bt_body(seed: FieldState, bt: BodyBT) -> FieldState:
     dXm = 0.5 * (Xx - seed.Xdot)
     dXp = 0.5 * (Xx + seed.Xdot)
 
-    def slope(xi: float, Xt: float) -> float:
-        Xi = np.interp(xi, x, X)
-        mi = np.interp(xi, x, dXm)
-        pi_ = np.interp(xi, x, dXp)
+    def slope(Xt: float, at: tuple[float, float, float]) -> float:
+        Xi, mi, pi_ = at
         return bt.rel_first(Xt, Xi, mi) + bt.rel_second(Xt, Xi, pi_)
+
+    def march(rows: np.ndarray, step: float) -> None:
+        # RK4 steps from x[i] towards x[i] + step, for i = mid, mid +- 1, ...
+        xs = x[rows]
+        k1_at, k23_at, k4_at = (
+            list(zip(*(np.interp(at, x, f).tolist() for f in (X, dXm, dXp))))
+            for at in (xs, xs + step / 2, xs + step))
+        nxt = 1 if step > 0 else -1
+        y = Xt[mid]
+        for k, i in enumerate(rows.tolist()):
+            k1 = slope(y, k1_at[k])
+            k2 = slope(y + step / 2 * k1, k23_at[k])
+            k3 = slope(y + step / 2 * k2, k23_at[k])
+            k4 = slope(y + step * k3, k4_at[k])
+            y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            Xt[i + nxt] = y
 
     n = len(x)
     mid = n // 2
     Xt = np.empty_like(X)
     Xt[mid] = math.pi
-    for i in range(mid, n - 1):
-        Xt[i + 1] = _rk4_step(slope, x[i], Xt[i], h)
-    for i in range(mid, 0, -1):
-        Xt[i - 1] = _rk4_step(slope, x[i], Xt[i], -h)
+    march(np.arange(mid, n - 1), h)
+    march(np.arange(mid, 0, -1), -h)
 
     mismatch = float(np.max(np.abs(bt_cross_mismatch(bt, Xt, X, dXm, dXp))))
     tol = 1e-6
@@ -365,39 +390,67 @@ def _fermion_march(C: np.ndarray, u0: np.ndarray, w0: np.ndarray,
 
     Every node on an anti-diagonal depends only on the previous diagonal,
     so diagonals are swept with vector operations; the per-node implicit
-    2x2 coupling is solved exactly.
+    2x2 coupling is solved exactly.  In the C-ordered (nm, np_) arrays the
+    node (i, d - i) has flat index i*(np_ - 1) + d, so the nodes of
+    diagonal d with rows lo..hi are the basic slice
+    flat[lo*(np_ - 1) + d : hi*(np_ - 1) + d + 1 : np_ - 1] of ``ravel()``:
+    no index arrays and no skewed copies.  Each finished diagonal is copied
+    out once, so the left (i, j - 1) and upper (i - 1, j) neighbours of the
+    next one are read from contiguous memory.  The two coupling signs are
+    equal in the table, so one factor K = 0.5*h*su*C serves both equations.
     """
     su = -S_ALPHA_LM  # from d+ psi+ = -(alpha/2) psi- cos(X/2)
-    sw = -S_ALPHA_LP
+    if -S_ALPHA_LP != su:
+        raise InconsistentSystem("the two fermion coupling signs differ")
     nm, np_ = C.shape
     u = np.zeros((nm, np_))
     w = np.zeros((nm, np_))
     u[:, 0] = u0
     w[0, :] = w0
-    # edges: single-family trapezoid marches with known partner data
-    for j in range(1, np_):
-        fu_prev = su * C[0, j - 1] * w[0, j - 1]
-        fu_cur = su * C[0, j] * w[0, j]
-        u[0, j] = u[0, j - 1] + 0.5 * h * (fu_prev + fu_cur)
-    for i in range(1, nm):
-        fw_prev = sw * C[i - 1, 0] * u[i - 1, 0]
-        fw_cur = sw * C[i, 0] * u[i, 0]
-        w[i, 0] = w[i - 1, 0] + 0.5 * h * (fw_prev + fw_cur)
+    # edges: single-family trapezoid marches with known partner data, summed
+    # in order from the corner
+    fu = su * C[0, :] * w[0, :]
+    u[0, :] = np.add.accumulate(np.concatenate(
+        (u[0, :1], 0.5 * h * (fu[:-1] + fu[1:]))))
+    fw = su * C[:, 0] * u[:, 0]
+    w[:, 0] = np.add.accumulate(np.concatenate(
+        (w[:1, 0], 0.5 * h * (fw[:-1] + fw[1:]))))
+    if nm < 2 or np_ < 2:
+        return u, w
+    K = 0.5 * h * su * C
+    kf, uf, wf = K.ravel(), u.ravel(), w.ravel()
+    stride = np_ - 1
+
+    def diagonal(d: int, lo: int, hi: int) -> slice:
+        return slice(lo * stride + d, hi * stride + d + 1, stride)
+
+    # diagonal 1 holds the edge nodes (0, 1) and (1, 0)
+    lo = 0
+    full = diagonal(1, 0, 1)
+    pu, pw, pk = uf[full].copy(), wf[full].copy(), kf[full].copy()
     for d in range(2, nm + np_ - 1):
-        i_lo = max(1, d - (np_ - 1))
-        i_hi = min(nm - 1, d - 1)
-        if i_lo > i_hi:
-            continue
-        ii = np.arange(i_lo, i_hi + 1)
-        jj = d - ii
-        A = u[ii, jj - 1] + 0.5 * h * su * C[ii, jj - 1] * w[ii, jj - 1]
-        B = w[ii - 1, jj] + 0.5 * h * sw * C[ii - 1, jj] * u[ii - 1, jj]
-        cu = 0.5 * h * su * C[ii, jj]
-        cw = 0.5 * h * sw * C[ii, jj]
-        unew = (A + cu * B) / (1.0 - cu * cw)
-        u[ii, jj] = unew
-        w[ii, jj] = B + cw * unew
+        plo, lo = lo, max(0, d - stride)
+        i_lo, i_hi = max(1, lo), min(nm - 1, d - 1)
+        full = diagonal(d, lo, min(nm - 1, d))
+        k_full = kf[full].copy()
+        k = k_full[i_lo - lo:i_hi - lo + 1]
+        left = slice(i_lo - plo, i_hi - plo + 1)
+        up = slice(i_lo - 1 - plo, i_hi - plo)
+        A = pu[left] + pk[left] * pw[left]
+        B = pw[up] + pk[up] * pu[up]
+        unew = (A + k * B) / (1.0 - k * k)
+        node = diagonal(d, i_lo, i_hi)
+        uf[node] = unew
+        wf[node] = B + k * unew
+        pu, pw, pk = uf[full].copy(), wf[full].copy(), k_full
     return u, w
+
+
+def _coupling(background_X: Callable[[np.ndarray, np.ndarray], np.ndarray],
+              xm: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """Coupling 0.5 cos(X/2) of the background on the (xm, xp) grid."""
+    XM, XP = np.meshgrid(xm, xp, indexing="ij")
+    return 0.5 * np.cos(background_X(XM, XP) / 2.0)
 
 
 def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -417,16 +470,13 @@ def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarr
     np_ = int(round(Lp / h)) + 1
     xm = np.linspace(0.0, Lm, nm)
     xp = np.linspace(0.0, Lp, np_)
-    XM, XP = np.meshgrid(xm, xp, indexing="ij")
-    C = 0.5 * np.cos(background_X(XM, XP) / 2.0)
+    C = _coupling(background_X, xm, xp)
     u, w = _fermion_march(C, psi_plus_edge(xm), psi_minus_edge(xp), h)
     if richardson:
         xm2 = np.linspace(0.0, Lm, 2 * (nm - 1) + 1)
         xp2 = np.linspace(0.0, Lp, 2 * (np_ - 1) + 1)
-        XM2, XP2 = np.meshgrid(xm2, xp2, indexing="ij")
-        C2 = 0.5 * np.cos(background_X(XM2, XP2) / 2.0)
-        u2, w2 = _fermion_march(C2, psi_plus_edge(xm2), psi_minus_edge(xp2),
-                                h / 2)
+        u2, w2 = _fermion_march(_coupling(background_X, xm2, xp2),
+                                psi_plus_edge(xm2), psi_minus_edge(xp2), h / 2)
         u = (4.0 * u2[::2, ::2] - u) / 3.0
         w = (4.0 * w2[::2, ::2] - w) / 3.0
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(w))):

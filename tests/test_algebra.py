@@ -322,6 +322,17 @@ def test_constant_angles_have_one_form():
     assert expr_eq(al.trig("c", {}, Q(-1, 4), CTX), al.trig("s", {}, Q(1, 4), CTX))
     assert al.to_text(al.trig("c", {}, Q(1, 4), CTX)) == "sin(1/4*pi)"
 
+
+def test_rational_constant_angles_are_exact():
+    # by Niven's theorem sin(t*pi), 0 < t < 1/2, is rational only at t = 1/6
+    half = al.GradedExpr.rational(Q(1, 2), CTX)
+    for kind, t, value in (("s", Q(1, 6), half), ("c", Q(1, 3), half),
+                           ("s", Q(5, 6), half), ("c", Q(2, 3), -half)):
+        assert expr_eq(al.trig(kind, {}, t, CTX), value), (kind, t)
+    quarter = al.trig("s", {}, Q(1, 4), CTX)
+    assert len(quarter.terms) == 1 and next(iter(quarter.terms))[8] is not None
+
+
 def test_product_to_sum_examples():
     u = {"X": Q(1, 2)}
     s, c = al.trig("s", u, ctx=CTX), al.trig("c", u, ctx=CTX)

@@ -125,6 +125,9 @@ def test_eval_mode(capsys):
     out = capsys.readouterr().out
     assert "text: -alpha" in out
     assert "degree: (1,1)" in out
+    # a constant angle with a rational sine is reduced to its exact value
+    assert cli.main(["--eval", "sin(1/6*pi) - 1/2"]) == 0
+    assert "text: 0\n" in capsys.readouterr().out
     assert cli.main(["--eval", "sin()"]) == 2
     capsys.readouterr()
     # expressions the engine rejects are expression errors too, and so are

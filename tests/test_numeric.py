@@ -8,7 +8,7 @@ from gradedsg import algebra as al
 from gradedsg import backlund as bt
 from gradedsg import numeric as nm
 from gradedsg.errors import (CFLViolation, ConfigError, InconsistentSystem,
-                             VelocityOutOfRange)
+                             NonFiniteValue, VelocityOutOfRange)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +84,15 @@ def test_leapfrog_vacuum_and_cfl():
         nm.solve_leapfrog(s0, 1.0, dt=1.0)
 
 
+def test_leapfrog_raises_on_non_finite():
+    # finiteness is checked once, at the end: an interior NaN must survive
+    # the whole run and still be reported
+    s0 = nm.kink_state(5.0, 2.0 ** -5)
+    s0.X[len(s0.X) // 3] = np.nan
+    with pytest.raises(NonFiniteValue):
+        nm.solve_leapfrog(s0, 1.0)
+
+
 def test_leapfrog_kink_accuracy_and_convergence():
     errs = {}
     for h in (2.0 ** -6, 2.0 ** -7):
@@ -147,6 +156,31 @@ def test_kink_seed_accepted_and_corrupted_sign_rejected(body_spec):
         nm.integrate_bt_body(seed, bad)
 
 
+def test_integrate_bt_body_matches_scalar_interp_rk4(body_spec):
+    # reference: every RK4 slope interpolates the seed at its own abscissa
+    body = nm.BodyBT.from_spec(body_spec, 1.2)
+    seed = nm.kink_state(2.0, 2.0 ** -4, v=0.3)
+    x, h, X = seed.x, seed.h, seed.X
+    Xx = nm._first_deriv_4(X, h)
+    dXm = 0.5 * (Xx - seed.Xdot)
+    dXp = 0.5 * (Xx + seed.Xdot)
+
+    def slope(xi, Xt):
+        Xi = np.interp(xi, x, X)
+        return (body.rel_first(Xt, Xi, np.interp(xi, x, dXm))
+                + body.rel_second(Xt, Xi, np.interp(xi, x, dXp)))
+
+    n = len(x)
+    mid = n // 2
+    ref = np.empty_like(X)
+    ref[mid] = math.pi
+    for i in range(mid, n - 1):
+        ref[i + 1] = nm._rk4_step(slope, x[i], ref[i], h)
+    for i in range(mid, 0, -1):
+        ref[i - 1] = nm._rk4_step(slope, x[i], ref[i], -h)
+    assert nm.integrate_bt_body(seed, body).X.tobytes() == ref.tobytes()
+
+
 def test_seed_residual_bound(body_spec):
     # output residual stays within a modest multiple of the seed residual
     # plus the discretization budget (vacuum seed: exact zero seed residual)
@@ -161,6 +195,46 @@ def test_seed_residual_bound(body_spec):
 
 # ---------------------------------------------------------------------------
 # fermions
+
+def _cellwise_march(C, u0, w0, h):
+    # one node at a time, row by row, in the march's operation order
+    su, sw = -nm.S_ALPHA_LM, -nm.S_ALPHA_LP
+    rows, cols = C.shape
+    C = C.tolist()
+    u = [[0.0] * cols for _ in range(rows)]
+    w = [[0.0] * cols for _ in range(rows)]
+    for i in range(rows):
+        u[i][0] = float(u0[i])
+    for j in range(cols):
+        w[0][j] = float(w0[j])
+    for j in range(1, cols):
+        u[0][j] = u[0][j - 1] + 0.5 * h * (su * C[0][j - 1] * w[0][j - 1]
+                                           + su * C[0][j] * w[0][j])
+    for i in range(1, rows):
+        w[i][0] = w[i - 1][0] + 0.5 * h * (sw * C[i - 1][0] * u[i - 1][0]
+                                           + sw * C[i][0] * u[i][0])
+    for i in range(1, rows):
+        for j in range(1, cols):
+            A = u[i][j - 1] + 0.5 * h * su * C[i][j - 1] * w[i][j - 1]
+            B = w[i - 1][j] + 0.5 * h * sw * C[i - 1][j] * u[i - 1][j]
+            cu = 0.5 * h * su * C[i][j]
+            cw = 0.5 * h * sw * C[i][j]
+            u[i][j] = (A + cu * B) / (1.0 - cu * cw)
+            w[i][j] = B + cw * u[i][j]
+    return np.array(u), np.array(w)
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (6, 11), (11, 6), (1, 7), (7, 1)])
+def test_fermion_march_matches_cellwise_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    C = rng.uniform(-1.0, 1.0, shape)
+    u0 = rng.standard_normal(shape[0])
+    w0 = rng.standard_normal(shape[1])
+    u, w = nm._fermion_march(C, u0, w0, 2.0 ** -2)
+    ref_u, ref_w = _cellwise_march(C, u0, w0, 2.0 ** -2)
+    assert u.tobytes() == ref_u.tobytes()
+    assert w.tobytes() == ref_w.tobytes()
+
 
 def test_fermions_zero_data_stay_zero():
     out = nm.integrate_fermions(lambda xm, xp: np.zeros_like(xm),
