@@ -14,12 +14,18 @@ normalized expressions is ever needed for the theorem-level checks.  The
 jet-level rewriter ``bt_rewriter`` exposes the same relations as oriented
 rules for interactive use; the body-system export rewrites with its own
 first-order body relations.
+
+``BTSystem.order`` is the one series-length setting.  A system builds its
+relation terms, its series coefficients and their sum once, as cached
+properties, and every check reads them from there.  The conservation audit
+at order K raises the order to K + 2 (on a copy of the system) when the
+system's own series is too short.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -113,23 +119,59 @@ class BTSystem:
     def diff_arg(self) -> GradedExpr:
         return self.target_field.expr - self.seed_field.expr
 
+    def _sign(self, flag: str) -> int:
+        """Trig-term sign of the relation that the sabotage flag ``flag`` flips."""
+        return -1 if self.sabotage == flag else 1
+
+    @functools.cached_property
+    def term1(self) -> GradedExpr:
+        """Trig term of the first relation: 2 a param1 sin((target + seed)/4)."""
+        ctx, sign = self.ctx, self._sign("flip-first")
+        return (al.gen("a", ctx) * al.gen(self.param1, ctx)
+                * al.trig_of("s", self.sum_arg, QUARTER)).scale(2 * sign)
+
+    @functools.cached_property
+    def term2(self) -> GradedExpr:
+        """Trig term of the second relation: 2 a^-1 param2 sin((target - seed)/4)."""
+        ctx, sign = self.ctx, self._sign("flip-second")
+        return (al.apow(-1, ctx) * al.gen(self.param2, ctx)
+                * al.trig_of("s", self.diff_arg, QUARTER)).scale(2 * sign)
+
     @functools.cached_property
     def rhs1(self) -> GradedExpr:
         """Right-hand side for D1(target)."""
-        ctx = self.ctx
-        sign = -1 if self.sabotage == "flip-first" else 1
-        term = (al.gen("a", ctx) * al.gen(self.param1, ctx)
-                * al.trig_of("s", self.sum_arg, QUARTER)).scale(2 * sign)
-        return ss.apply(self.D1, self.seed_field.expr) + term
+        return ss.apply(self.D1, self.seed_field.expr) + self.term1
 
     @functools.cached_property
     def rhs2(self) -> GradedExpr:
         """Right-hand side for D2(target)."""
+        return -ss.apply(self.D2, self.seed_field.expr) + self.term2
+
+    @functools.cached_property
+    def series(self) -> tuple[GradedExpr, ...]:
+        """Series coefficients of the target field, orders 0 .. order.
+
+        Order 0 is the seed; order 1 follows from the lowest-order matching of
+        the second relation (which carries a doubled seed derivative); higher
+        orders follow from the recursion that inverts the spinor parameter by
+        a left multiplication with alpha * param1.
+        """
         ctx = self.ctx
-        sign = -1 if self.sabotage == "flip-second" else 1
-        term = (al.apow(-1, ctx) * al.gen(self.param2, ctx)
-                * al.trig_of("s", self.diff_arg, QUARTER)).scale(2 * sign)
-        return -ss.apply(self.D2, self.seed_field.expr) + term
+        seed = self.seed_field.expr
+        alpha_p1 = al.gen("alpha", ctx) * al.gen(self.param1, ctx)
+        out = [seed]
+        for n in range(self.order):
+            out.append((alpha_p1 * ss.apply(self.D2, out[-1])).scale(4 if n == 0 else 2))
+        return tuple(out)
+
+    @functools.cached_property
+    def series_sum(self) -> GradedExpr:
+        """The series solution: the sum of a^n * series[n]."""
+        ctx = self.ctx
+        out = GradedExpr.zero(ctx)
+        for n, coef in enumerate(self.series):
+            out = out + al.apow(n, ctx) * coef
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +285,10 @@ def verify_auto_bt(sys: BTSystem) -> Report:
                            trig_chain_residual(sys.D2, kind, arg, QUARTER))
 
     # D1(rhs2) with the chain factor substituted via the first relation
-    sign2 = -1 if sys.sabotage == "flip-second" else 1
-    d1_of_trig2 = (al.trig_of("c", sys.diff_arg, QUARTER)
-                   * (sys.rhs1 - ss.apply(sys.D1, seed.expr))).scale(QUARTER)
+    d1_of_trig2 = (al.trig_of("c", sys.diff_arg, QUARTER) * sys.term1).scale(QUARTER)
     d1_rhs2 = (-ss.apply(sys.D1, ss.apply(sys.D2, seed.expr))
                + (al.apow(-1, ctx) * al.gen(sys.param2, ctx)
-                  * d1_of_trig2).scale(2 * sign2))
+                  * d1_of_trig2).scale(2 * sys._sign("flip-second")))
     target_residual = (d1_rhs2.scale(2)
                        + alpha * al.trig_of("s", target.expr, HALF))
     E = target_residual - md.sg_residual(seed)
@@ -260,12 +300,10 @@ def verify_auto_bt(sys: BTSystem) -> Report:
 
     # route asymmetry of the printed system (informational): substituting
     # the first relation innermost instead leaves a nonzero obstruction.
-    sign1 = -1 if sys.sabotage == "flip-first" else 1
-    d2_of_trig1 = (al.trig_of("c", sys.sum_arg, QUARTER)
-                   * (sys.rhs2 + ss.apply(sys.D2, seed.expr))).scale(QUARTER)
+    d2_of_trig1 = (al.trig_of("c", sys.sum_arg, QUARTER) * sys.term2).scale(QUARTER)
     d2_rhs1 = (ss.apply(sys.D2, ss.apply(sys.D1, seed.expr))
                + (al.gen("a", ctx) * al.gen(sys.param1, ctx)
-                  * d2_of_trig1).scale(2 * sign1))
+                  * d2_of_trig1).scale(2 * sys._sign("flip-first")))
     alt = (d2_rhs1.scale(2) + alpha * al.trig_of("s", target.expr, HALF)
            - md.sg_residual(seed))
     alt = md.reduce_on_shell(alt, seed)
@@ -277,114 +315,66 @@ def verify_auto_bt(sys: BTSystem) -> Report:
 # ---------------------------------------------------------------------------
 # series solution
 
-def expand_series(sys: BTSystem, N: Optional[int] = None) -> list[GradedExpr]:
-    """Series coefficients of the target field, [order 0 .. order N].
+def verify_closed_form(sys: BTSystem) -> Report:
+    """Each series coefficient against the engine closed form.
 
-    Order 0 is the seed; order 1 follows from the lowest-order matching of
-    the second relation (which carries a doubled seed derivative); higher
-    orders follow from the recursion that inverts the spinor parameter by a
-    left multiplication with alpha * param1.
+    The closed form is sign * 2^(n+1) * p1^(2n) p2^n * D2^n(seed) with sign
+    (-1)^(n + floor(n/2)), built order by order from the seed and never from
+    the series.  The printed source formula carries (-1)^(n+1), which
+    disagrees with its own order-1 value; each order reports whether the two
+    signs agree.
     """
-    if N is None:
-        N = sys.order
+    rep = Report(f"closed-form[{sys.orientation}]")
     ctx = sys.ctx
-    seed = sys.seed_field.expr
-    alpha_p1 = al.gen("alpha", ctx) * al.gen(sys.param1, ctx)
-    out = [seed]
-    if N >= 1:
-        out.append((alpha_p1 * ss.apply(sys.D2, seed)).scale(4))
-    for n in range(1, N):
-        out.append((alpha_p1 * ss.apply(sys.D2, out[-1])).scale(2))
-    return out
-
-
-def closed_form_coefficient(sys: BTSystem, n: int) -> GradedExpr:
-    """Engine closed form: sign * 2^(n+1) * p1^(2n) p2^n * D2^n(seed).
-
-    The sign is (-1)^(n + floor(n/2)); the printed source formula carries
-    (-1)^(n+1), which disagrees with its own order-1 value (see the
-    per-order report emitted by ``verify_closed_form``).
-    """
-    ctx = sys.ctx
-    if n == 0:
-        return sys.seed_field.expr
-    cliff = GradedExpr.rational(1, ctx)
     p1 = al.gen(sys.param1, ctx)
     p2 = al.gen(sys.param2, ctx)
-    for _ in range(2 * n):
-        cliff = cliff * p1
-    for _ in range(n):
-        cliff = cliff * p2
-    deriv = sys.seed_field.expr
-    for _ in range(n):
+    cliff = GradedExpr.rational(1, ctx)  # p1^(2n) p2^n
+    deriv = sys.seed_field.expr  # D2^n(seed)
+    for n, coef in enumerate(sys.series[1:], start=1):
+        cliff = p1 * (p1 * cliff) * p2
         deriv = ss.apply(sys.D2, deriv)
-    sign = -1 if (n + n // 2) % 2 else 1
-    return (cliff * deriv).scale(sign * 2 ** (n + 1))
-
-
-def verify_closed_form(sys: BTSystem, N: Optional[int] = None) -> Report:
-    if N is None:
-        N = sys.order
-    rep = Report(f"closed-form[{sys.orientation}]")
-    series = expand_series(sys, N)
-    for n in range(1, N + 1):
         printed_sign = -1 if (n + 1) % 2 else 1
         engine_sign = -1 if (n + n // 2) % 2 else 1
-        rep.add_zero_check(f"order {n}", series[n] - closed_form_coefficient(sys, n),
+        closed = (cliff * deriv).scale(engine_sign * 2 ** (n + 1))
+        rep.add_zero_check(f"order {n}", coef - closed,
                            printed_sign_agrees=(printed_sign == engine_sign))
-    # nilpotency audit: reported, not asserted
-    for n in range(1, N + 1):
-        sq = series[n] * series[n]
+        # nilpotency audit: reported, not asserted
+        sq = coef * coef
         rep.add(f"nilpotency order {n}", "info",
                 (al.to_text(sq),) if not sq.is_zero() else (),
                 square_is_zero=sq.is_zero())
     return rep
 
 
-def verify_recursion(sys: BTSystem, N: Optional[int] = None) -> Report:
+def verify_recursion(sys: BTSystem) -> Report:
     """2 D2(coef_n) = param2 * coef_{n+1} for n >= 1; doubled anchor at n=0."""
-    if N is None:
-        N = sys.order
     rep = Report(f"series-recursion[{sys.orientation}]")
-    series = expand_series(sys, N)
+    series = sys.series
     p2 = al.gen(sys.param2, sys.ctx)
     rep.add_zero_check("order 0 anchor (doubled seed derivative)",
                        ss.apply(sys.D2, series[0]).scale(4) - p2 * series[1])
-    for n in range(1, N):
+    for n in range(1, sys.order):
         rep.add_zero_check(f"order {n}",
                            ss.apply(sys.D2, series[n]).scale(2) - p2 * series[n + 1])
     return rep
 
 
-def series_sum(sys: BTSystem, N: Optional[int] = None) -> GradedExpr:
-    if N is None:
-        N = sys.order
-    series = expand_series(sys, N)
-    ctx = sys.ctx
-    out = GradedExpr.zero(ctx)
-    for n, coef in enumerate(series):
-        out = out + al.apow(n, ctx) * coef
-    return out
-
-
-def verify_redundancy(sys: BTSystem, N: Optional[int] = None) -> Report:
+def verify_redundancy(sys: BTSystem) -> Report:
     """Order-by-order residual of the first relation on the series solution.
 
     The series is built from the second relation alone, so the first one is
     a claim, not a construction; each order's on-shell residual is reported
     as engine truth.
     """
-    if N is None:
-        N = sys.order
     rep = Report(f"redundancy[{sys.orientation}]")
-    phis = series_sum(sys, N)
+    phis = sys.series_sum
     seed = sys.seed_field
     ctx = sys.ctx
     lhs = ss.apply(sys.D1, phis) - ss.apply(sys.D1, seed.expr)
     rhs = (al.gen("a", ctx) * al.gen(sys.param1, ctx)
            * al.trig_of("s", phis + seed.expr, QUARTER)).scale(2)
     residual = md.reduce_on_shell(lhs - rhs, seed)
-    for n in range(0, N + 1):
+    for n in range(0, sys.order + 1):
         rep.add_finding(f"order {n}", al.series_coefficient(residual, n))
     return rep
 
@@ -414,7 +404,6 @@ def verify_current_conservation(sys: BTSystem) -> Report:
     """
     rep = Report(f"currents[{sys.orientation}]")
     ctx = sys.ctx
-    seed = sys.seed_field
     j1, j2 = currents(sys)
     deg1, deg2 = j1.degree(), j2.degree()
     w1, w2 = j1.weight(), j2.weight()
@@ -432,14 +421,14 @@ def verify_current_conservation(sys: BTSystem) -> Report:
         rep.add_zero_check(f"chain-rule oracle {label}",
                            trig_chain_residual(D, "c", arg, QUARTER))
 
-    # D2 j1 = -(a/4) p1 sin(sum/4) (D2 target + D2 seed) -> rhs2 + D2 seed
+    # D2 j1 = -(a/4) p1 sin(sum/4) (D2 target + D2 seed) -> term2
     half_first = (al.gen("a", ctx) * al.gen(sys.param1, ctx)
                   * al.trig_of("s", sys.sum_arg, QUARTER)
-                  * (sys.rhs2 + ss.apply(sys.D2, seed.expr))).scale(-QUARTER)
-    # D1 j2 = -(a^-1/4) p2 sin(diff/4) (D1 target - D1 seed) -> rhs1 - D1 seed
+                  * sys.term2).scale(-QUARTER)
+    # D1 j2 = -(a^-1/4) p2 sin(diff/4) (D1 target - D1 seed) -> term1
     half_second = (al.apow(-1, ctx) * al.gen(sys.param2, ctx)
                    * al.trig_of("s", sys.diff_arg, QUARTER)
-                   * (sys.rhs1 - ss.apply(sys.D1, seed.expr))).scale(-QUARTER)
+                   * sys.term1).scale(-QUARTER)
     residual = half_first + half_second
     rep.add_zero_check("divergence vanishes", residual,
                        half_first=al.to_text(half_first),
@@ -451,19 +440,22 @@ def verify_current_conservation(sys: BTSystem) -> Report:
 def conservation_audit(sys: BTSystem, K: int = 4) -> Report:
     """Order-by-order audit of the conservation-law family (informational).
 
-    Expands the current identity on the series solution through order K,
-    recomputes every derivative through an independent chain-rule path, and
-    evaluates the claimed closed-form laws for k <= K on shell.  Statuses
+    Expands the current identity on the series solution through order K
+    (the series term a^(K+2) feeds order K through the a^-2 placement, so a
+    shorter system is audited on a copy of order K + 2), recomputes every
+    derivative through an independent chain-rule path, and evaluates the
+    claimed closed-form laws for k <= K on shell.  Statuses
     are engine truth; this report is meant to be diffed against a golden
     file, not asserted.
     """
     if K > max_audit_order(sys.ctx):
         raise OutsideWindow(f"audit order {K} needs amax >= {K - A_FLOOR}")
-    N = max(sys.order, K - A_FLOOR)
+    if sys.order < K - A_FLOOR:
+        sys = replace(sys, order=K - A_FLOOR)
     rep = Report(f"conservation-audit[{sys.orientation}]")
     ctx = sys.ctx
     seed = sys.seed_field
-    phis = series_sum(sys, N)
+    phis = sys.series_sum
     u_arg = phis + seed.expr
     v_arg = phis - seed.expr
     p1 = al.gen(sys.param1, ctx)
@@ -506,9 +498,8 @@ def conservation_audit(sys: BTSystem, K: int = 4) -> Report:
             ss.apply(sys.D1, al.trig_of("s", seed.expr, HALF) * dk), seed))
 
     # nilpotency audit of the series coefficients
-    series = expand_series(sys, min(N, 6))
-    for n in range(1, len(series)):
-        sq = series[n] * series[n]
+    for n, coef in enumerate(sys.series[1:7], start=1):
+        sq = coef * coef
         rep.add(f"series coefficient {n} square", "info",
                 square_is_zero=sq.is_zero())
     return rep

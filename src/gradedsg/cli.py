@@ -154,35 +154,36 @@ def check_verify_bt(cfg: RunConfig) -> Report:
 
 def check_expand_bt(cfg: RunConfig) -> Report:
     rep = Report("expand-bt")
-    sysm = bt.BTSystem(order=cfg.order)
-    ctx = sysm.ctx
-    series = bt.expand_series(sysm, cfg.order)
-    dplus_phi = ss.apply(ss.D_PLUS, sysm.seed_field.expr)
-    rep.add_zero_check("order 0 equals the seed", series[0] - sysm.seed_field.expr)
+    # the low-order values and the mirror image do not depend on --order
+    low = bt.BTSystem(order=2)
+    ctx = low.ctx
+    series = low.series
+    dplus_phi = ss.apply(ss.D_PLUS, low.seed_field.expr)
+    rep.add_zero_check("order 0 equals the seed", series[0] - low.seed_field.expr)
     exp1 = (al.vpow(1, ctx) * al.gen("lambda-", ctx) * dplus_phi).scale(-4)
     rep.add_zero_check("order 1 value", series[1] - exp1,
                        value=al.to_text(series[1]))
     exp2 = (al.vpow(1, ctx) * ss.apply(ss.D_PLUS, dplus_phi)).scale(8)
     rep.add_zero_check("order 2 value", series[2] - exp2,
                        value=al.to_text(series[2]))
-    rec = bt.verify_recursion(sysm, cfg.order)
+    sysm = bt.BTSystem(order=cfg.order)
+    rec = bt.verify_recursion(sysm)
     rep.add("recursion through the requested order",
             "pass" if rec.passed() else "fail")
     # weight homogeneity of every coefficient (engine-determined value)
-    ws = [c.weight() for c in series]
+    ws = [c.weight() for c in sysm.series]
     rep.add("series coefficients weight-homogeneous", "pass",
             weights=",".join(str(w) for w in ws))
     # plus-oriented coefficients are the mirror image of the minus ones
     sysp = bt.BTSystem(orientation="plus", order=2)
-    mirrored = al.mirror_pm(bt.expand_series(sysm, 2)[1])
     rep.add_zero_check("plus system is the mirror image at order 1",
-                       mirrored - bt.expand_series(sysp, 2)[1])
+                       al.mirror_pm(series[1]) - sysp.series[1])
     return rep
 
 
 def check_closed_form(cfg: RunConfig) -> Report:
     rep = Report("closed-form")
-    sub = bt.verify_closed_form(bt.BTSystem(order=cfg.order), cfg.order)
+    sub = bt.verify_closed_form(bt.BTSystem(order=cfg.order))
     ok = sub.passed()
     rep.add("engine closed form matches the series", "pass" if ok else "fail")
     signs = [e.details.get("printed_sign_agrees") for e in sub.sorted_entries()
@@ -197,7 +198,7 @@ def check_closed_form(cfg: RunConfig) -> Report:
 
 def check_redundancy(cfg: RunConfig) -> Report:
     rep = Report("redundancy")
-    sub = bt.verify_redundancy(bt.BTSystem(order=cfg.order), cfg.order)
+    sub = bt.verify_redundancy(bt.BTSystem(order=cfg.order))
     rep.note = ("engine truth for the first relation evaluated on the "
                 "series built from the second one")
     for e in sub.sorted_entries():
@@ -426,15 +427,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="append", choices=ALL_CHECKS,
                    help="check to run (repeatable); default: all symbolic checks")
     p.add_argument("--all", action="store_true", help="run every check")
-    p.add_argument("--order", type=int, default=6, help="series order (default 6)")
-    p.add_argument("--audit-order", type=int, default=4,
-                   help="conservation-audit order in a (default 4)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--order", type=int, default=RunConfig.order,
+                   help="series order (default %(default)s)")
+    p.add_argument("--audit-order", type=int, default=RunConfig.audit_order,
+                   help="conservation-audit order in a (default %(default)s)")
+    p.add_argument("--format", choices=("text", "json"), default=RunConfig.fmt)
     p.add_argument("--golden", metavar="DIR",
                    help="directory of golden files for informational reports")
-    p.add_argument("--grid", metavar="L,h,dt",
-                   help="numeric grid parameters (default 20,0.0078125,0.00390625)")
-    p.add_argument("--bt-a", type=float, default=1.2, metavar="A",
+    grid = (RunConfig.grid_L, RunConfig.grid_h, RunConfig.grid_dt)
+    p.add_argument("--grid", metavar="L,h,dt", help="numeric grid parameters "
+                   "(default " + ",".join(f"{x:g}" for x in grid) + ")")
+    p.add_argument("--bt-a", type=float, default=RunConfig.bt_a, metavar="A",
                    help="Backlund parameter for the numeric map")
     p.add_argument("--out-dir", metavar="DIR", help="directory for CSV output")
     p.add_argument("--eval", metavar="EXPR",
@@ -454,19 +457,18 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"{k}: {info[k]}")
         return 0
     try:
-        grid = (20.0, 2.0 ** -7, 2.0 ** -8)
+        # options left out keep RunConfig's defaults
+        given = {}
         if args.grid:
             parts = args.grid.split(",")
             if len(parts) != 3:
                 raise ConfigError("--grid wants L,h,dt")
-            grid = tuple(float(x) for x in parts)
-        checks = tuple(args.check) if args.check else SYMBOLIC_CHECKS
-        if args.all:
-            checks = ALL_CHECKS
-        cfg = RunConfig(checks=checks, order=args.order,
-                        audit_order=args.audit_order, fmt=args.format,
-                        golden=args.golden, grid_L=grid[0], grid_h=grid[1],
-                        grid_dt=grid[2], bt_a=args.bt_a, out_dir=args.out_dir)
+            given.update(zip(("grid_L", "grid_h", "grid_dt"), map(float, parts)))
+        if args.all or args.check:
+            given["checks"] = ALL_CHECKS if args.all else tuple(args.check)
+        cfg = RunConfig(order=args.order, audit_order=args.audit_order,
+                        fmt=args.format, golden=args.golden, bt_a=args.bt_a,
+                        out_dir=args.out_dir, **given)
         if cfg.out_dir:
             os.makedirs(cfg.out_dir, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:

@@ -82,7 +82,11 @@ class FieldState:
 
     @staticmethod
     def empty(L: float = 20.0, h: float = 2.0 ** -7) -> "FieldState":
+        if not all(math.isfinite(v) and v > 0 for v in (L, h)):
+            raise ConfigError(f"grid L = {L} and h = {h} must be finite and positive")
         n = int(round(2 * L / h)) + 1
+        if n < 2:
+            raise ConfigError(f"grid [-{L}, {L}] with step {h} has fewer than 2 points")
         x = np.linspace(-L, L, n)
         return FieldState(x, float(x[1] - x[0]), np.zeros(n), np.zeros(n), 0.0)
 
@@ -286,7 +290,7 @@ def integrate_bt_body(seed: FieldState, bt: BodyBT) -> FieldState:
     dXm = 0.5 * (Xx - seed.Xdot)
     dXp = 0.5 * (Xx + seed.Xdot)
 
-    def slope(Xt: float, at: tuple[float, float, float]) -> float:
+    def slope(at: tuple[float, float, float], Xt: float) -> float:
         Xi, mi, pi_ = at
         return bt.rel_first(Xt, Xi, mi) + bt.rel_second(Xt, Xi, pi_)
 
@@ -299,11 +303,7 @@ def integrate_bt_body(seed: FieldState, bt: BodyBT) -> FieldState:
         nxt = 1 if step > 0 else -1
         y = Xt[mid]
         for k, i in enumerate(rows.tolist()):
-            k1 = slope(y, k1_at[k])
-            k2 = slope(y + step / 2 * k1, k23_at[k])
-            k3 = slope(y + step / 2 * k2, k23_at[k])
-            k4 = slope(y + step * k3, k4_at[k])
-            y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            y = _rk4_step(slope, y, step, (k1_at[k], k23_at[k], k4_at[k]))
             Xt[i + nxt] = y
 
     n = len(x)
@@ -324,12 +324,12 @@ def integrate_bt_body(seed: FieldState, bt: BodyBT) -> FieldState:
     return FieldState(x, h, Xt, Xt_dot, seed.t)
 
 
-def _rk4_step(f: Callable[[float, float], float], x: float, y: float,
-              h: float) -> float:
-    k1 = f(x, y)
-    k2 = f(x + h / 2, y + h / 2 * k1)
-    k3 = f(x + h / 2, y + h / 2 * k2)
-    k4 = f(x + h, y + h * k3)
+def _rk4_step(f: Callable, y, h: float, at: tuple):
+    """One RK4 step of y' = f(at, y); ``at`` is f's data at (start, mid, end)."""
+    k1 = f(at[0], y)
+    k2 = f(at[1], y + h / 2 * k1)
+    k3 = f(at[1], y + h / 2 * k2)
+    k4 = f(at[2], y + h * k3)
     return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -349,13 +349,13 @@ def bt_target_time_march(seed_bt: BodyBT, state: FieldState, dt: float,
     x = state.x
     zero = np.zeros_like(cur)
 
-    def fdot(_t, Xt):
+    def fdot(_at, Xt):
         return (seed_bt.rel_second(Xt, zero, zero)
                 - seed_bt.rel_first(Xt, zero, zero))
 
     for k in range(steps):
-        cur = _rk4_step(fdot, 0.0, cur, dt)
-        out.append(FieldState(x, state.h, cur.copy(), fdot(0.0, cur),
+        cur = _rk4_step(fdot, cur, dt, (None, None, None))  # autonomous
+        out.append(FieldState(x, state.h, cur.copy(), fdot(None, cur),
                               state.t + (k + 1) * dt))
     return out
 

@@ -74,15 +74,15 @@ def test_criterion_5_series():
     t0 = time.perf_counter()
     sysm = bt.BTSystem(order=6)
     ctx = sysm.ctx
-    series = bt.expand_series(sysm, 6)
+    series = sysm.series
     dplus = ss.apply(ss.D_PLUS, sysm.seed_field.expr)
     ok = (series[0] - sysm.seed_field.expr).is_zero()
     ok &= (series[1] - (al.vpow(1, ctx) * al.gen("lambda-", ctx)
                         * dplus).scale(-4)).is_zero()
     ok &= (series[2] - (al.vpow(1, ctx)
                         * ss.apply(ss.D_PLUS, dplus)).scale(8)).is_zero()
-    ok &= bt.verify_closed_form(sysm, 6).passed()
-    ok &= bt.verify_recursion(sysm, 6).passed()  # n = 0 anchor + n = 1..5
+    ok &= bt.verify_closed_form(sysm).passed()
+    ok &= bt.verify_recursion(sysm).passed()  # n = 0 anchor + n = 1..5
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30.0
     _verdict(5, ok, f"series coefficients, closed form for orders 1..6 and "

@@ -119,7 +119,7 @@ def test_route_asymmetry_value(sysm):
 
 def test_series_first_values(sysm):
     ctx = sysm.ctx
-    series = bt.expand_series(sysm, 2)
+    series = sysm.series
     assert expr_eq(series[0], sysm.seed_field.expr)
     dplus = ss.apply(ss.D_PLUS, sysm.seed_field.expr)
     expect1 = (al.vpow(1, ctx) * al.gen("lambda-", ctx) * dplus).scale(-4)
@@ -132,17 +132,17 @@ def test_series_first_values(sysm):
 
 
 def test_recursion(sysm):
-    rep = bt.verify_recursion(sysm, 6)
+    rep = bt.verify_recursion(sysm)
     assert rep.passed()
     # the order-0 anchor carries the doubled seed derivative
-    series = bt.expand_series(sysm, 1)
+    series = sysm.series
     p2 = al.gen("lambda-", sysm.ctx)
     assert expr_eq(ss.apply(ss.D_PLUS, series[0]).scale(4), p2 * series[1])
     assert not expr_eq(ss.apply(ss.D_PLUS, series[0]).scale(2), p2 * series[1])
 
 
 def test_closed_form_engine_signs(sysm):
-    rep = bt.verify_closed_form(sysm, 6)
+    rep = bt.verify_closed_form(sysm)
     assert rep.passed()
     agree = {e.name: e.details["printed_sign_agrees"]
              for e in rep.entries if e.name.startswith("order")}
@@ -151,7 +151,7 @@ def test_closed_form_engine_signs(sysm):
 
 
 def test_nilpotency_table(sysm):
-    series = bt.expand_series(sysm, 6)
+    series = sysm.series
     odd_zero = {n: (series[n] * series[n]).is_zero() for n in range(1, 7)}
     assert odd_zero == {1: True, 2: False, 3: True, 4: False, 5: True, 6: False}
     # (D+ seed)^2 = 0
@@ -162,18 +162,18 @@ def test_nilpotency_table(sysm):
 def test_series_weights_engine_value(sysm):
     # every coefficient is weight-homogeneous; parameter weights compensate
     # the derivative weights so the engine value is zero for all orders
-    for coef in bt.expand_series(sysm, 6):
+    assert len(sysm.series) == 7
+    for coef in sysm.series:
         assert coef.weight() == 0
 
 
 def test_plus_series_is_mirror(sysm, sysp):
     for n in range(0, 4):
-        mirrored = al.mirror_pm(bt.expand_series(sysm, 4)[n])
-        assert expr_eq(mirrored, bt.expand_series(sysp, 4)[n])
+        assert expr_eq(al.mirror_pm(sysm.series[n]), sysp.series[n])
 
 
-def test_redundancy_orders(sysm):
-    rep = bt.verify_redundancy(sysm, 5)
+def test_redundancy_orders():
+    rep = bt.verify_redundancy(bt.BTSystem(order=5))
     zeros = {e.name: e.details["is_zero"] for e in rep.entries}
     assert zeros == {"order 0": True, "order 1": True, "order 2": False,
                      "order 3": True, "order 4": False, "order 5": False}
@@ -182,13 +182,28 @@ def test_redundancy_orders(sysm):
 def test_redundancy_order_one_value(sysm):
     # D-(coef 1) equals 2 lambda+ sin(seed/2) on shell
     ctx = sysm.ctx
-    series = bt.expand_series(sysm, 1)
-    lhs = md.reduce_on_shell(ss.apply(ss.D_MINUS, series[1]), sysm.seed_field)
+    lhs = md.reduce_on_shell(ss.apply(ss.D_MINUS, sysm.series[1]), sysm.seed_field)
     rhs = md.reduce_on_shell(
         (al.gen("lambda+", ctx)
          * al.trig_of("s", sysm.seed_field.expr, Q(1, 2))).scale(2),
         sysm.seed_field)
     assert expr_eq(lhs, rhs)
+
+
+@pytest.mark.parametrize("orientation", ["minus", "plus"])
+def test_closed_form_is_independent_of_the_recursion(orientation):
+    # a corrupted order-3 coefficient fails the closed form at that order
+    # only: the closed form is built from the seed, not from the series
+    sys = bt.BTSystem(orientation=orientation)
+    good = sys.series
+    vars(sys)["series"] = good[:3] + (-good[3],) + good[4:]
+
+    def failing(rep):
+        return sorted(e.name for e in rep.entries if e.status == "fail")
+
+    assert failing(bt.verify_closed_form(sys)) == ["order 3"]
+    # the recursion links order 3 to both of its neighbours
+    assert failing(bt.verify_recursion(sys)) == ["order 2", "order 3"]
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +257,18 @@ def test_conservation_audit_deterministic(sysm):
     a = bt.conservation_audit(sysm, K=2).to_text()
     b = bt.conservation_audit(bt.BTSystem(), K=2).to_text()
     assert a == b
+
+
+@pytest.mark.parametrize("orientation", ["minus", "plus"])
+@pytest.mark.parametrize("amax, K", [(8, 6), (12, 8)])
+def test_conservation_audit_raises_a_short_order(orientation, amax, K):
+    # order 6 is too short for K > 4, whose a^-2 placement reads a^(K+2);
+    # at K = 8 the report would differ without the raise
+    ctx = al.Context(0, -2, amax)
+    short = bt.BTSystem(orientation=orientation, order=6, ctx=ctx)
+    full = bt.BTSystem(orientation=orientation, order=K + 2, ctx=ctx)
+    assert (bt.conservation_audit(short, K).to_text()
+            == bt.conservation_audit(full, K).to_text())
 
 
 def test_conservation_audit_refuses_orders_past_the_window():

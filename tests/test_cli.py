@@ -77,6 +77,13 @@ def test_run_light_checks_exit_zero(capsys):
     assert "PASS derive-eom" in out and "PASS components" in out
 
 
+@pytest.mark.parametrize("order", ["1", "2"])
+def test_expand_bt_at_low_orders(order, capsys):
+    # the order-1 and order-2 values do not depend on --order
+    assert cli.main(["--check", "expand-bt", "--order", order]) == 0
+    assert "PASS order 2 value" in capsys.readouterr().out
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.build_arg_parser().parse_args(["--frobnicate"])

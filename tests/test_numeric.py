@@ -84,6 +84,14 @@ def test_leapfrog_vacuum_and_cfl():
         nm.solve_leapfrog(s0, 1.0, dt=1.0)
 
 
+@pytest.mark.parametrize("L, h", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
+                                  (math.nan, 1.0), (1.0, math.inf), (0.2, 1.0)])
+def test_empty_grid_rejects_bad_sizes(L, h):
+    # non-finite or non-positive sizes, or fewer than 2 points
+    with pytest.raises(ConfigError):
+        nm.FieldState.empty(L, h)
+
+
 def test_leapfrog_raises_on_non_finite():
     # finiteness is checked once, at the end: an interior NaN must survive
     # the whole run and still be reported
@@ -175,9 +183,9 @@ def test_integrate_bt_body_matches_scalar_interp_rk4(body_spec):
     ref = np.empty_like(X)
     ref[mid] = math.pi
     for i in range(mid, n - 1):
-        ref[i + 1] = nm._rk4_step(slope, x[i], ref[i], h)
+        ref[i + 1] = nm._rk4_step(slope, ref[i], h, (x[i], x[i] + h / 2, x[i] + h))
     for i in range(mid, 0, -1):
-        ref[i - 1] = nm._rk4_step(slope, x[i], ref[i], -h)
+        ref[i - 1] = nm._rk4_step(slope, ref[i], -h, (x[i], x[i] - h / 2, x[i] - h))
     assert nm.integrate_bt_body(seed, body).X.tobytes() == ref.tobytes()
 
 

@@ -92,6 +92,13 @@ def test_one_monomial_rebuild_loop():
     assert sites == ["algebra.py: substitute_jets"]
 
 
+def test_one_rk4_step():
+    # both Backlund integrators take their RK4 steps through one function
+    sites = [f"{path.name}: {where}" for path in package_sources()
+             for where in call_sites(path.read_text(), "_rk4_step")]
+    assert sites == ["numeric.py: march", "numeric.py: bt_target_time_march"]
+
+
 def test_product_is_the_only_normal_ordering():
     # graded signs come from the product alone: d_x and mirror_pm reuse it
     # instead of re-sorting atoms with their own commutation signs
