@@ -111,13 +111,25 @@ def kink_state(L: float = 20.0, h: float = 2.0 ** -7, v: float = 0.0,
 
 
 def _second_deriv_4(u: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order centered second derivative; second-order at the edges."""
+    """Fourth-order centered second derivative; second-order at the edges.
+
+    Each interior node is (16 u[i-1] - u[i-2] - 30 u[i] + 16 u[i+1] - u[i+2])
+    / (12 h^2), evaluated left to right in place in the result, with ``16 u``
+    formed once for both of its taps.  The edge nodes are computed on Python
+    floats, whose IEEE operations are those of numpy scalars.
+    """
     d = np.empty_like(u)
-    d[2:-2] = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * h * h)
-    d[1] = (u[0] - 2 * u[1] + u[2]) / (h * h)
-    d[-2] = (u[-3] - 2 * u[-2] + u[-1]) / (h * h)
-    d[0] = d[1]
-    d[-1] = d[-2]
+    v = 16 * u
+    mid = d[2:-2]
+    np.subtract(v[1:-3], u[:-4], out=mid)
+    mid -= 30 * u[2:-2]
+    mid += v[3:-1]
+    mid -= u[4:]
+    mid /= 12 * h * h
+    l0, l1, l2 = u[:3].tolist()
+    r2, r1, r0 = u[-3:].tolist()
+    d[0] = d[1] = (l0 - 2 * l1 + l2) / (h * h)
+    d[-1] = d[-2] = (r2 - 2 * r1 + r0) / (h * h)
     return d
 
 
@@ -155,14 +167,21 @@ def solve_leapfrog(s0: FieldState, T: float, dt: Optional[float] = None) -> Fiel
     steps = int(round(T / dt))
 
     def accel(X):
-        return _second_deriv_4(X, h) - np.sin(X)
+        a = _second_deriv_4(X, h)
+        a -= np.sin(X)
+        return a
 
     X_prev = s0.X.copy()
     X_cur = X_prev + dt * s0.Xdot + 0.5 * dt * dt * accel(X_prev)
     _clamp(X_cur, s0)
     state = FieldState(s0.x, h, X_cur, s0.Xdot.copy(), s0.t + dt)
     for _ in range(steps - 1):
-        X_next = 2 * state.X - X_prev + dt * dt * accel(state.X)
+        # X_next = (2 X - X_prev) + dt^2 accel(X), in place
+        acc = accel(state.X)
+        acc *= dt * dt
+        X_next = 2 * state.X
+        X_next -= X_prev
+        X_next += acc
         _clamp(X_next, s0)
         X_prev = state.X
         state.X = X_next
@@ -368,8 +387,10 @@ def bessel_series(s: np.ndarray, terms: int = 40) -> np.ndarray:
     out = np.zeros_like(s, dtype=float)
     term = np.ones_like(out)
     out += term
+    s4 = s / 4.0
     for k in range(1, terms):
-        term = term * (s / 4.0) / (k * k)
+        term *= s4
+        term /= k * k
         out += term
     return out
 
@@ -448,9 +469,17 @@ def _fermion_march(C: np.ndarray, u0: np.ndarray, w0: np.ndarray,
 
 def _coupling(background_X: Callable[[np.ndarray, np.ndarray], np.ndarray],
               xm: np.ndarray, xp: np.ndarray) -> np.ndarray:
-    """Coupling 0.5 cos(X/2) of the background on the (xm, xp) grid."""
-    XM, XP = np.meshgrid(xm, xp, indexing="ij")
-    return 0.5 * np.cos(background_X(XM, XP) / 2.0)
+    """Coupling 0.5 cos(X/2) of the background on the (xm, xp) grid.
+
+    The background gets a (len(xm), 1) column and a (1, len(xp)) row, so no
+    full coordinate grids are built.  The coupling is evaluated on the shape
+    the background returns, such as ``np.zeros_like(xm)`` (a column) or a
+    function of ``xp + xm`` (the full grid), and returned as a read-only
+    broadcast view of the full grid.
+    """
+    XM, XP = np.meshgrid(xm, xp, indexing="ij", sparse=True)
+    return np.broadcast_to(0.5 * np.cos(background_X(XM, XP) / 2.0),
+                           (len(xm), len(xp)))
 
 
 def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -462,7 +491,9 @@ def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarr
     """Characteristic integration of the linear fermion system.
 
     psi+ = u lambda+ is carried along x+ (data on the x+ = 0 edge), psi-
-    along x-; coupling signs come from the parameter-algebra table.  With
+    along x-; coupling signs come from the parameter-algebra table.
+    ``background_X`` is called on a sparse (xm, xp) grid and may return any
+    shape that broadcasts to the full grid (see ``_coupling``).  With
     ``richardson`` the march is repeated at half step and extrapolated,
     cancelling the second-order truncation term.
     """

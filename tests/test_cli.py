@@ -1,5 +1,9 @@
 import json
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,3 +199,40 @@ def test_shipped_golden_files_match(capsys):
     argv = ["--check", "redundancy", "--check", "conservation-audit",
             "--golden", golden]
     assert cli.main(argv) == 0
+
+
+# ---------------------------------------------------------------------------
+# numpy is loaded by the numeric companion only
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this gradedsg."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_symbolic_run_imports_no_numpy(tmp_path):
+    golden = os.path.join(os.path.dirname(__file__), "..", "golden")
+    if not os.path.isdir(golden):
+        pytest.skip("golden directory not present")
+    shutil.copytree(golden, tmp_path / "golden")
+    argv = [a for c in cli.SYMBOLIC_CHECKS for a in ("--check", c)]
+    code = ("import contextlib, io, sys\n"
+            "import gradedsg, gradedsg.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = gradedsg.cli.main(sys.argv[2:] + ['--golden', sys.argv[1]])\n"
+            "print(rc, 'numpy' in sys.modules)\n")
+    proc = _python(code, str(tmp_path / "golden"), *argv)
+    assert proc.stdout == "0 False\n", proc.stderr
+
+
+def test_numeric_loads_on_first_access():
+    code = ("import math, sys\n"
+            "import gradedsg\n"
+            "before = 'numpy' in sys.modules\n"
+            "print(before, gradedsg.numeric.kink(0.0) == math.pi)\n")
+    proc = _python(code)
+    assert proc.stdout == "False True\n", proc.stderr

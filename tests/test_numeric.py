@@ -101,6 +101,42 @@ def test_leapfrog_raises_on_non_finite():
         nm.solve_leapfrog(s0, 1.0)
 
 
+def _plain_second_deriv(u, h):
+    d = np.empty_like(u)
+    d[2:-2] = (-u[:-4] + 16 * u[1:-3] - 30 * u[2:-2] + 16 * u[3:-1] - u[4:]) / (12 * h * h)
+    d[1] = (u[0] - 2 * u[1] + u[2]) / (h * h)
+    d[-2] = (u[-3] - 2 * u[-2] + u[-1]) / (h * h)
+    d[0], d[-1] = d[1], d[-2]
+    return d
+
+
+def _plain_leapfrog(s0, T, dt):
+    # the leapfrog as whole-array expressions, in the solver's operation order
+    def accel(X):
+        return _plain_second_deriv(X, s0.h) - np.sin(X)
+
+    X_prev = s0.X.copy()
+    X = X_prev + dt * s0.Xdot + 0.5 * dt * dt * accel(X_prev)
+    X[0], X[-1] = s0.X[0], s0.X[-1]
+    for _ in range(int(round(T / dt)) - 1):
+        X_next = 2 * X - X_prev + dt * dt * accel(X)
+        X_next[0], X_next[-1] = s0.X[0], s0.X[-1]
+        X_prev, X = X, X_next
+    return X, (X - X_prev) / dt
+
+
+def test_leapfrog_matches_the_plain_expressions():
+    rng = np.random.default_rng(7)
+    for n, h in ((5, 0.37), (6, 0.1), (41, 2.0 ** -5)):
+        u = rng.standard_normal(n)
+        assert nm._second_deriv_4(u, h).tobytes() == _plain_second_deriv(u, h).tobytes()
+    s0 = nm.kink_state(4.0, 2.0 ** -4, v=0.3)
+    out = nm.solve_leapfrog(s0, 1.0, dt=2.0 ** -6)
+    X, Xdot = _plain_leapfrog(s0, 1.0, 2.0 ** -6)
+    assert out.X.tobytes() == X.tobytes()
+    assert out.Xdot.tobytes() == Xdot.tobytes()
+
+
 def test_leapfrog_kink_accuracy_and_convergence():
     errs = {}
     for h in (2.0 ** -6, 2.0 ** -7):
@@ -242,6 +278,33 @@ def test_fermion_march_matches_cellwise_reference(shape):
     ref_u, ref_w = _cellwise_march(C, u0, w0, 2.0 ** -2)
     assert u.tobytes() == ref_u.tobytes()
     assert w.tobytes() == ref_w.tobytes()
+
+
+def test_coupling_broadcasts_the_background():
+    # the background sees a sparse grid and may return a column or the full
+    # grid; either gives the full-meshgrid coupling, byte for byte
+    xm = np.linspace(0.0, 4.0, 65)
+    xp = np.linspace(0.0, 2.0, 33)
+    XM, XP = np.meshgrid(xm, xp, indexing="ij")
+    column = lambda a, b: np.sin(a)
+    full = lambda a, b: np.sin(a + 0.0 * b)
+    for bg in (column, full, lambda a, b: nm.kink((b + a) / 2.0)):
+        C = nm._coupling(bg, xm, xp)
+        assert C.shape == (65, 33)
+        assert C.tobytes() == (0.5 * np.cos(bg(XM, XP) / 2.0)).tobytes()
+    assert (nm._coupling(column, xm, xp).tobytes()
+            == nm._coupling(full, xm, xp).tobytes())
+
+
+def test_bessel_series_equals_the_plain_sum():
+    s = np.multiply.outer(np.linspace(-4.0, 4.0, 65), np.linspace(0.0, 4.0, 33))
+    ref = np.zeros_like(s)
+    term = np.ones_like(s)
+    ref += term
+    for k in range(1, 40):
+        term = term * (s / 4.0) / (k * k)
+        ref += term
+    assert nm.bessel_series(s).tobytes() == ref.tobytes()
 
 
 def test_fermions_zero_data_stay_zero():

@@ -109,6 +109,57 @@ def test_product_is_the_only_normal_ordering():
     assert sites == ["algebra.py: _mul_keys_cached"]
 
 
+def module_level_imports(source: str) -> list[str]:
+    """Modules imported outside any function or class body, as written:
+    ``import a.b`` gives ``a.b``; ``from .m import x`` gives ``.m.x``."""
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module + "." if node.module else "")
+            found.extend(base + alias.name for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_guard_finds_module_level_imports():
+    source = ("import numpy as np\n"
+              "from . import algebra as al, numeric\n"
+              "from .numeric import kink\n"
+              "try:\n"
+              "    import os.path\n"
+              "except ImportError:\n"
+              "    pass\n"
+              "def f():\n"
+              "    import json\n"
+              "class C:\n"
+              "    from . import parser\n")
+    assert module_level_imports(source) == [
+        "numpy", ".algebra", ".numeric", ".numeric.kink", "os.path"]
+
+
+def test_numpy_is_imported_by_numeric_only():
+    # symbolic runs never load numpy: only the numeric companion imports it
+    # at module level, and every other module imports the companion lazily
+    numpy_users, numeric_users = [], []
+    for path in package_sources():
+        tops = {name.lstrip(".").removeprefix("gradedsg.").split(".")[0]
+                for name in module_level_imports(path.read_text())}
+        if "numpy" in tops:
+            numpy_users.append(path.name)
+        if "numeric" in tops:
+            numeric_users.append(path.name)
+    assert numpy_users == ["numeric.py"]
+    assert numeric_users == []
+
+
 def test_guard_finds_asserts():
     source = ("x = 1\n"
               "assert x\n"
