@@ -22,7 +22,15 @@ equal atoms are one object with a cached hash.
 
 Monomial products are cached by ``_mul_keys_cached``, keyed on the two keys
 and the sabotage flag only: the z-order, theta and a-window tests run in
-``GradedExpr.__mul__``, so every truncation window shares one cache.
+``GradedExpr.__mul__``, so every truncation window shares one cache.  A miss
+is composed from per-slot tables, each a pure function of immutable or
+interned inputs: ``_trig_mul`` per pair of interned trig atoms,
+``_merge_jets`` per pair of jet tuples (it also returns the interleaving
+parity of the second tuple into the first and the first one's degree) and
+``_prefix_sign`` per pair of ``(z, theta-, theta+, clifford)`` prefixes.
+The pairing is bilinear mod 2 and every jet ranks after the prefix, so these
+give the whole sign (``_cross_sign``).  The sabotage flag enters only
+through ``cf_mul``, which no table captures.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from .errors import (
     NonTermination,
     NotScalarDegree,
     OutsideWindow,
+    UnknownSymbol,
     UnsupportedAtom,
     WeightMismatch,
 )
@@ -61,6 +70,9 @@ from .grading import (
 Q = Fraction
 HALF = Q(1, 2)
 SIXTH = Q(1, 6)
+
+# entries kept by each cache on the monomial-product path
+_CACHE_SIZE = 200000
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +142,7 @@ def field_info(name: str) -> FieldInfo:
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise KeyError(f"unknown field {name!r}") from None
+        raise UnknownSymbol(f"unknown field {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +296,10 @@ def _trig_arg_add(t1: TrigAtom, t2: TrigAtom, sub: bool) -> tuple[dict, Fraction
     return combo, pioff
 
 
-def _trig_mul(t1: TrigAtom, t2: TrigAtom) -> list[tuple[Fraction, Optional[TrigAtom]]]:
-    """Product-to-sum rewrite of a trig-atom pair."""
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _trig_mul(t1: TrigAtom, t2: TrigAtom) -> tuple[tuple[Fraction, Optional[TrigAtom]], ...]:
+    """Product-to-sum rewrite of a trig-atom pair, once per pair of interned
+    atoms; a tuple, so the shared result cannot be changed."""
     k1, k2 = t1[0], t2[0]
     plus = _trig_arg_add(t1, t2, sub=False)
     minus = _trig_arg_add(t1, t2, sub=True)
@@ -302,7 +316,7 @@ def _trig_mul(t1: TrigAtom, t2: TrigAtom) -> list[tuple[Fraction, Optional[TrigA
         factor, atom = _canon_trig(kind, combo, pioff)
         if factor != 0:
             out.append((pre * factor, atom))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -317,61 +331,93 @@ Key = tuple
 KEY_ONE: Key = (0, 0, 0, CF_ONE, 0, 0, (), (), None)
 
 
-def _gj_degree(name: str) -> Degree:
-    return field_info(name).degree
+# Sign-relevant atoms are (rank, degree, multiplicity) triples.  The prefix
+# slots (z, theta-, theta+, clifford) rank 0..3 and every graded jet ranks
+# after them, by its (name, m, n); scalar jets are even.
 
-
-def _rank_atoms(key: Key) -> list[tuple[tuple, Degree, int]]:
-    """Sign-relevant atoms of a monomial: (rank, degree, multiplicity)."""
-    z, tm, tp, cf, v, a, gj, bj, trig = key
+def _prefix_atoms(prefix: tuple) -> list[tuple[int, Degree, int]]:
+    """Odd atoms of a key's prefix ``(z, theta-, theta+, clifford)``."""
+    z, tm, tp, cf = prefix
     out = []
     if z:
-        out.append(((0,), DEG_11, z))
+        out.append((0, DEG_11, z))
     if tm:
-        out.append(((1,), DEG_01, 1))
+        out.append((1, DEG_01, 1))
     if tp:
-        out.append(((2,), DEG_10, 1))
-    if cf != CF_ONE:
-        d = cf_degree(cf)
-        if d != DEG_EVEN:
-            out.append(((3,), d, 1))
-    for (name, m, n), exp in gj:
-        out.append(((4, name, m, n), _gj_degree(name), exp))
+        out.append((2, DEG_10, 1))
+    d = cf_degree(cf)
+    if d != DEG_EVEN:
+        out.append((3, d, 1))
     return out
 
 
-def _cross_sign(key1: Key, key2: Key) -> int:
-    """Sign from interleaving key2's graded atoms into key1's."""
-    a1 = _rank_atoms(key1)
-    a2 = _rank_atoms(key2)
-    s = 0
-    for r2, d2, c2 in a2:
-        for r1, d1, c1 in a1:
-            if r1 > r2:
-                s += pairing(d1, d2) * c1 * c2
-    return -1 if s % 2 else 1
+def _jet_atoms(jets: tuple) -> list[tuple[tuple, Degree, int]]:
+    return [(atom, field_info(atom[0]).degree, exp) for atom, exp in jets]
 
 
-def _merge_jets(j1, j2, graded: bool):
-    """Merge two sorted ((name,m,n), exp) tuples; None when an odd atom repeats."""
-    counts: dict[tuple, int] = {}
-    for atom, exp in j1:
-        counts[atom] = counts.get(atom, 0) + exp
-    for atom, exp in j2:
-        counts[atom] = counts.get(atom, 0) + exp
-    if graded:
-        for atom, exp in counts.items():
-            if exp > 1 and is_self_odd(_gj_degree(atom[0])):
-                return None
-    return tuple(sorted(counts.items()))
-
-
-def key_degree(key: Key) -> Degree:
+def _atoms_degree(atoms) -> Degree:
     d = DEG_EVEN
-    for _, deg, mult in _rank_atoms(key):
+    for _, deg, mult in atoms:
         if mult % 2:
             d = degree_add(d, deg)
     return d
+
+
+def _interleave_parity(atoms1, atoms2) -> int:
+    """Parity of moving each atom of atoms2 past the atoms of atoms1 that
+    rank after it."""
+    s = 0
+    for r2, d2, c2 in atoms2:
+        for r1, d1, c1 in atoms1:
+            if r1 > r2:
+                s += pairing(d1, d2) * c1 * c2
+    return s % 2
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _prefix_sign(p1: tuple, p2: tuple) -> tuple[int, Degree]:
+    """Interleaving parity of prefix p2 into prefix p1, and p2's degree."""
+    atoms2 = _prefix_atoms(p2)
+    return _interleave_parity(_prefix_atoms(p1), atoms2), _atoms_degree(atoms2)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _merge_jets(j1: tuple, j2: tuple) -> tuple[Optional[tuple], int, Degree]:
+    """Merge two sorted ``((name, m, n), exp)`` tuples.
+
+    Returns the merged tuple (None when an odd atom repeats), the parity of
+    interleaving j2's atoms into j1's and the degree of j1; the last two are
+    0 and even for scalar jets.
+    """
+    counts = dict(j1)
+    for atom, exp in j2:
+        counts[atom] = counts.get(atom, 0) + exp
+    merged = tuple(sorted(counts.items()))
+    atoms1 = _jet_atoms(j1)
+    parity = _interleave_parity(atoms1, _jet_atoms(j2))
+    for atom, deg, exp in _jet_atoms(merged):
+        if exp > 1 and is_self_odd(deg):
+            merged = None
+            break
+    return merged, parity, _atoms_degree(atoms1)
+
+
+def _cross_sign(key1: Key, key2: Key, jets_parity: int, jets1_degree: Degree) -> int:
+    """Sign from interleaving key2's graded atoms into key1's.
+
+    The pairing is bilinear mod 2 and no prefix atom ranks after a jet, so
+    the sign splits into prefix x prefix (a table), key1's graded jets x
+    key2's prefix (the pairing of their total degrees) and jets x jets
+    (``jets_parity``, from ``_merge_jets``).
+    """
+    parity, prefix2_degree = _prefix_sign(key1[:4], key2[:4])
+    parity += pairing(jets1_degree, prefix2_degree) + jets_parity
+    return -1 if parity % 2 else 1
+
+
+def key_degree(key: Key) -> Degree:
+    return degree_add(_atoms_degree(_prefix_atoms(key[:4])),
+                      _atoms_degree(_jet_atoms(key[6])))
 
 
 def key_weight(key: Key) -> BoostWeight:
@@ -549,32 +595,26 @@ class GradedExpr:
         return f"GradedExpr({to_text(self)!r})"
 
 
-@functools.lru_cache(maxsize=200000)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _mul_keys_cached(k1: Key, k2: Key, commuting_params: bool) -> tuple:
     """``(key, factor)`` pairs of a monomial product, before the z-order,
-    theta and a-window tests that ``__mul__`` makes; shared by every window."""
+    theta and a-window tests that ``__mul__`` makes; shared by every window.
+
+    A miss is composed from the per-slot tables: the clifford product, the
+    two jet merges, the cross sign and the trig product-to-sum.
+    """
     z1, tm1, tp1, cf1, v1, a1, gj1, bj1, t1 = k1
     z2, tm2, tp2, cf2, v2, a2, gj2, bj2, t2 = k2
-    z = z1 + z2
-    a = a1 + a2
-    sign = _cross_sign(k1, k2)
     csign, cf, vshift = cf_mul(cf1, cf2, commuting_params)
-    sign *= csign
-    v = v1 + v2 + vshift
-    gj = _merge_jets(gj1, gj2, graded=True)
+    gj, jets_parity, jets1_degree = _merge_jets(gj1, gj2)
     if gj is None:
         return ()
-    bj = _merge_jets(bj1, bj2, graded=False)
-    tm = tm1 or tm2
-    tp = tp1 or tp2
-    coef = sign
+    sign = csign * _cross_sign(k1, k2, jets_parity, jets1_degree)
+    head = (z1 + z2, tm1 or tm2, tp1 or tp2, cf, v1 + v2 + vshift, a1 + a2, gj,
+            _merge_jets(bj1, bj2)[0])
     if t1 is not None and t2 is not None:
-        out = []
-        for tcoef, trig in _trig_mul(t1, t2):
-            out.append(((z, tm, tp, cf, v, a, gj, bj, trig), coef * tcoef))
-        return tuple(out)
-    trig = t1 if t1 is not None else t2
-    return (((z, tm, tp, cf, v, a, gj, bj, trig), coef),)
+        return tuple(((*head, trig), sign * tcoef) for tcoef, trig in _trig_mul(t1, t2))
+    return (((*head, t1 if t1 is not None else t2), sign),)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +639,7 @@ def gen(name: str, ctx: Context = DEFAULT_CTX) -> GradedExpr:
     try:
         key = _GEN_KEYS[name]
     except KeyError:
-        raise KeyError(f"unknown generator {name!r}") from None
+        raise UnknownSymbol(f"unknown generator {name!r}") from None
     return GradedExpr(ctx, ((key, 1),))
 
 

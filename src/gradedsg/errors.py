@@ -79,4 +79,5 @@ class MiniLangSyntaxError(GradedSGError):
 
 
 class UnknownSymbol(GradedSGError):
-    """The mini-language met an identifier it does not know."""
+    """An unknown field, generator or component name, in the API or in the
+    mini-language."""

@@ -228,6 +228,13 @@ class BodyBT:
     seed_body: str
     target_body: str
 
+    def __post_init__(self):
+        # _arg reads any symbol that is not the seed body as the target body
+        for sym, _ in self.arg_p + self.arg_q:
+            if sym not in (self.seed_body, self.target_body):
+                raise UnsupportedAtom(
+                    f"{sym!r} in a sine argument is neither body of the pair")
+
     @staticmethod
     def from_spec(spec: BodyBTSpec, a: float) -> "BodyBT":
         if a == 0.0:
@@ -249,10 +256,9 @@ class BodyBT:
         return BodyBT(a, p, q, arg_p, arg_q, spec.seed_body, spec.target_body)
 
     def _arg(self, combo, Xt, X):
-        vals = {self.seed_body: X, self.target_body: Xt}
         out = 0.0
         for sym, c in combo:
-            out = out + c * vals[sym]
+            out = out + c * (X if sym == self.seed_body else Xt)
         return out
 
     def rel_first(self, Xt, X, dX_minus):

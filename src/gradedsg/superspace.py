@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from . import algebra as al
 from .algebra import Context, GradedExpr, Q
-from .errors import InhomogeneousExpression
+from .errors import InhomogeneousExpression, UnknownSymbol
 from .grading import (
     DEG_01,
     DEG_10,
@@ -124,7 +124,7 @@ class SuperField:
         for r, n in self.components:
             if r == role:
                 return n
-        raise KeyError(role)
+        raise UnknownSymbol(f"superfield {self.name!r} has no {role!r} component")
 
 
 def _component_name(role: str, label: str) -> str:

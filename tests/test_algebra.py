@@ -7,7 +7,7 @@ import pytest
 from gradedsg import algebra as al
 from gradedsg.errors import (ConfigError, ContextMismatch, MixedParameterFamilies,
                              NonNilpotentRemainder, NonTermination, NotScalarDegree,
-                             OutsideWindow, UnsupportedAtom)
+                             OutsideWindow, UnknownSymbol, UnsupportedAtom)
 from gradedsg.grading import DEG_01
 
 CTX = al.BT_CTX
@@ -421,7 +421,14 @@ def test_trig_of_errors():
     (lambda: al.jet("X", ctx=CTX) + al.jet("X", ctx=al.DEFAULT_CTX), ContextMismatch),
     (lambda: al.jet("X", ctx=CTX) * al.jet("X", ctx=al.DEFAULT_CTX), ContextMismatch),
     (lambda: al.trig_of("t", al.jet("X", ctx=CTX)), ConfigError),
-], ids=["register_field", "sum contexts", "product contexts", "trig_of kind"])
+    # names the registry and the generator table do not know
+    (lambda: al.field_info("Z"), UnknownSymbol),
+    (lambda: al.jet("Z", ctx=CTX), UnknownSymbol),
+    (lambda: al.trig("s", {"Z": Q(1)}, ctx=CTX), UnknownSymbol),
+    (lambda: al.substitute(al.jet("X", ctx=CTX), {"Z": al.jet("X", ctx=CTX)}), UnknownSymbol),
+    (lambda: al.gen("zeta", CTX), UnknownSymbol),
+], ids=["register_field", "sum contexts", "product contexts", "trig_of kind",
+        "field_info", "jet", "trig", "substitute", "gen"])
 def test_bad_arguments_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()

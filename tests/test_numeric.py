@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,7 @@ from gradedsg import algebra as al
 from gradedsg import backlund as bt
 from gradedsg import numeric as nm
 from gradedsg.errors import (CFLViolation, ConfigError, InconsistentSystem,
-                             NonFiniteValue, VelocityOutOfRange)
+                             NonFiniteValue, UnsupportedAtom, VelocityOutOfRange)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +188,56 @@ def test_bt_output_solves_classical_equation(body_spec):
     levels = nm.bt_target_time_march(body, tgt, dt, 2)
     res = nm.classical_residual_on_grid(levels[1], levels[0], levels[2], dt)
     assert res < 1e-6
+
+
+def test_body_bt_rejects_a_third_symbol(body_spec):
+    coef, apow, vpow, combo = body_spec.p
+    spec = dataclasses.replace(body_spec, p=(coef, apow, vpow, combo + (("Y", 1),)))
+    with pytest.raises(UnsupportedAtom):
+        nm.BodyBT.from_spec(spec, 1.2)
+    body = nm.BodyBT.from_spec(body_spec, 1.2)
+    with pytest.raises(UnsupportedAtom):
+        dataclasses.replace(body, arg_q=body.arg_q + (("Y", 1.0),))
+
+
+def test_body_relations_match_the_dict_lookup(body_spec):
+    # the relations as they were written with a symbol -> value dict built
+    # per call, evaluated byte for byte against the current ones
+    def arg(body, combo, Xt, X):
+        vals = {body.seed_body: X, body.target_body: Xt}
+        out = 0.0
+        for sym, c in combo:
+            out = out + c * vals[sym]
+        return out
+
+    def first(body, Xt, X, dXm):
+        return dXm + body.p * np.sin(arg(body, body.arg_p, Xt, X))
+
+    def second(body, Xt, X, dXp):
+        return -dXp + body.q * np.sin(arg(body, body.arg_q, Xt, X))
+
+    def mismatch(body, Xt, X, dXm, dXp):
+        ctp, ctq = dict(body.arg_p), dict(body.arg_q)
+        mixed = 0.25 * np.sin(X)
+        r1, r2 = first(body, Xt, X, dXm), second(body, Xt, X, dXp)
+        dp_arg_p = ctp[body.target_body] * r2 + ctp[body.seed_body] * dXp
+        dm_arg_q = ctq[body.target_body] * r1 + ctq[body.seed_body] * dXm
+        return ((mixed + body.p * np.cos(arg(body, body.arg_p, Xt, X)) * dp_arg_p)
+                - (-mixed + body.q * np.cos(arg(body, body.arg_q, Xt, X)) * dm_arg_q))
+
+    rng = np.random.default_rng(7)
+    arrays = [rng.uniform(-4.0, 4.0, 33) for _ in range(4)]
+    floats = [float(v) for v in rng.uniform(-4.0, 4.0, 4)]
+    for spec in (body_spec, bt.export_body_system(bt.BTSystem(orientation="plus"))):
+        for a in (1.2, 0.7):
+            body = nm.BodyBT.from_spec(spec, a)
+            for Xt, X, dXm, dXp in (arrays, floats):
+                pairs = [(body.rel_first(Xt, X, dXm), first(body, Xt, X, dXm)),
+                         (body.rel_second(Xt, X, dXp), second(body, Xt, X, dXp)),
+                         (nm.bt_cross_mismatch(body, Xt, X, dXm, dXp),
+                          mismatch(body, Xt, X, dXm, dXp))]
+                for got, want in pairs:
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_kink_seed_accepted_and_corrupted_sign_rejected(body_spec):

@@ -11,13 +11,16 @@ import functools
 import operator
 from fractions import Fraction as Q
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradedsg import algebra as al
 from gradedsg import parser as ps
 from gradedsg import superspace as ss
-from gradedsg.grading import commutation_sign
+from gradedsg.errors import MixedParameterFamilies
+from gradedsg.grading import (DEG_01, DEG_10, DEG_11, DEG_EVEN, commutation_sign, is_self_odd,
+                              pairing)
 
 # z-order <= 1 per factor keeps every product of two factors inside nz = 2,
 # and a^-1 .. a^2 keeps it inside the a-window: nothing is dropped silently.
@@ -131,3 +134,114 @@ def test_mirror_exchanges_the_x_derivatives(e):
     mirror, text = al.mirror_pm, al.to_text
     assert text(al.d_plus(mirror(e))) == text(mirror(al.d_minus(e)))
     assert text(al.d_minus(mirror(e))) == text(mirror(al.d_plus(e)))
+
+
+# ---------------------------------------------------------------------------
+# the monomial product against a reference that takes no table: the sign of
+# interleaving the two keys' odd atoms by a double loop over their ranks, a
+# plain jet merge and the product-to-sum identities
+
+def ref_rank_atoms(key):
+    z, tm, tp, cf, v, a, gj, bj, trig = key
+    out = []
+    if z:
+        out.append(((0,), DEG_11, z))
+    if tm:
+        out.append(((1,), DEG_01, 1))
+    if tp:
+        out.append(((2,), DEG_10, 1))
+    if al.cf_degree(cf) != DEG_EVEN:
+        out.append(((3,), al.cf_degree(cf), 1))
+    for (name, m, n), exp in gj:
+        out.append(((4, name, m, n), al.field_info(name).degree, exp))
+    return out
+
+
+def ref_sign(k1, k2):
+    s = 0
+    for r2, d2, c2 in ref_rank_atoms(k2):
+        for r1, d1, c1 in ref_rank_atoms(k1):
+            if r1 > r2:
+                s += pairing(d1, d2) * c1 * c2
+    return -1 if s % 2 else 1
+
+
+def ref_merge(j1, j2, graded):
+    counts = {}
+    for atom, exp in j1 + j2:
+        counts[atom] = counts.get(atom, 0) + exp
+    if graded and any(exp > 1 and is_self_odd(al.field_info(atom[0]).degree)
+                      for atom, exp in counts.items()):
+        return None
+    return tuple(sorted(counts.items()))
+
+
+def ref_trig_mul(t1, t2):
+    # sin a sin b = (cos(a-b) - cos(a+b))/2, sin a cos b = (sin(a+b) + sin(a-b))/2,
+    # cos a sin b = (sin(a+b) - sin(a-b))/2, cos a cos b = (cos(a+b) + cos(a-b))/2
+    def angle(sign):
+        combo = dict(t1[1])
+        for sym, co in t2[1]:
+            combo[sym] = combo.get(sym, 0) + sign * co
+        return combo, t1[2] + sign * t2[2]
+
+    half = Q(1, 2)
+    plus, minus = angle(1), angle(-1)
+    parts = {("s", "s"): ((half, "c", minus), (-half, "c", plus)),
+             ("s", "c"): ((half, "s", plus), (half, "s", minus)),
+             ("c", "s"): ((half, "s", plus), (-half, "s", minus)),
+             ("c", "c"): ((half, "c", plus), (half, "c", minus))}[t1[0], t2[0]]
+    out = []
+    for pre, kind, (combo, pioff) in parts:
+        factor, atom = al._canon_trig(kind, combo, pioff)
+        if factor:
+            out.append((pre * factor, atom))
+    return out
+
+
+def ref_product(k1, k2, commuting_params):
+    z1, tm1, tp1, cf1, v1, a1, gj1, bj1, t1 = k1
+    z2, tm2, tp2, cf2, v2, a2, gj2, bj2, t2 = k2
+    sign = ref_sign(k1, k2)
+    csign, cf, vshift = al.cf_mul(cf1, cf2, commuting_params)
+    gj = ref_merge(gj1, gj2, graded=True)
+    if gj is None:
+        return ()
+    head = (z1 + z2, tm1 or tm2, tp1 or tp2, cf, v1 + v2 + vshift, a1 + a2, gj,
+            ref_merge(bj1, bj2, graded=False))
+    if t1 is not None and t2 is not None:
+        return tuple(((*head, t), sign * csign * c) for c, t in ref_trig_mul(t1, t2))
+    return (((*head, t1 if t1 is not None else t2), sign * csign),)
+
+
+@PROPERTY
+@given(ab=same_family_pairs(MONOMIALS))
+def test_product_of_keys_equals_the_reference(ab):
+    assume(not ab[0].is_zero() and not ab[1].is_zero())
+    (k1,), (k2,) = ab[0].terms, ab[1].terms
+    for commuting_params in (False, True):
+        assert al._mul_keys_cached(k1, k2, commuting_params) == ref_product(
+            k1, k2, commuting_params)
+
+
+def only_key(e):
+    (key,) = e.terms
+    return key
+
+
+def test_a_repeated_odd_jet_gives_no_product():
+    psi = only_key(al.jet("psi+", 1, 0, CTX))
+    with_x = only_key(al.jet("psi+", 1, 0, CTX) * al.jet("X", ctx=CTX))
+    for k1, k2 in ((psi, psi), (psi, with_x), (with_x, psi)):
+        assert al._mul_keys_cached(k1, k2, False) == ()
+
+
+@pytest.mark.parametrize("jets", [False, True])
+def test_mixed_families_raise(jets):
+    # the clifford product comes first: a product whose jets would vanish
+    # still raises
+    lam, eta = al.gen("lambda+", CTX), al.gen("eta-", CTX)
+    if jets:
+        lam, eta = lam * al.jet("psi+", ctx=CTX), eta * al.jet("psi+", ctx=CTX)
+    with pytest.raises(MixedParameterFamilies):
+        al._mul_keys_cached(only_key(lam), only_key(eta), False)

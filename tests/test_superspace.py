@@ -5,7 +5,7 @@ import pytest
 
 from gradedsg import algebra as al
 from gradedsg import superspace as ss
-from gradedsg.errors import InhomogeneousExpression
+from gradedsg.errors import InhomogeneousExpression, UnknownSymbol
 from gradedsg.grading import commutation_sign, degree_add
 
 
@@ -148,6 +148,14 @@ def test_weight_examples():
     assert (al.gen("lambda+", ctx) * al.gen("lambda-", ctx)).weight() == 0
     with pytest.raises(InhomogeneousExpression):
         (al.jet("psi+", ctx=ctx) + al.jet("psi-", ctx=ctx)).weight()
+
+
+def test_unknown_component_raises_a_typed_error():
+    flat = ss.generic_superfield("Phi", nz=0)
+    assert flat.component("psi+") == "psi+"
+    # the z-order-1 components exist only for nz >= 1
+    with pytest.raises(UnknownSymbol):
+        flat.component("chi+")
 
 
 def test_z_mode_annihilation():
