@@ -1,8 +1,14 @@
 """Graded-commutative symbolic kernel.
 
 Expressions are finite sums of normal-ordered monomials with exact rational
-coefficients, stored as an ``int`` while integral and as a ``Fraction``
-otherwise.  A monomial factors into fixed slots, in this global order:
+coefficients.  An expression stores them fraction-free, as the content /
+primitive-part form of FLINT's ``fmpq_poly``: one ``int`` numerator per
+monomial over one positive common denominator ``den``, with
+``gcd(den, *numerators) == 1`` and zero as ``{}`` over 1.  Sums, products
+and derivatives do integer arithmetic per term and touch the denominators
+once per operation; ``GradedExpr.coefficients()`` is the one reader of the
+rational values (an ``int`` when integral, a ``Fraction`` otherwise).  A
+monomial factors into fixed slots, in this global order:
 
     z^k  *  theta-  *  theta+  *  clifford  *  v+^j  *  a^n  *  graded jets
          *  scalar jets  *  (at most one trig atom)
@@ -30,15 +36,17 @@ parity of the second tuple into the first and the first one's degree) and
 ``_prefix_sign`` per pair of ``(z, theta-, theta+, clifford)`` prefixes.
 The pairing is bilinear mod 2 and every jet ranks after the prefix, so these
 give the whole sign (``_cross_sign``).  The sabotage flag enters only
-through ``cf_mul``, which no table captures.
+through ``cf_mul``, which no table captures.  A cached product is
+``(key, numerator, denominator)`` entries: the denominator is 1, or 2 for a
+trig half-sum (4 where a Niven 1/2 joins it).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import (
@@ -224,7 +232,8 @@ def cf_mul(cf1: tuple[str, str], cf2: tuple[str, str],
 # constant angle (empty combo) is always a sine.  Atoms are interned
 # (hash-consed, Filliatre & Conchon 2006): _trig_atom makes every atom, and
 # equal atoms are one TrigAtom object, which computes its hash once, so
-# hashing a monomial key never reaches the Fractions inside it.
+# hashing a monomial key never reaches the Fractions inside it.  It also
+# keeps the lcm of its combo's denominators, which d_x scales by.
 
 
 class TrigAtom(tuple):
@@ -244,6 +253,7 @@ def _trig_atom(kind: str, combo: tuple, pioff: Fraction) -> TrigAtom:
     if atom is None:
         atom = _TRIG_ATOMS[plain] = TrigAtom(plain)
         atom._hash = hash(plain)
+        atom._den = lcm(*(co.denominator for _, co in combo))
     return atom
 
 
@@ -297,9 +307,10 @@ def _trig_arg_add(t1: TrigAtom, t2: TrigAtom, sub: bool) -> tuple[dict, Fraction
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _trig_mul(t1: TrigAtom, t2: TrigAtom) -> tuple[tuple[Fraction, Optional[TrigAtom]], ...]:
-    """Product-to-sum rewrite of a trig-atom pair, once per pair of interned
-    atoms; a tuple, so the shared result cannot be changed."""
+def _trig_mul(t1: TrigAtom, t2: TrigAtom) -> tuple[tuple[int, int, Optional[TrigAtom]], ...]:
+    """Product-to-sum rewrite of a trig-atom pair as ``(numerator,
+    denominator, atom)`` triples, once per pair of interned atoms; a tuple,
+    so the shared result cannot be changed."""
     k1, k2 = t1[0], t2[0]
     plus = _trig_arg_add(t1, t2, sub=False)
     minus = _trig_arg_add(t1, t2, sub=True)
@@ -315,7 +326,8 @@ def _trig_mul(t1: TrigAtom, t2: TrigAtom) -> tuple[tuple[Fraction, Optional[Trig
     for pre, kind, (combo, pioff) in parts:
         factor, atom = _canon_trig(kind, combo, pioff)
         if factor != 0:
-            out.append((pre * factor, atom))
+            coef = pre * factor
+            out.append((coef.numerator, coef.denominator, atom))
     return tuple(out)
 
 
@@ -452,14 +464,22 @@ def _key_sortable(key: Key):
 class GradedExpr:
     """Canonical-form element of the graded algebra (immutable by convention).
 
-    ``terms`` is any iterable of ``(key, coefficient)`` pairs.  Coefficients
-    of a repeated key are summed and zero results dropped; this constructor
-    is the only place where coefficients are added.  It is also the one
-    normaliser of their type: a stored coefficient is an ``int`` while it is
-    integral and a ``Fraction`` otherwise.
+    ``terms`` maps each monomial key to a nonzero ``int`` numerator and
+    ``den`` is the one positive common denominator, so the coefficient of
+    ``key`` is ``terms[key] / den``.  The form is canonical: ``gcd(den,
+    *numerators) == 1`` and zero is ``{}`` over 1, so equal expressions
+    have equal ``(ctx, den, terms)``.  Read the rational values through
+    ``coefficients()``.
+
+    ``GradedExpr(ctx, pairs)`` builds from ``(key, int | Fraction)`` pairs:
+    coefficients of a repeated key are summed and zero results dropped.
+    The ring operations and derivatives build through ``_from_ints`` from
+    integer numerators over a denominator instead.  Their operands are a
+    ``GradedExpr``, an ``int`` or a ``Fraction``; anything else raises
+    ``ConfigError``.
     """
 
-    __slots__ = ("ctx", "terms", "truncated")
+    __slots__ = ("ctx", "terms", "den", "truncated")
 
     def __init__(self, ctx: Context, terms: Iterable[tuple[Key, Fraction]] = (),
                  truncated: bool = False):
@@ -476,11 +496,13 @@ class GradedExpr:
                     acc[k] = c
                 else:
                     del acc[k]
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = lcm(*(c.denominator for c in acc.values()))
         for k, c in acc.items():
-            if c.__class__ is Q and c.denominator == 1:
-                acc[k] = c.numerator
+            acc[k] = c.numerator * (den // c.denominator)
         self.ctx = ctx
         self.terms = acc
+        self.den = den
         self.truncated = truncated
 
     # -- helpers ------------------------------------------------------------
@@ -491,10 +513,17 @@ class GradedExpr:
 
     @staticmethod
     def rational(q, ctx: Context = DEFAULT_CTX) -> "GradedExpr":
-        return GradedExpr(ctx, ((KEY_ONE, Q(q)),))
+        return GradedExpr(ctx, ((KEY_ONE, _exact(q)),))
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def coefficients(self) -> Iterator[tuple[Key, "int | Fraction"]]:
+        """``(key, coefficient)`` pairs; a coefficient is an ``int`` when it
+        is integral and a ``Fraction`` otherwise."""
+        den = self.den
+        for k, c in self.terms.items():
+            yield k, (c // den if c % den == 0 else Q(c, den))
 
     def _require_same_ctx(self, other: "GradedExpr") -> None:
         if self.ctx != other.ctx:
@@ -503,20 +532,25 @@ class GradedExpr:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, GradedExpr):
             other = GradedExpr.rational(other, self.ctx)
         self._require_same_ctx(other)
-        return GradedExpr(self.ctx, itertools.chain(self.terms.items(), other.terms.items()),
-                          self.truncated or other.truncated)
+        den = lcm(self.den, other.den)
+        m1, m2 = den // self.den, den // other.den
+        acc = (self.terms.copy() if m1 == 1
+               else {k: c * m1 for k, c in self.terms.items()})
+        pairs = (other.terms.items() if m2 == 1
+                 else ((k, c * m2) for k, c in other.terms.items()))
+        return _from_ints(self.ctx, pairs, den, self.truncated or other.truncated, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedExpr(self.ctx, ((k, -c) for k, c in self.terms.items()),
-                          self.truncated)
+        return _from_ints(self.ctx, (), self.den, self.truncated,
+                          {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, GradedExpr):
             other = GradedExpr.rational(other, self.ctx)
         return self + (-other)
 
@@ -524,21 +558,22 @@ class GradedExpr:
         return GradedExpr.rational(other, self.ctx) + (-self)
 
     def scale(self, q) -> "GradedExpr":
-        q = Q(q)
-        if q == 0:
+        if _exact(q) == 0:
             return GradedExpr.zero(self.ctx)
-        if q.denominator == 1:
-            q = q.numerator
-        return GradedExpr(self.ctx, ((k, q * c) for k, c in self.terms.items()),
-                          self.truncated)
+        p = q.numerator
+        acc = self.terms.copy() if p == 1 else {k: p * c for k, c in self.terms.items()}
+        return _from_ints(self.ctx, (), self.den * q.denominator, self.truncated, acc)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, GradedExpr):
             return self.scale(other)
         self._require_same_ctx(other)
         ctx = self.ctx
         nz, amin, amax, commuting = ctx
         products = []
+        append = products.append
+        # lcm of the product-table denominators met so far
+        den = 1
         truncated = self.truncated or other.truncated
         for k1, c1 in self.terms.items():
             z1, tm1, tp1, a1 = k1[0], k1[1], k1[2], k1[5]
@@ -551,22 +586,28 @@ class GradedExpr:
                 if a < amin or a > amax:
                     truncated = True
                     continue
-                for k, c in _mul_keys_cached(k1, k2, commuting):
-                    products.append((k, c1 * c2 * c))
-        return GradedExpr(ctx, products, truncated)
+                c12 = c1 * c2
+                for k, n, d in _mul_keys_cached(k1, k2, commuting):
+                    if d != den:
+                        if den % d:
+                            grown = lcm(den, d)
+                            f = grown // den
+                            products[:] = [(kp, cp * f) for kp, cp in products]
+                            den = grown
+                        n *= den // d
+                    append((k, c12 * n))
+        return _from_ints(ctx, products, self.den * other.den * den, truncated)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)
 
     def __eq__(self, other):
         if not isinstance(other, GradedExpr):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.ctx == other.ctx and self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
+        return hash((self.ctx, self.den, frozenset(self.terms.items())))
 
     # -- queries --------------------------------------------------------------
 
@@ -595,13 +636,63 @@ class GradedExpr:
         return f"GradedExpr({to_text(self)!r})"
 
 
+_new_expr = object.__new__
+
+
+def _from_ints(ctx: Context, pairs: Iterable[tuple[Key, int]], den: int,
+               truncated: bool, acc: Optional[dict] = None) -> GradedExpr:
+    """The expression ``sum(numerator * key) / den`` in canonical form.
+
+    ``pairs`` of a repeated key are summed into ``acc`` (a fresh dict of
+    nonzero numerators that the result keeps, or empty) and zero results
+    dropped; one gcd then divides the common factor out of ``den`` and
+    every numerator.
+    """
+    if acc is None:
+        acc = {}
+    get = acc.get
+    for k, c in pairs:
+        old = get(k)
+        if old is None:
+            if c:
+                acc[k] = c
+        else:
+            c += old
+            if c:
+                acc[k] = c
+            else:
+                del acc[k]
+    if den != 1:
+        # an empty sum gives g = den, so zero is {} over 1
+        g = gcd(den, *acc.values())
+        if g != 1:
+            den //= g
+            acc = {k: c // g for k, c in acc.items()}
+    e = _new_expr(GradedExpr)
+    e.ctx = ctx
+    e.terms = acc
+    e.den = den
+    e.truncated = truncated
+    return e
+
+
+def _exact(q):
+    """``q`` itself when it is an ``int`` or a ``Fraction``."""
+    if isinstance(q, (int, Fraction)):
+        return q
+    raise ConfigError(
+        f"an operand must be a GradedExpr, int or Fraction, not {type(q).__name__}")
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _mul_keys_cached(k1: Key, k2: Key, commuting_params: bool) -> tuple:
-    """``(key, factor)`` pairs of a monomial product, before the z-order,
-    theta and a-window tests that ``__mul__`` makes; shared by every window.
+    """``(key, numerator, denominator)`` entries of a monomial product,
+    before the z-order, theta and a-window tests that ``__mul__`` makes;
+    shared by every window.
 
     A miss is composed from the per-slot tables: the clifford product, the
-    two jet merges, the cross sign and the trig product-to-sum.
+    two jet merges, the cross sign and the trig product-to-sum.  Only a
+    trig half-sum has a denominator other than 1.
     """
     z1, tm1, tp1, cf1, v1, a1, gj1, bj1, t1 = k1
     z2, tm2, tp2, cf2, v2, a2, gj2, bj2, t2 = k2
@@ -613,8 +704,8 @@ def _mul_keys_cached(k1: Key, k2: Key, commuting_params: bool) -> tuple:
     head = (z1 + z2, tm1 or tm2, tp1 or tp2, cf, v1 + v2 + vshift, a1 + a2, gj,
             _merge_jets(bj1, bj2)[0])
     if t1 is not None and t2 is not None:
-        return tuple(((*head, trig), sign * tcoef) for tcoef, trig in _trig_mul(t1, t2))
-    return (((*head, t1 if t1 is not None else t2), sign),)
+        return tuple(((*head, trig), sign * n, d) for n, d, trig in _trig_mul(t1, t2))
+    return (((*head, t1 if t1 is not None else t2), sign, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +759,8 @@ def jet(name: str, m: int = 0, n: int = 0, ctx: Context = DEFAULT_CTX) -> Graded
 def trig(kind: str, combo: Mapping[str, Fraction], pioff=Q(0),
          ctx: Context = DEFAULT_CTX) -> GradedExpr:
     """Trig atom of a rational-linear body argument; canonicalized."""
+    if kind not in ("s", "c"):
+        raise ConfigError(f"trig kind must be 's' or 'c', not {kind!r}")
     for sym in combo:
         if not field_info(sym).trig:
             raise UnsupportedAtom(f"{sym!r} may not appear inside a trig argument")
@@ -744,10 +837,9 @@ def to_text(e: GradedExpr) -> str:
     """Stable, sorted plain-text form; '0' for the zero expression."""
     if not e.terms:
         return "0"
-    keys = sorted(e.terms, key=_key_sortable)
     out = []
-    for k in keys:
-        s = term_str(k, e.terms[k])
+    for k, c in sorted(e.coefficients(), key=lambda kc: _key_sortable(kc[0])):
+        s = term_str(k, c)
         if out:
             out.append(f"- {s[1:]}" if s.startswith("-") else f"+ {s}")
         else:
@@ -765,11 +857,19 @@ def d_x(e: GradedExpr, direction: str) -> GradedExpr:
     factors before it.  The shifted jet then moves to its sorted place past
     the jets of its own field between its old and new index; each such jet
     of a self-odd field flips the sign, and landing on one gives zero.
+    The result's denominator is ``e.den`` times the lcm of the trig
+    chain-rule factors' denominators.
     """
     dm, dn = (1, 0) if direction == "-" else (0, 1)
+    den = 1
+    for key in e.terms:
+        t = key[8]
+        if t is not None and t._den != 1:
+            den = lcm(den, t._den)
     out = []
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
+        cd = c * den
         for graded, jets in ((True, gj), (False, bj)):
             for atom, exp in jets:
                 name, m, n = atom
@@ -794,7 +894,7 @@ def d_x(e: GradedExpr, direction: str) -> GradedExpr:
                     key2 = (z, tm, tp, cf, v, a, jets2, bj, t)
                 else:
                     key2 = (z, tm, tp, cf, v, a, gj, jets2, t)
-                out.append((key2, c * mult))
+                out.append((key2, cd * mult))
         # trig chain rule
         if t is not None:
             kind, combo, pioff = t
@@ -802,14 +902,16 @@ def d_x(e: GradedExpr, direction: str) -> GradedExpr:
                 if field_info(sym).constant:
                     continue
                 newkind = "c" if kind == "s" else "s"
-                factor = co if kind == "s" else -co
+                factor = co.numerator * (den // co.denominator)
+                if kind == "c":
+                    factor = -factor
                 counts = dict(bj)
                 atom2 = (sym, dm, dn)
                 counts[atom2] = counts.get(atom2, 0) + 1
                 # swapping sin and cos keeps the argument canonical
                 out.append(((z, tm, tp, cf, v, a, gj, tuple(sorted(counts.items())),
                              _trig_atom(newkind, combo, pioff)), c * factor))
-    return GradedExpr(e.ctx, out, e.truncated)
+    return _from_ints(e.ctx, out, e.den * den, e.truncated)
 
 
 def d_minus(e: GradedExpr) -> GradedExpr:
@@ -821,18 +923,18 @@ def d_plus(e: GradedExpr) -> GradedExpr:
 
 
 def d_z(e: GradedExpr) -> GradedExpr:
-    return GradedExpr(e.ctx, (((key[0] - 1, *key[1:]), c * key[0])
+    return _from_ints(e.ctx, (((key[0] - 1, *key[1:]), c * key[0])
                               for key, c in e.terms.items() if key[0]),
-                      e.truncated)
+                      e.den, e.truncated)
 
 
 def d_theta(e: GradedExpr, which: str) -> GradedExpr:
     """Left derivative in theta- ('-') or theta+ ('+')."""
     slot = 1 if which == "-" else 2
-    return GradedExpr(e.ctx, (((*key[:slot], 0, *key[slot + 1:]),
+    return _from_ints(e.ctx, (((*key[:slot], 0, *key[slot + 1:]),
                                -c if key[0] % 2 else c)
                               for key, c in e.terms.items() if key[slot]),
-                      e.truncated)
+                      e.den, e.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +946,7 @@ def component_split(e: GradedExpr) -> dict[tuple[int, int], GradedExpr]:
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
         out.setdefault((tm, tp), []).append(((z, 0, 0, cf, v, a, gj, bj, t), c))
-    return {sec: GradedExpr(e.ctx, terms, e.truncated)
+    return {sec: _from_ints(e.ctx, terms, e.den, e.truncated)
             for sec, terms in out.items()}
 
 
@@ -852,16 +954,16 @@ def series_coefficient(e: GradedExpr, n: int) -> GradedExpr:
     """Coefficient of a^n (a removed from the result)."""
     if n < e.ctx.amin or n > e.ctx.amax:
         raise OutsideWindow(f"a^{n} outside window [{e.ctx.amin}, {e.ctx.amax}]")
-    return GradedExpr(e.ctx, (((*key[:5], 0, *key[6:]), c)
+    return _from_ints(e.ctx, (((*key[:5], 0, *key[6:]), c)
                               for key, c in e.terms.items() if key[5] == n),
-                      e.truncated)
+                      e.den, e.truncated)
 
 
 def with_context(e: GradedExpr, ctx: Context) -> GradedExpr:
     """Reinterpret under another truncation context, dropping what falls out."""
     kept = [(key, c) for key, c in e.terms.items() if key[0] <= ctx.nz]
     inside = [(key, c) for key, c in kept if ctx.amin <= key[5] <= ctx.amax]
-    return GradedExpr(ctx, inside, e.truncated or len(inside) < len(kept))
+    return _from_ints(ctx, inside, e.den, e.truncated or len(inside) < len(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -880,15 +982,15 @@ def _body_split(e: GradedExpr) -> tuple[dict[str, Fraction], Fraction, GradedExp
             if exp == 1 and m == 0 and n == 0 and field_info(name).trig:
                 # each symbol is one key, so it is met at most once
                 if name == "pi":
-                    pioff = c
+                    pioff = Q(c, e.den)
                 else:
-                    combo[name] = c
+                    combo[name] = Q(c, e.den)
                 continue
         if key == KEY_ONE:
             raise UnsupportedAtom(
                 "constant trig offsets must be rational multiples of pi")
         rest.append((key, c))
-    return combo, pioff, GradedExpr(e.ctx, rest, e.truncated)
+    return combo, pioff, _from_ints(e.ctx, rest, e.den, e.truncated)
 
 
 _TRIG_CYCLE = {"s": ("s", "c", "s", "c"), "c": ("c", "s", "c", "s")}
@@ -908,7 +1010,7 @@ def trig_of(kind: str, e: GradedExpr, half=Q(1)) -> GradedExpr:
     deg = e.degree()
     if deg not in (None, DEG_EVEN):
         raise NotScalarDegree(f"trig argument has degree {deg}")
-    scaled = e.scale(Q(half))
+    scaled = e.scale(half)
     combo, pioff, nil = _body_split(scaled)
     ctx = e.ctx
     result = GradedExpr.zero(ctx)
@@ -983,16 +1085,20 @@ def substitute_jets(e: GradedExpr, rule: JetRule) -> GradedExpr:
     ``rule(name, m, n)`` returns a replacement expression or None to keep the
     jet.  A trig atom whose argument mentions a symbol with a ``(0, 0)``
     replacement is re-expanded with ``trig_of`` on the substituted argument,
-    its pi offset kept.
+    its pi offset kept.  Each rewritten monomial is built from its numerator
+    over its own denominator; one lcm of those puts the result over
+    ``e.den`` times it.
     """
     ctx = e.ctx
-    pairs = []
+    # (key, numerator, the denominator of the piece it came from)
+    pieces = []
+    den = 1
     truncated = e.truncated
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
         new_trig = None if t is None else _substituted_trig(t, rule, ctx)
         if new_trig is None and all(rule(*atom) is None for atom, _ in gj + bj):
-            pairs.append((key, c))
+            pieces.append((key, c, 1))
             continue
         term = GradedExpr.rational(c, ctx)
         for factor in _term_factors(key, ctx):
@@ -1003,9 +1109,13 @@ def substitute_jets(e: GradedExpr, rule: JetRule) -> GradedExpr:
             else:
                 repl = new_trig if fkey[8] is not None else None
             term = term * (factor if repl is None else repl)
-        pairs.extend(term.terms.items())
+        tden = term.den
+        if tden != 1:
+            den = lcm(den, tden)
+        pieces.extend((k, n, tden) for k, n in term.terms.items())
         truncated = truncated or term.truncated
-    return GradedExpr(ctx, pairs, truncated)
+    return _from_ints(ctx, ((k, n * (den // d)) for k, n, d in pieces), e.den * den,
+                      truncated)
 
 
 class JetRewriter:
@@ -1049,7 +1159,7 @@ class JetRewriter:
         """Apply ``substitute_jets`` with these rules until nothing changes."""
         for _ in range(64):
             new = substitute_jets(e, self.rule)
-            if new.terms == e.terms:
+            if new.den == e.den and new.terms == e.terms:
                 return new
             e = new
         raise NonTermination("jet rewriting did not reach a fixed point")
@@ -1080,11 +1190,12 @@ def mirror_pm(e: GradedExpr) -> GradedExpr:
         for (name, m, n), exp in gj:
             atom = (0, 0, 0, CF_ONE, 0, 0, (((_MIRROR_FIELDS.get(name, name), n, m), 1),),
                     (), None)
+            # a product with a trig-free atom has denominator 1
             for _ in range(exp):
                 pairs = [(k2, c2 * s) for k, c2 in pairs
-                         for k2, s in _mul_keys_cached(k, atom, e.ctx.commuting_params)]
+                         for k2, s, _ in _mul_keys_cached(k, atom, e.ctx.commuting_params)]
         out.extend(pairs)
-    return GradedExpr(e.ctx, out, e.truncated)
+    return _from_ints(e.ctx, out, e.den, e.truncated)
 
 
 def substitute(e: GradedExpr, bindings: Mapping[str, GradedExpr]) -> GradedExpr:

@@ -235,7 +235,7 @@ def _sector_rules(sys: BTSystem, which: str) -> dict[tuple[str, int, int], Grade
     rsec = al.component_split(rhs)
     rules: dict[tuple[str, int, int], GradedExpr] = {}
     for sector, expr in lsec.items():
-        (key, coef), *rest = expr.terms.items()
+        (key, coef), *rest = expr.coefficients()
         atoms = key[6] or key[7]
         if rest or len(atoms) != 1 or atoms[0][1] != 1:
             raise UnsupportedAtom(f"left-hand sector {sector} is not a single target jet")
@@ -296,7 +296,7 @@ def verify_auto_bt(sys: BTSystem) -> Report:
     ok = E.is_zero()
     rep.add("target residual equals seed residual on shell",
             "pass" if ok else "fail",
-            () if ok else tuple(sorted(al.term_str(k, c) for k, c in E.terms.items())))
+            () if ok else tuple(sorted(al.term_str(k, c) for k, c in E.coefficients())))
 
     # route asymmetry of the printed system (informational): substituting
     # the first relation innermost instead leaves a nonzero obstruction.
@@ -538,7 +538,7 @@ class BodyBTSpec:
 
 def _extract_trig_coef(expr: GradedExpr):
     """Sine-term data of a body relation: (coef, a-power, v-power, combo)."""
-    for key, coef in expr.terms.items():
+    for key, coef in expr.coefficients():
         z, tm, tp, cf, v, a, gj, bj, trig = key
         if trig is None:
             continue
@@ -604,7 +604,7 @@ def export_body_system(sys: BTSystem) -> BodyBTSpec:
     mis_raw = mismatch(rel1, rel2_raw)
     # completion: flip the trig-term sign of the second relation
     rel2 = GradedExpr(ctx, ((k, -c if k[8] is not None else c)
-                            for k, c in rel2_raw.terms.items()))
+                            for k, c in rel2_raw.coefficients()))
     mis_completed = mismatch(rel1, rel2)
     if not mis_completed.is_zero():
         raise InconsistentSystem(

@@ -48,7 +48,7 @@ def _structure_tensor() -> np.ndarray:
     for i, ei in enumerate(exprs):
         for j, ej in enumerate(exprs):
             prod = ei * ej
-            for key, coef in prod.terms.items():
+            for key, coef in prod.coefficients():
                 z, tm, tp, cf, v, a, gj, bj, trig = key
                 if z or tm or tp or gj or bj or trig or a:
                     raise UnsupportedAtom(

@@ -267,7 +267,7 @@ def derivation_covariance_checks(probe: Optional[GradedExpr] = None):
         ok = True
         try:
             # probe is inhomogeneous as a whole; check per starting monomial
-            for key, c in probe.terms.items():
+            for key, c in probe.coefficients():
                 mono = GradedExpr(probe.ctx, ((key, c),))
                 res = D(mono)
                 if res.is_zero():

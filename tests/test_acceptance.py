@@ -165,7 +165,7 @@ def test_criterion_9_cross_module_table():
     for i, bi in enumerate(nm.BASIS):
         for j, bj in enumerate(nm.BASIS):
             expect = np.zeros(4)
-            for key, coef in (exprs[bi] * exprs[bj]).terms.items():
+            for key, coef in (exprs[bi] * exprs[bj]).coefficients():
                 expect[idx[key[3]]] += float(coef)
             ok &= bool(np.array_equal(nm.STRUCTURE[i, j], expect))
     _verdict(9, ok, "numeric parameter table equals symbolic normalization "

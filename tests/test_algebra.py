@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -202,24 +203,43 @@ def test_equal_trig_atoms_are_one_object():
 
 
 def test_integral_coefficients_are_stored_as_ints(monkeypatch):
+    # every constructor leaves int numerators over a positive int
+    # denominator in canonical form; the accessor gives an int for an
+    # integral coefficient and a Fraction otherwise
     from gradedsg import backlund as bt
-    offenders, stored = [], []
-    init = al.GradedExpr.__init__
+    offenders, values = [], []
+
+    def check(e):
+        nums = list(e.terms.values())
+        if not (type(e.den) is int and e.den > 0
+                and all(type(c) is int and c for c in nums)
+                and math.gcd(e.den, *nums) == 1 and (nums or e.den == 1)):
+            offenders.append((e.den, nums))
+        for _, c in e.coefficients():
+            values.append(c)
+            if not (type(c) is int or (type(c) is Q and c.denominator > 1)):
+                offenders.append(c)
+
+    init, from_ints = al.GradedExpr.__init__, al._from_ints
 
     def checking_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        stored.extend(self.terms.values())
-        offenders.extend(c for c in self.terms.values()
-                         if type(c) is not int and not (type(c) is Q and c.denominator > 1))
+        check(self)
+
+    def checking_from_ints(*args, **kwargs):
+        e = from_ints(*args, **kwargs)
+        check(e)
+        return e
 
     monkeypatch.setattr(al.GradedExpr, "__init__", checking_init)
+    monkeypatch.setattr(al, "_from_ints", checking_from_ints)
     rng = random.Random(3)
     X = al.jet("X", ctx=CTX)
     half = al.trig("s", {"X": Q(1, 2)}, ctx=CTX)
     for _ in range(10):
         a = _random_expr(rng, CTX, ["X", "psi+", "F"], 3)
         b = _random_expr(rng, CTX, ["Y", "psi-", "X"], 3)
-        # 3/2 + 1/2 and 2 * 1/2 are integral Fractions until normalised
+        # 3/2 + 1/2 and 2 * 1/2 leave a common factor to divide out
         a.scale(Q(3, 2)) + a.scale(Q(1, 2))
         a.scale(2) * b.scale(Q(1, 2))
         al.d_plus(a * b * half)
@@ -227,7 +247,7 @@ def test_integral_coefficients_are_stored_as_ints(monkeypatch):
         half * half
     bt.conservation_audit(bt.BTSystem(order=6, ctx=al.Context(0, -2, 8)), 4)
     assert offenders == []
-    assert {type(c) for c in stored} == {int, Q}
+    assert {type(c) for c in values} == {int, Q}
 
 
 # ---------------------------------------------------------------------------
@@ -242,22 +262,28 @@ def test_constructor_sums_repeated_keys():
     kx, ky = _key(al.jet("X", ctx=CTX)), _key(al.jet("Y", ctx=CTX))
     e = al.GradedExpr(CTX, [(kx, Q(1, 2)), (ky, Q(1)), (al.KEY_ONE, Q(0)),
                             (kx, Q(1, 3)), (ky, Q(-1))])
-    assert e.terms == {kx: Q(5, 6)}
+    assert dict(e.coefficients()) == {kx: Q(5, 6)}
+    assert e.terms == {kx: 5} and e.den == 6
+    # distinct denominators go over their lcm
+    mixed = al.GradedExpr(CTX, [(kx, Q(1, 2)), (ky, Q(-1, 3)), (al.KEY_ONE, 1)])
+    assert mixed.terms == {kx: 3, ky: -2, al.KEY_ONE: 6} and mixed.den == 6
+    assert dict(mixed.coefficients()) == {kx: Q(1, 2), ky: Q(-1, 3), al.KEY_ONE: 1}
     # a key that cancelled and comes back starts afresh
-    assert al.GradedExpr(CTX, [(kx, Q(1)), (kx, Q(-1)), (kx, Q(2))]).terms == {kx: Q(2)}
+    back = al.GradedExpr(CTX, [(kx, Q(1)), (kx, Q(-1)), (kx, Q(2))])
+    assert dict(back.coefficients()) == {kx: 2}
     assert al.GradedExpr(CTX, iter([(kx, Q(1)), (kx, Q(-1))])).terms == {}
-    assert al.GradedExpr(CTX).terms == {}
+    assert al.GradedExpr(CTX).terms == {} and al.GradedExpr(CTX).den == 1
 
 
 def test_operations_store_no_zero_coefficient():
     X = al.jet("X", ctx=CTX)
-    assert (X + X).terms == {_key(X): Q(2)}
+    assert dict((X + X).coefficients()) == {_key(X): 2}
     assert (X - X).terms == {}
     assert X.scale(0).terms == {} and al.GradedExpr.rational(0, CTX).terms == {}
     # (l+ + l-)^2 = v+ + alpha - alpha - v-: the alpha products cancel inside one product
     lp, lm = g("lambda+"), g("lambda-")
     sq = (lp + lm) * (lp + lm)
-    assert sq.terms == (al.vpow(1, CTX) - al.vpow(-1, CTX)).terms
+    assert sq == al.vpow(1, CTX) - al.vpow(-1, CTX)
     assert _key(g("alpha")) not in sq.terms
     rng = random.Random(5)
     for _ in range(10):
@@ -265,7 +291,7 @@ def test_operations_store_no_zero_coefficient():
         b = _random_expr(rng, CTX, ["Y", "psi-", "X"], 3)
         for e in (a + b, a - a, a * b, a * b - b * a, al.d_plus(a * b),
                   al.mirror_pm(a) + al.mirror_pm(b)):
-            assert all(c != 0 for c in e.terms.values())
+            assert all(c != 0 for _, c in e.coefficients())
 
 
 def test_substitute_jets_accumulates_without_adding(monkeypatch):
@@ -297,6 +323,18 @@ def test_substitute_jets_accumulates_without_adding(monkeypatch):
         k = 1 if m % 2 == 0 else 2
         want = want + al.jet("X", mm, nn, CTX) * (repl if k == 1 else repl * repl).scale(m + 1)
     assert bound == want
+
+
+def test_substitute_jets_puts_pieces_over_one_denominator():
+    # a kept term, and rewritten terms whose own denominators differ from it
+    # and from each other
+    X, Y, Xt = (al.jet(n, ctx=CTX) for n in ("X", "Y", "X~"))
+    e = (X * Y).scale(Q(2, 3)) + Xt.scale(Q(1, 5)) + (Y * Y).scale(Q(3, 7))
+    repl = X.scale(Q(1, 2)) + Q(1, 4)
+    got = al.substitute_jets(e, al.JetRewriter([(("Y", 0, 0), repl)]).rule)
+    want = (X * repl).scale(Q(2, 3)) + Xt.scale(Q(1, 5)) + (repl * repl).scale(Q(3, 7))
+    assert got == want
+    assert al.to_text(got) == "3/112 + 23/84*X + 37/84*X^2 + 1/5*X~"
 
 
 def test_laurent_paired_parameter_product():
@@ -421,6 +459,7 @@ def test_trig_of_errors():
     (lambda: al.jet("X", ctx=CTX) + al.jet("X", ctx=al.DEFAULT_CTX), ContextMismatch),
     (lambda: al.jet("X", ctx=CTX) * al.jet("X", ctx=al.DEFAULT_CTX), ContextMismatch),
     (lambda: al.trig_of("t", al.jet("X", ctx=CTX)), ConfigError),
+    (lambda: al.trig("t", {"X": 1}, ctx=CTX), ConfigError),
     # names the registry and the generator table do not know
     (lambda: al.field_info("Z"), UnknownSymbol),
     (lambda: al.jet("Z", ctx=CTX), UnknownSymbol),
@@ -428,10 +467,41 @@ def test_trig_of_errors():
     (lambda: al.substitute(al.jet("X", ctx=CTX), {"Z": al.jet("X", ctx=CTX)}), UnknownSymbol),
     (lambda: al.gen("zeta", CTX), UnknownSymbol),
 ], ids=["register_field", "sum contexts", "product contexts", "trig_of kind",
-        "field_info", "jet", "trig", "substitute", "gen"])
+        "trig kind", "field_info", "jet", "trig", "substitute", "gen"])
 def test_bad_arguments_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+X_CTX = al.jet("X", ctx=CTX)
+
+
+@pytest.mark.parametrize("call, operand", [
+    (lambda: X_CTX + 0.5, "float"),
+    (lambda: 0.5 + X_CTX, "float"),
+    (lambda: X_CTX - 0.5, "float"),
+    (lambda: 0.5 - X_CTX, "float"),
+    (lambda: X_CTX * None, "NoneType"),
+    (lambda: 0.5 * X_CTX, "float"),
+    (lambda: X_CTX.scale(0.1), "float"),
+    (lambda: X_CTX.scale(float("nan")), "float"),
+    (lambda: X_CTX.scale("1/2"), "str"),
+    (lambda: al.GradedExpr.rational(0.3, CTX), "float"),
+], ids=["add float", "radd float", "sub float", "rsub float", "mul None", "rmul float",
+        "scale float", "scale nan", "scale str", "rational float"])
+def test_inexact_operands_raise_config_errors(call, operand):
+    # an exact verdict cannot take a float: 0.1 would enter as its binary
+    # expansion, 3602879701896397/36028797018963968
+    with pytest.raises(ConfigError, match=operand):
+        call()
+
+
+def test_exact_operands_are_accepted():
+    X = X_CTX
+    assert al.to_text(X + 1) == al.to_text(1 + X) == "1 + X"
+    assert al.to_text(Q(1, 2) - X) == "1/2 - X"
+    assert al.to_text(X * Q(1, 2)) == al.to_text(Q(1, 2) * X) == "1/2*X"
+    assert X.scale(True) == X and X.scale(0).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +638,7 @@ def test_canonical_form_survives_refactoring():
     for _ in range(25):
         e = _random_graded(rng, CTX)
         rebuilt = al.GradedExpr.zero(CTX)
-        for key, coef in e.terms.items():
+        for key, coef in e.coefficients():
             term = al.GradedExpr.rational(coef, CTX)
             for factor in al._term_factors(key, CTX):
                 term = term * factor

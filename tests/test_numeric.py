@@ -25,7 +25,7 @@ def test_structure_tensor_matches_symbolic_kernel():
         for j, bj in enumerate(nm.BASIS):
             sym = exprs[bi] * exprs[bj]
             expect = np.zeros(4)
-            for key, coef in sym.terms.items():
+            for key, coef in sym.coefficients():
                 cf = key[3]
                 idx = {al.CF_ONE: 0, al.CF_ALPHA: 1, ("L", "+"): 2,
                        ("L", "-"): 3}[cf]

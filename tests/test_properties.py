@@ -8,6 +8,7 @@ database, so they repeat exactly.
 """
 
 import functools
+import math
 import operator
 from fractions import Fraction as Q
 
@@ -220,8 +221,9 @@ def test_product_of_keys_equals_the_reference(ab):
     assume(not ab[0].is_zero() and not ab[1].is_zero())
     (k1,), (k2,) = ab[0].terms, ab[1].terms
     for commuting_params in (False, True):
-        assert al._mul_keys_cached(k1, k2, commuting_params) == ref_product(
-            k1, k2, commuting_params)
+        entries = al._mul_keys_cached(k1, k2, commuting_params)
+        assert [(k, Q(n, d)) for k, n, d in entries] == list(
+            ref_product(k1, k2, commuting_params))
 
 
 def only_key(e):
@@ -245,3 +247,71 @@ def test_mixed_families_raise(jets):
         lam, eta = lam * al.jet("psi+", ctx=CTX), eta * al.jet("psi+", ctx=CTX)
     with pytest.raises(MixedParameterFamilies):
         al._mul_keys_cached(only_key(lam), only_key(eta), False)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free form: int numerators over one common denominator, in
+# canonical form after every operation, against a Fraction reference fold
+
+# halves and sixths, and zero
+scales = st.builds(Q, st.integers(-6, 6), st.sampled_from((1, 2, 3, 6)))
+
+
+def fold_steps(family):
+    step = st.tuples(st.sampled_from("+-*s"), MONOMIALS[family], scales)
+    return st.tuples(MONOMIALS[family], st.lists(step, min_size=1, max_size=4))
+
+
+def assert_canonical(e):
+    nums = list(e.terms.values())
+    assert type(e.den) is int and e.den > 0
+    assert all(type(c) is int and c != 0 for c in nums)
+    # zero has no numerators, so this also asks den == 1 of it
+    assert math.gcd(e.den, *nums) == 1
+    for _, c in e.coefficients():
+        assert type(c) is int or (type(c) is Q and c.denominator > 1)
+
+
+def ref_mul(a, b):
+    # __mul__ over {key: Fraction} dicts: the same window tests, the
+    # reference monomial product
+    nz, amin, amax, commuting = CTX
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            if k1[0] + k2[0] > nz or (k1[1] and k2[1]) or (k1[2] and k2[2]):
+                continue
+            if not amin <= k1[5] + k2[5] <= amax:
+                continue
+            for k, c in ref_product(k1, k2, commuting):
+                out[k] = out.get(k, 0) + c1 * c2 * c
+    return out
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+    return out
+
+
+@PROPERTY
+@given(steps=FAMILIES.flatmap(fold_steps))
+def test_operations_keep_the_canonical_form(steps):
+    e, rest = steps
+    ref = dict(e.coefficients())
+    assert_canonical(e)
+    for op, m, q in rest:
+        m_ref = dict(m.coefficients())
+        if op == "+":
+            e, ref = e + m, ref_add(ref, m_ref)
+        elif op == "-":
+            e, ref = e - m, ref_add(ref, m_ref, -1)
+        elif op == "*":
+            e, ref = e * m, ref_mul(ref, m_ref)
+        else:
+            e, ref = e.scale(q), {k: c * q for k, c in ref.items()}
+        assert_canonical(e)
+        assert dict(e.coefficients()) == {k: c for k, c in ref.items() if c}
+    diff = e - e
+    assert diff.is_zero() and diff.den == 1 and diff == al.GradedExpr.zero(CTX)

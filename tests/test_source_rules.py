@@ -284,3 +284,47 @@ def test_no_unused_public_names():
     unused = [name for name in unused_public_names(modules, users)
               if name not in UNUSED_ALLOWED]
     assert unused == []
+
+
+def terms_value_reads(source: str) -> list[int]:
+    """Lines that read coefficient numerators out of an expression's ``terms``:
+    any method but ``keys`` taken on ``.terms`` (``items``, ``values``,
+    ``get``, ...), a subscript of it, or ``dict(... .terms)``.  ``len`` of it,
+    iteration over it and ``key in`` it read keys only."""
+
+    def is_terms(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and is_terms(node.value) and node.attr != "keys":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Subscript) and is_terms(node.value):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "dict" and any(is_terms(arg) for arg in node.args)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_guard_finds_terms_value_reads():
+    source = ("for k, c in e.terms.items(): pass\n"
+              "vals = list(e.terms.values())\n"
+              "c = e.terms.get(key)\n"
+              "c = (a * b).terms[key]\n"
+              "copy = dict(e.terms)\n"
+              "n = len(e.terms)\n"
+              "for key in e.terms: pass\n"
+              "ok = key in e.terms and list(e.terms.keys())\n"
+              "pairs = list(e.coefficients())\n")
+    assert terms_value_reads(source) == [1, 2, 3, 4, 5]
+
+
+def test_coefficients_are_read_through_the_accessor():
+    # a stored numerator is a coefficient only over the expression's common
+    # denominator; outside the kernel, values come from coefficients(), so
+    # no reader can forget the division
+    offenders = [f"{path.name}:{line}" for path in package_sources()
+                 if path.name != "algebra.py"
+                 for line in terms_value_reads(path.read_text())]
+    assert offenders == []
