@@ -233,7 +233,8 @@ def cf_mul(cf1: tuple[str, str], cf2: tuple[str, str],
 # (hash-consed, Filliatre & Conchon 2006): _trig_atom makes every atom, and
 # equal atoms are one TrigAtom object, which computes its hash once, so
 # hashing a monomial key never reaches the Fractions inside it.  It also
-# keeps the lcm of its combo's denominators, which d_x scales by.
+# keeps the lcm of its combo's denominators, which d_x scales by, and its
+# sin/cos partner of the same argument, which d_x swaps to.
 
 
 class TrigAtom(tuple):
@@ -247,13 +248,15 @@ _TRIG_ATOMS: dict[tuple, TrigAtom] = {}
 
 
 def _trig_atom(kind: str, combo: tuple, pioff: Fraction) -> TrigAtom:
-    """The one object for an already canonical atom."""
+    """The one object for an already canonical atom, with its ``partner``."""
     plain = (kind, combo, pioff)
     atom = _TRIG_ATOMS.get(plain)
     if atom is None:
         atom = _TRIG_ATOMS[plain] = TrigAtom(plain)
         atom._hash = hash(plain)
         atom._den = lcm(*(co.denominator for _, co in combo))
+        # registered first, so the partner's partner is this atom; constants have none
+        atom.partner = _trig_atom("c" if kind == "s" else "s", combo, pioff) if combo else None
     return atom
 
 
@@ -897,20 +900,18 @@ def d_x(e: GradedExpr, direction: str) -> GradedExpr:
                 out.append((key2, cd * mult))
         # trig chain rule
         if t is not None:
-            kind, combo, pioff = t
+            kind, combo, _ = t
             for sym, co in combo:
                 if field_info(sym).constant:
                     continue
-                newkind = "c" if kind == "s" else "s"
                 factor = co.numerator * (den // co.denominator)
                 if kind == "c":
                     factor = -factor
                 counts = dict(bj)
                 atom2 = (sym, dm, dn)
                 counts[atom2] = counts.get(atom2, 0) + 1
-                # swapping sin and cos keeps the argument canonical
                 out.append(((z, tm, tp, cf, v, a, gj, tuple(sorted(counts.items())),
-                             _trig_atom(newkind, combo, pioff)), c * factor))
+                             t.partner), c * factor))
     return _from_ints(e.ctx, out, e.den * den, e.truncated)
 
 
@@ -1041,29 +1042,6 @@ def trig_of(kind: str, e: GradedExpr, half=Q(1)) -> GradedExpr:
 # ---------------------------------------------------------------------------
 # substitution
 
-def _term_factors(key: Key, ctx: Context) -> Iterator[GradedExpr]:
-    """Factor a monomial into its jet-free prefix and single-slot factors.
-
-    The prefix (z, thetas, parameters, v, a) is one factor; the factors come
-    in normal order, so their product is the monomial with sign +1.
-    """
-    z, tm, tp, cf, v, a, gj, bj, t = key
-    if z or tm or tp or cf != CF_ONE or v or a:
-        yield GradedExpr(ctx, (((z, tm, tp, cf, v, a, (), (), None), 1),))
-    for (name, m, n), exp in gj:
-        atom = GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, 0, (((name, m, n), 1),), (), None),
-                                 1),))
-        for _ in range(exp):
-            yield atom
-    for (name, m, n), exp in bj:
-        atom = GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, 0, (), (((name, m, n), 1),), None),
-                                 1),))
-        for _ in range(exp):
-            yield atom
-    if t is not None:
-        yield GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, 0, (), (), t), 1),))
-
-
 JetRule = Callable[[str, int, int], Optional[GradedExpr]]
 
 
@@ -1079,41 +1057,63 @@ def _substituted_trig(t: TrigAtom, rule: JetRule, ctx: Context) -> Optional[Grad
     return trig_of(kind, arg)
 
 
+def _times_run(term: Optional[GradedExpr], key: Key, c: int, run: list[list],
+               t: Optional[TrigAtom], ctx: Context) -> GradedExpr:
+    """``term`` times the monomial of a run of kept jets and trig atom ``t``,
+    taken in normal order, so its sign is +1; the first run (no ``term``)
+    also carries the prefix of ``key`` and the coefficient ``c``."""
+    gj, bj = tuple(run[0]), tuple(run[1])
+    if term is None:
+        return _from_ints(ctx, (), 1, False, {key[:6] + (gj, bj, t): c})
+    if gj or bj or t:
+        term = term * _from_ints(ctx, (), 1, False, {(0, 0, 0, CF_ONE, 0, 0, gj, bj, t): 1})
+    return term
+
+
 def substitute_jets(e: GradedExpr, rule: JetRule) -> GradedExpr:
     """Replace individual field jets; one simultaneous pass, no iteration.
 
     ``rule(name, m, n)`` returns a replacement expression or None to keep the
     jet.  A trig atom whose argument mentions a symbol with a ``(0, 0)``
     replacement is re-expanded with ``trig_of`` on the substituted argument,
-    its pi offset kept.  Each rewritten monomial is built from its numerator
-    over its own denominator; one lcm of those puts the result over
-    ``e.den`` times it.
+    its pi offset kept.  A pass that binds nothing returns ``e`` itself;
+    otherwise each rewritten monomial is its factor-by-factor product, each
+    run of kept atoms between bound ones multiplied in as one monomial, and
+    one lcm of their denominators puts the result over ``e.den`` times it.
     """
     ctx = e.ctx
+    trigs = {t: _substituted_trig(t, rule, ctx)
+             for t in dict.fromkeys(key[8] for key in e.terms) if t is not None}
     # (key, numerator, the denominator of the piece it came from)
     pieces = []
-    den = 1
+    den = None  # the lcm of the rewritten monomials' denominators; None while none is
     truncated = e.truncated
     for key, c in e.terms.items():
-        z, tm, tp, cf, v, a, gj, bj, t = key
-        new_trig = None if t is None else _substituted_trig(t, rule, ctx)
-        if new_trig is None and all(rule(*atom) is None for atom, _ in gj + bj):
+        gj, bj, t = key[6:]
+        term = None  # the product so far, from the first bound atom on
+        run = [[], []]  # the kept graded and scalar jets since then
+        for kept, jets in enumerate((gj, bj)):
+            for atom, exp in jets:
+                r = rule(*atom)
+                if r is None:
+                    run[kept].append((atom, exp))
+                    continue
+                term = _times_run(term, key, c, run, None, ctx)
+                run = [[], []]
+                for _ in range(exp):
+                    term = term * r
+        if trigs.get(t) is not None:
+            term = _times_run(term, key, c, run, None, ctx) * trigs[t]
+            run, t = [[], []], None
+        if term is None:
             pieces.append((key, c, 1))
             continue
-        term = GradedExpr.rational(c, ctx)
-        for factor in _term_factors(key, ctx):
-            (fkey, _), = factor.terms.items()
-            atoms = fkey[6] or fkey[7]
-            if atoms:
-                repl = rule(*atoms[0][0])
-            else:
-                repl = new_trig if fkey[8] is not None else None
-            term = term * (factor if repl is None else repl)
-        tden = term.den
-        if tden != 1:
-            den = lcm(den, tden)
-        pieces.extend((k, n, tden) for k, n in term.terms.items())
+        term = _times_run(term, key, c, run, t, ctx)
+        den = lcm(den or 1, term.den)
+        pieces.extend((k, n, term.den) for k, n in term.terms.items())
         truncated = truncated or term.truncated
+    if den is None:
+        return e
     return _from_ints(ctx, ((k, n * (den // d)) for k, n, d in pieces), e.den * den,
                       truncated)
 
@@ -1159,7 +1159,7 @@ class JetRewriter:
         """Apply ``substitute_jets`` with these rules until nothing changes."""
         for _ in range(64):
             new = substitute_jets(e, self.rule)
-            if new.den == e.den and new.terms == e.terms:
+            if new is e or (new.den == e.den and new.terms == e.terms):
                 return new
             e = new
         raise NonTermination("jet rewriting did not reach a fixed point")

@@ -259,6 +259,31 @@ def test_conservation_audit_deterministic(sysm):
     assert a == b
 
 
+def test_on_shell_reduction_multiplies_only_what_binds(monkeypatch):
+    # a work count, not a wall clock: rebuilding every rewritten monomial
+    # factor by factor made 1,492 products inside reduce_on_shell here;
+    # multiplying each run of kept jets in at once makes 734
+    products, depth = [], []
+    mul, reduce = al.GradedExpr.__mul__, md.reduce_on_shell
+
+    def counting_mul(self, other):
+        if depth:
+            products.append(1)
+        return mul(self, other)
+
+    def tracked_reduce(*args):
+        depth.append(1)
+        try:
+            return reduce(*args)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(al.GradedExpr, "__mul__", counting_mul)
+    monkeypatch.setattr(md, "reduce_on_shell", tracked_reduce)
+    bt.conservation_audit(bt.BTSystem(order=6, ctx=al.Context(0, -2, 8)), 4)
+    assert 0 < len(products) <= 900
+
+
 @pytest.mark.parametrize("orientation", ["minus", "plus"])
 @pytest.mark.parametrize("amax, K", [(8, 6), (12, 8)])
 def test_conservation_audit_raises_a_short_order(orientation, amax, K):

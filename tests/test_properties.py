@@ -23,6 +23,8 @@ from gradedsg.errors import MixedParameterFamilies
 from gradedsg.grading import (DEG_01, DEG_10, DEG_11, DEG_EVEN, commutation_sign, is_self_odd,
                               pairing)
 
+from factor_chain import substitute_by_factors
+
 # z-order <= 1 per factor keeps every product of two factors inside nz = 2,
 # and a^-1 .. a^2 keeps it inside the a-window: nothing is dropped silently.
 # A product of three factors may leave both, but whatever order it is
@@ -315,3 +317,71 @@ def test_operations_keep_the_canonical_form(steps):
         assert dict(e.coefficients()) == {k: c for k, c in ref.items() if c}
     diff = e - e
     assert diff.is_zero() and diff.den == 1 and diff == al.GradedExpr.zero(CTX)
+
+
+# ---------------------------------------------------------------------------
+# substitution against the factor-by-factor chain, in a window the chain
+# leaves: runs of kept jets multiplied in at once, terms and flag unchanged
+
+# three jets of one odd field, so that bound and kept ones interleave, two
+# more odd fields, two fields of degree (1,1) and two scalar fields
+SUB_JETS = (("psi+", 0, 0), ("psi+", 0, 1), ("psi+", 1, 0), ("psi-", 0, 0), ("chi-", 0, 0),
+            ("F", 0, 0), ("G", 0, 0), ("X", 0, 0), ("Y", 0, 1))
+SUB_CTXS = st.sampled_from((al.Context(nz=1, amax=2), al.Context(nz=1, amax=2,
+                                                                 commuting_params=True)))
+
+
+@st.composite
+def sub_monomials(draw, ctx, family, jets, prefix):
+    factors = [al.GradedExpr.rational(draw(coefficients), ctx),
+               al.apow(draw(st.integers(-1, 2)), ctx)]
+    for name in prefix:
+        if draw(st.integers(0, 3)) == 0:
+            factors.append(al.gen(name, ctx))
+    param = draw(parameters[family])
+    if param:
+        factors.append(al.gen(param, ctx))
+    for atom in draw(jets):
+        factors.append(al.jet(*atom, ctx=ctx))
+    trig = draw(trig_atoms)
+    if trig:
+        kind, x, xt, den, pi = trig
+        factors.append(al.trig(kind, {"X": Q(x, den), "X~": Q(xt, den)}, Q(pi, 4), ctx))
+    return functools.reduce(operator.mul, factors)
+
+
+@st.composite
+def substitutions(draw):
+    ctx, family = draw(SUB_CTXS), draw(FAMILIES)
+    # distinct jets, several of one odd field, and maybe a square of G
+    # (which sorts after F) or Y
+    jets = st.tuples(st.lists(st.sampled_from(SUB_JETS), min_size=2, max_size=4, unique=True),
+                     st.sampled_from(((), (("G", 0, 0),) * 2, (("Y", 0, 1),) * 2)))
+    jets = jets.map(lambda distinct_square: distinct_square[0] + list(distinct_square[1]))
+    monomial = sub_monomials(ctx, family, jets, ("z", "theta-", "theta+"))
+    e = functools.reduce(operator.add, draw(st.lists(monomial, min_size=1, max_size=2)))
+    jets = st.lists(st.sampled_from(SUB_JETS), max_size=2)
+    terms = st.lists(sub_monomials(ctx, family, jets, ("theta-", "theta+")), min_size=1,
+                     max_size=2)
+    binds = {}
+    for atom in SUB_JETS:
+        if draw(st.booleans()):
+            # X enters trig arguments, so its replacement is a body plus an
+            # even nilpotent part; the others are sums of mixed degree
+            if atom[0] == "X":
+                odd = al.jet("psi+", ctx=ctx) * al.jet("psi+", 0, 1, ctx)
+                binds[atom] = (al.jet("X~", ctx=ctx).scale(draw(coefficients))
+                               + (al.apow(draw(st.integers(0, 2)), ctx) * odd).scale(
+                                   draw(coefficients)))
+            else:
+                binds[atom] = functools.reduce(operator.add, draw(terms))
+    return e, binds
+
+
+@PROPERTY
+@given(sub=substitutions())
+def test_substitution_equals_the_factor_chain(sub):
+    e, binds = sub
+    rule = lambda name, m, n: binds.get((name, m, n))
+    got, want = al.substitute_jets(e, rule), substitute_by_factors(e, rule)
+    assert got == want and got.truncated == want.truncated
