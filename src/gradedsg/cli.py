@@ -337,6 +337,8 @@ def check_fermions(cfg: RunConfig) -> Report:
                               lambda xp: np.zeros_like(xp), h=2.0 ** -5)
     rep.add("zero data stays zero",
             "pass" if not (np.any(z.u) or np.any(z.w)) else "fail")
+    # free these grids before the kink integration, where the check peaks
+    del res, z
     kink_bg = lambda xm, xp: nm.kink((xp + xm) / 2.0)
     res2 = nm.integrate_fermions(kink_bg, lambda xm: np.exp(-xm),
                                  lambda xp: np.zeros_like(xp), h=h)

@@ -411,66 +411,95 @@ class FermionResult:
     residual_minus: float
 
 
+def _edge_data(values, n: int, name: str) -> np.ndarray:
+    """Edge data as n floats; a scalar is broadcast along the edge."""
+    try:
+        a = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} edge data is not numeric: {exc}") from None
+    if a.ndim == 0 or a.shape == (n,):
+        return np.broadcast_to(a, (n,))
+    raise ConfigError(f"{name} edge data has shape {a.shape}, "
+                      f"expected ({n},) or a scalar")
+
+
 def _fermion_march(C: np.ndarray, u0: np.ndarray, w0: np.ndarray,
-                   h: float) -> tuple[np.ndarray, np.ndarray]:
+                   h: float, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoidal box march of the coupled characteristic system.
 
+    Returns ``u`` and ``w`` on the nodes ``[::step, ::step]`` only; the
+    march itself runs on every node of the (nm, np_) grid of ``C``.
+
     Every node on an anti-diagonal depends only on the previous diagonal,
-    so diagonals are swept with vector operations; the per-node implicit
-    2x2 coupling is solved exactly.  In the C-ordered (nm, np_) arrays the
-    node (i, d - i) has flat index i*(np_ - 1) + d, so the nodes of
-    diagonal d with rows lo..hi are the basic slice
-    flat[lo*(np_ - 1) + d : hi*(np_ - 1) + d + 1 : np_ - 1] of ``ravel()``:
-    no index arrays and no skewed copies.  Each finished diagonal is copied
-    out once, so the left (i, j - 1) and upper (i - 1, j) neighbours of the
-    next one are read from contiguous memory.  The two coupling signs are
-    equal in the table, so one factor K = 0.5*h*su*C serves both equations.
+    so diagonals are swept with vector operations (the wavefront order);
+    the per-node implicit 2x2 coupling is solved exactly.  The working set
+    is O(nm): the current and the previous diagonal live in length-nm
+    buffers indexed by row, so the left (i, j - 1) and upper (i - 1, j)
+    neighbours of node (i, j) are rows i and i - 1 of the previous
+    buffers, and the two diagonals are swapped, not copied.  Diagonal d of
+    ``C`` is the view ``C[:, ::-1].diagonal(np_ - 1 - d)``, which also reads
+    a read-only broadcast ``C``; no full-grid coupling factor, ``u`` or
+    ``w`` is built.  In the C-ordered output of width p the kept node
+    (a, D - a) has flat index a*(p - 1) + D, so a kept diagonal is written
+    as one basic slice of ``ravel()``.  The two coupling signs are equal in
+    the table, so one factor k = 0.5*h*su*C serves both equations.
     """
     su = -S_ALPHA_LM  # from d+ psi+ = -(alpha/2) psi- cos(X/2)
     if -S_ALPHA_LP != su:
         raise InconsistentSystem("the two fermion coupling signs differ")
     nm, np_ = C.shape
-    u = np.zeros((nm, np_))
-    w = np.zeros((nm, np_))
-    u[:, 0] = u0
-    w[0, :] = w0
+    u0 = _edge_data(u0, nm, "psi+")
+    w0 = _edge_data(w0, np_, "psi-")
     # edges: single-family trapezoid marches with known partner data, summed
     # in order from the corner
-    fu = su * C[0, :] * w[0, :]
-    u[0, :] = np.add.accumulate(np.concatenate(
-        (u[0, :1], 0.5 * h * (fu[:-1] + fu[1:]))))
-    fw = su * C[:, 0] * u[:, 0]
-    w[:, 0] = np.add.accumulate(np.concatenate(
-        (w[:1, 0], 0.5 * h * (fw[:-1] + fw[1:]))))
-    if nm < 2 or np_ < 2:
-        return u, w
-    K = 0.5 * h * su * C
-    kf, uf, wf = K.ravel(), u.ravel(), w.ravel()
+    fu = su * C[0, :] * w0
+    u_edge = np.add.accumulate(np.concatenate(
+        (u0[:1], 0.5 * h * (fu[:-1] + fu[1:]))))
+    fw = su * C[:, 0] * u0
+    w_edge = np.add.accumulate(np.concatenate(
+        (w0[:1], 0.5 * h * (fw[:-1] + fw[1:]))))
+    mo, po = (nm - 1) // step + 1, (np_ - 1) // step + 1
+    u_out = np.empty((mo, po))
+    w_out = np.empty((mo, po))
+    uf, wf = u_out.ravel(), w_out.ravel()
+    factor = 0.5 * h * su
+    C_anti = C[:, ::-1]
     stride = np_ - 1
-
-    def diagonal(d: int, lo: int, hi: int) -> slice:
-        return slice(lo * stride + d, hi * stride + d + 1, stride)
-
-    # diagonal 1 holds the edge nodes (0, 1) and (1, 0)
-    lo = 0
-    full = diagonal(1, 0, 1)
-    pu, pw, pk = uf[full].copy(), wf[full].copy(), kf[full].copy()
-    for d in range(2, nm + np_ - 1):
-        plo, lo = lo, max(0, d - stride)
+    pu, pw, pk, cu, cw, ck, t1, t2 = np.empty((8, nm))
+    for d in range(nm + np_ - 1):
+        lo, hi = max(0, d - stride), min(nm - 1, d)
+        np.multiply(factor, C_anti.diagonal(stride - d), out=ck[lo:hi + 1])
+        if lo == 0:
+            cu[0], cw[0] = u_edge[d], w0[d]
+        if hi == d:
+            cu[d], cw[d] = u0[d], w_edge[d]
         i_lo, i_hi = max(1, lo), min(nm - 1, d - 1)
-        full = diagonal(d, lo, min(nm - 1, d))
-        k_full = kf[full].copy()
-        k = k_full[i_lo - lo:i_hi - lo + 1]
-        left = slice(i_lo - plo, i_hi - plo + 1)
-        up = slice(i_lo - 1 - plo, i_hi - plo)
-        A = pu[left] + pk[left] * pw[left]
-        B = pw[up] + pk[up] * pu[up]
-        unew = (A + k * B) / (1.0 - k * k)
-        node = diagonal(d, i_lo, i_hi)
-        uf[node] = unew
-        wf[node] = B + k * unew
-        pu, pw, pk = uf[full].copy(), wf[full].copy(), k_full
-    return u, w
+        if i_lo <= i_hi:
+            node, up = slice(i_lo, i_hi + 1), slice(i_lo - 1, i_hi)
+            k, kB, den = ck[node], t1[node], t2[node]
+            # A = pu + pk*pw (left) into cu, B = pw + pk*pu (up) into cw
+            A = np.multiply(pk[node], pw[node], out=cu[node])
+            A += pu[node]
+            B = np.multiply(pk[up], pu[up], out=cw[node])
+            B += pw[up]
+            # u = (A + k*B)/(1 - k*k), w = B + k*u
+            np.multiply(k, B, out=kB)
+            kB += A
+            np.multiply(k, k, out=den)
+            np.subtract(1.0, den, out=den)
+            np.divide(kB, den, out=A)
+            B += np.multiply(k, A, out=kB)
+        i0 = -(-lo // step) * step  # first kept row
+        if d % step == 0 and i0 <= hi:
+            D = d // step
+            # with p = 1 a kept diagonal is one node, and a slice step of 0 is
+            # not allowed
+            kept = slice(i0 // step * (po - 1) + D,
+                         hi // step * (po - 1) + D + 1, max(po - 1, 1))
+            uf[kept] = cu[i0:hi + 1:step]
+            wf[kept] = cw[i0:hi + 1:step]
+        pu, pw, pk, cu, cw, ck = cu, cw, ck, pu, pw, pk
+    return u_out, w_out
 
 
 def _coupling(background_X: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -481,11 +510,16 @@ def _coupling(background_X: Callable[[np.ndarray, np.ndarray], np.ndarray],
     full coordinate grids are built.  The coupling is evaluated on the shape
     the background returns, such as ``np.zeros_like(xm)`` (a column) or a
     function of ``xp + xm`` (the full grid), and returned as a read-only
-    broadcast view of the full grid.
+    broadcast view of the full grid.  A shape that does not broadcast to the
+    grid raises ``ConfigError``.
     """
     XM, XP = np.meshgrid(xm, xp, indexing="ij", sparse=True)
-    return np.broadcast_to(0.5 * np.cos(background_X(XM, XP) / 2.0),
-                           (len(xm), len(xp)))
+    C = 0.5 * np.cos(background_X(XM, XP) / 2.0)
+    try:
+        return np.broadcast_to(C, (len(xm), len(xp)))
+    except ValueError:
+        raise ConfigError(f"background of shape {np.shape(C)} does not "
+                          f"broadcast to the grid {(len(xm), len(xp))}") from None
 
 
 def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -499,9 +533,13 @@ def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarr
     psi+ = u lambda+ is carried along x+ (data on the x+ = 0 edge), psi-
     along x-; coupling signs come from the parameter-algebra table.
     ``background_X`` is called on a sparse (xm, xp) grid and may return any
-    shape that broadcasts to the full grid (see ``_coupling``).  With
-    ``richardson`` the march is repeated at half step and extrapolated,
-    cancelling the second-order truncation term.
+    shape that broadcasts to the full grid (see ``_coupling``).  Each edge
+    callable returns one value per grid point, or a scalar for a constant
+    edge; any other shape raises ``ConfigError``.  With ``richardson`` the
+    march is repeated at half step and extrapolated, cancelling the
+    second-order truncation term.  The half-step march returns only the
+    nodes it shares with the coarse grid, so the fine grid's solution is
+    never stored.
     """
     nm = int(round(Lm / h)) + 1
     np_ = int(round(Lp / h)) + 1
@@ -513,9 +551,10 @@ def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarr
         xm2 = np.linspace(0.0, Lm, 2 * (nm - 1) + 1)
         xp2 = np.linspace(0.0, Lp, 2 * (np_ - 1) + 1)
         u2, w2 = _fermion_march(_coupling(background_X, xm2, xp2),
-                                psi_plus_edge(xm2), psi_minus_edge(xp2), h / 2)
-        u = (4.0 * u2[::2, ::2] - u) / 3.0
-        w = (4.0 * w2[::2, ::2] - w) / 3.0
+                                psi_plus_edge(xm2), psi_minus_edge(xp2), h / 2,
+                                step=2)
+        u = (4.0 * u2 - u) / 3.0
+        w = (4.0 * w2 - w) / 3.0
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(w))):
         raise NonFiniteValue("fermion integration produced non-finite values")
     su = -S_ALPHA_LM

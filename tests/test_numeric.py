@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,16 +320,77 @@ def _cellwise_march(C, u0, w0, h):
     return np.array(u), np.array(w)
 
 
-@pytest.mark.parametrize("shape", [(9, 9), (6, 11), (11, 6), (1, 7), (7, 1)])
+@pytest.mark.parametrize("shape", [(9, 9), (6, 11), (11, 6), (1, 7), (7, 1),
+                                   (8, 8), (2, 5), (5, 2)])
 def test_fermion_march_matches_cellwise_reference(shape):
+    # every node for step 1, the nodes [::2, ::2] for step 2; a column
+    # coupling is also passed as the read-only broadcast view that
+    # ``_coupling`` makes of a zero background
     rng = np.random.default_rng(sum(shape))
-    C = rng.uniform(-1.0, 1.0, shape)
+    full = rng.uniform(-1.0, 1.0, shape)
     u0 = rng.standard_normal(shape[0])
     w0 = rng.standard_normal(shape[1])
-    u, w = nm._fermion_march(C, u0, w0, 2.0 ** -2)
-    ref_u, ref_w = _cellwise_march(C, u0, w0, 2.0 ** -2)
-    assert u.tobytes() == ref_u.tobytes()
-    assert w.tobytes() == ref_w.tobytes()
+    for C in (full, np.broadcast_to(full[:, :1], shape)):
+        ref_u, ref_w = _cellwise_march(C, u0, w0, 2.0 ** -2)
+        for step in (1, 2):
+            u, w = nm._fermion_march(C, u0, w0, 2.0 ** -2, step=step)
+            assert u.tobytes() == ref_u[::step, ::step].tobytes()
+            assert w.tobytes() == ref_w[::step, ::step].tobytes()
+
+
+def test_half_step_march_stores_no_full_grid():
+    # a deterministic memory gate: the Richardson march keeps O(n) working
+    # buffers and writes only the kept quarter of the nodes, so its traced
+    # peak stays below one full-grid float64 array
+    n = 257
+    rng = np.random.default_rng(5)
+    C = rng.uniform(-1.0, 1.0, (n, n))
+    u0 = rng.standard_normal(n)
+    w0 = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        nm._fermion_march(C, u0, w0, 2.0 ** -8, step=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
+
+
+_ZERO_BG = lambda xm, xp: np.zeros_like(xm)
+_ONES = lambda x: np.ones_like(x)
+
+
+@pytest.mark.parametrize("background, plus, minus", [
+    pytest.param(_ZERO_BG, lambda xm: np.ones(3), _ONES, id="short psi+ edge"),
+    pytest.param(_ZERO_BG, _ONES, lambda xp: np.ones(len(xp) + 1),
+                 id="long psi- edge"),
+    pytest.param(_ZERO_BG, lambda xm: np.ones((len(xm), 1)), _ONES,
+                 id="column psi+ edge"),
+    pytest.param(_ZERO_BG, _ONES, lambda xp: np.ones((1, len(xp))),
+                 id="row psi- edge"),
+    pytest.param(_ZERO_BG, lambda xm: "edge", _ONES, id="text edge"),
+    pytest.param(lambda xm, xp: np.zeros(3), _ONES, _ONES,
+                 id="background of length 3"),
+    pytest.param(lambda xm, xp: np.zeros((len(xm) + 1, 1)), _ONES, _ONES,
+                 id="background column too long"),
+])
+def test_bad_fermion_inputs_raise_typed_errors(background, plus, minus):
+    with pytest.raises(ConfigError):
+        nm.integrate_fermions(background, plus, minus, Lm=1.0, Lp=1.0,
+                              h=2.0 ** -3)
+
+
+def test_scalar_edge_data_broadcasts():
+    # a scalar edge broadcasts: it gives the bytes of the full edge array
+    h = 2.0 ** -3
+    kink_bg = lambda xm, xp: nm.kink((xp + xm) / 2.0)
+    scalar = nm.integrate_fermions(kink_bg, lambda xm: 1.0, lambda xp: 0.5,
+                                   Lm=1.0, Lp=1.0, h=h)
+    arrays = nm.integrate_fermions(kink_bg, _ONES,
+                                   lambda xp: np.full_like(xp, 0.5),
+                                   Lm=1.0, Lp=1.0, h=h)
+    assert scalar.u.tobytes() == arrays.u.tobytes()
+    assert scalar.w.tobytes() == arrays.w.tobytes()
 
 
 def test_coupling_broadcasts_the_background():
