@@ -475,38 +475,23 @@ class GradedExpr:
     ``coefficients()``.
 
     ``GradedExpr(ctx, pairs)`` builds from ``(key, int | Fraction)`` pairs:
-    coefficients of a repeated key are summed and zero results dropped.
-    The ring operations and derivatives build through ``_from_ints`` from
-    integer numerators over a denominator instead.  Their operands are a
-    ``GradedExpr``, an ``int`` or a ``Fraction``; anything else raises
-    ``ConfigError``.
+    coefficients of a repeated key are summed and zero results dropped.  It
+    puts them over the lcm of their denominators and normalizes through
+    ``_from_ints``, which the ring operations and derivatives call directly
+    with integer numerators.  A coefficient is an ``int`` or a ``Fraction``,
+    and an operand also a ``GradedExpr``; anything else raises ``ConfigError``.
     """
 
     __slots__ = ("ctx", "terms", "den", "truncated")
 
-    def __init__(self, ctx: Context, terms: Iterable[tuple[Key, Fraction]] = (),
+    def __init__(self, ctx: Context, terms: Iterable[tuple[Key, "int | Fraction"]] = (),
                  truncated: bool = False):
-        acc: dict[Key, Fraction] = {}
-        get = acc.get
-        for k, c in terms:
-            old = get(k)
-            if old is None:
-                if c:
-                    acc[k] = c
-            else:
-                c = old + c
-                if c:
-                    acc[k] = c
-                else:
-                    del acc[k]
-        # the lcm of reduced denominators leaves the numerators coprime to it
-        den = lcm(*(c.denominator for c in acc.values()))
-        for k, c in acc.items():
-            acc[k] = c.numerator * (den // c.denominator)
-        self.ctx = ctx
-        self.terms = acc
-        self.den = den
-        self.truncated = truncated
+        pairs = [(k, _exact(c)) for k, c in terms]
+        # over the lcm of the denominators every coefficient is an int numerator
+        den = lcm(*(c.denominator for _, c in pairs))
+        e = _from_ints(ctx, ((k, c.numerator * (den // c.denominator)) for k, c in pairs),
+                       den, truncated)
+        self.ctx, self.terms, self.den, self.truncated = e.ctx, e.terms, e.den, e.truncated
 
     # -- helpers ------------------------------------------------------------
 
@@ -516,7 +501,7 @@ class GradedExpr:
 
     @staticmethod
     def rational(q, ctx: Context = DEFAULT_CTX) -> "GradedExpr":
-        return GradedExpr(ctx, ((KEY_ONE, _exact(q)),))
+        return GradedExpr(ctx, ((KEY_ONE, q),))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -1118,51 +1103,55 @@ def substitute_jets(e: GradedExpr, rule: JetRule) -> GradedExpr:
                       truncated)
 
 
-class JetRewriter:
-    """Fixed-point jet rewriting with lazily prolonged first-order rules.
+# marks a jet whose normal form is being computed
+_IN_PROGRESS = object()
 
-    Built from ordered base rules ``((name, m, n), expr)``.  The jet
-    ``(name, m, n)`` is rewritten by the most specific base of that name
-    with ``bm <= m`` and ``bn <= n`` (the largest ``bm + bn``; on a tie the
-    base listed first), differentiated ``m - bm`` times by d- and ``n - bn``
-    times by d+.  Prolongations are cached on the instance.
+
+class JetRewriter:
+    """One-pass jet rewriting by lazily prolonged first-order base rules.
+
+    ``rule(name, m, n)`` differentiates the base ``((name, bm, bn), expr)`` with ``bm <= m``,
+    ``bn <= n`` and the largest ``bm + bn`` (the first listed of equal ones) ``m - bm``
+    times by d- and ``n - bn`` times by d+; ``normal`` memoizes its normal form.
     """
 
     def __init__(self, base_rules: Iterable[tuple[tuple[str, int, int], GradedExpr]]):
         self._bases: dict[str, list[tuple[int, int, GradedExpr]]] = {}
         for (name, m, n), expr in base_rules:
             self._bases.setdefault(name, []).append((m, n, expr))
-        self._prolonged: dict[tuple[str, int, int], Optional[GradedExpr]] = {}
+        self._normal: dict[tuple[str, int, int], Optional[GradedExpr]] = {}
 
     def rule(self, name: str, m: int, n: int) -> Optional[GradedExpr]:
         """Replacement of the jet, or None when no base rule reaches it."""
-        bases = self._bases.get(name)
-        if bases is None:
-            return None
-        try:
-            return self._prolonged[name, m, n]
-        except KeyError:
-            pass
-        reachable = [base for base in bases if base[0] <= m and base[1] <= n]
-        expr = None
-        if reachable:
-            # max() keeps the first of equally specific bases
-            bm, bn, expr = max(reachable, key=lambda base: base[0] + base[1])
-            for _ in range(m - bm):
-                expr = d_minus(expr)
-            for _ in range(n - bn):
-                expr = d_plus(expr)
-        self._prolonged[name, m, n] = expr
+        bm, bn, expr = max((b for b in self._bases.get(name, ()) if b[0] <= m and b[1] <= n),
+                           key=lambda b: b[0] + b[1], default=(m, n, None))
+        for _ in range(m - bm):
+            expr = d_minus(expr)
+        for _ in range(n - bn):
+            expr = d_plus(expr)
         return expr
 
+    def normal(self, name: str, m: int, n: int) -> Optional[GradedExpr]:
+        """``rule(name, m, n)`` with each jet replaced by its own normal form, memoized."""
+        jet_ = (name, m, n)
+        if jet_ not in self._normal:
+            self._normal[jet_] = _IN_PROGRESS
+            try:
+                expr = self.rule(name, m, n)
+                self._normal[jet_] = expr if expr is None else substitute_jets(expr, self.normal)
+            except BaseException:
+                del self._normal[jet_]  # a failed jet is not left marked
+                raise
+        if self._normal[jet_] is _IN_PROGRESS:
+            raise NonTermination(f"the normal form of jet {jet_} needs itself")
+        return self._normal[jet_]
+
     def reduce(self, e: GradedExpr) -> GradedExpr:
-        """Apply ``substitute_jets`` with these rules until nothing changes."""
-        for _ in range(64):
-            new = substitute_jets(e, self.rule)
-            if new is e or (new.den == e.den and new.terms == e.terms):
-                return new
-            e = new
-        raise NonTermination("jet rewriting did not reach a fixed point")
+        """Normal form of ``e``: one pass, as a product of normal forms binds no jet."""
+        try:
+            return substitute_jets(e, self.normal)
+        except RecursionError:
+            raise NonTermination("jet rewriting climbs to ever higher jets") from None
 
 
 _MIRROR_FIELDS = {"psi+": "psi-", "psi-": "psi+", "chi+": "chi-", "chi-": "chi+",
@@ -1216,5 +1205,7 @@ def substitute(e: GradedExpr, bindings: Mapping[str, GradedExpr]) -> GradedExpr:
         rw = repl.weight()
         if rw is not None and rw != info.weight:
             raise WeightMismatch(f"{name}: {info.weight}/2 vs {rw}/2")
+    # one pass of the plain prolongations, not of their normal forms: a
+    # binding may mention its own field, as in X -> 3/2*X
     rewriter = JetRewriter(((name, 0, 0), b) for name, b in bindings.items())
     return substitute_jets(e, rewriter.rule)

@@ -38,7 +38,7 @@ class UnsupportedAtom(GradedSGError):
 
 
 class NonTermination(GradedSGError):
-    """A rewrite loop exceeded its depth bound (rule orientation bug)."""
+    """A jet's normal form needs itself or ever higher jets (rule orientation bug)."""
 
 
 class UnresolvedGenerator(GradedSGError):

@@ -153,8 +153,9 @@ def on_shell_rewriter(field: ss.SuperField) -> al.JetRewriter:
     """Oriented rewriting with the component equations of motion.
 
     Rules eliminate the auxiliary component, mixed x-derivatives of the body
-    and the 'wrong-handed' derivatives of the fermions; prolongations are
-    generated on demand and cached with the rewriter, one per superfield.
+    and the 'wrong-handed' derivatives of the fermions; the normal form of
+    each prolonged jet is built on first use and memoized in the rewriter,
+    one per superfield, so a reduction is one substitution pass.
     The canonical remainder mentions only pure d- strings of X and psi+,
     pure d+ strings of X and psi-, and trig atoms.
     """

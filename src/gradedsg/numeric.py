@@ -526,8 +526,7 @@ def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarr
                        psi_plus_edge: Callable[[np.ndarray], np.ndarray],
                        psi_minus_edge: Callable[[np.ndarray], np.ndarray],
                        Lm: float = 4.0, Lp: float = 4.0,
-                       h: float = 2.0 ** -7,
-                       richardson: bool = True) -> FermionResult:
+                       h: float = 2.0 ** -7) -> FermionResult:
     """Characteristic integration of the linear fermion system.
 
     psi+ = u lambda+ is carried along x+ (data on the x+ = 0 edge), psi-
@@ -535,11 +534,10 @@ def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarr
     ``background_X`` is called on a sparse (xm, xp) grid and may return any
     shape that broadcasts to the full grid (see ``_coupling``).  Each edge
     callable returns one value per grid point, or a scalar for a constant
-    edge; any other shape raises ``ConfigError``.  With ``richardson`` the
-    march is repeated at half step and extrapolated, cancelling the
-    second-order truncation term.  The half-step march returns only the
-    nodes it shares with the coarse grid, so the fine grid's solution is
-    never stored.
+    edge; any other shape raises ``ConfigError``.  The march is repeated at
+    half step and Richardson-extrapolated, cancelling the second-order
+    truncation term.  The half-step march returns only the nodes it shares
+    with the coarse grid, so the fine grid's solution is never stored.
     """
     nm = int(round(Lm / h)) + 1
     np_ = int(round(Lp / h)) + 1
@@ -547,14 +545,12 @@ def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarr
     xp = np.linspace(0.0, Lp, np_)
     C = _coupling(background_X, xm, xp)
     u, w = _fermion_march(C, psi_plus_edge(xm), psi_minus_edge(xp), h)
-    if richardson:
-        xm2 = np.linspace(0.0, Lm, 2 * (nm - 1) + 1)
-        xp2 = np.linspace(0.0, Lp, 2 * (np_ - 1) + 1)
-        u2, w2 = _fermion_march(_coupling(background_X, xm2, xp2),
-                                psi_plus_edge(xm2), psi_minus_edge(xp2), h / 2,
-                                step=2)
-        u = (4.0 * u2 - u) / 3.0
-        w = (4.0 * w2 - w) / 3.0
+    xm2 = np.linspace(0.0, Lm, 2 * (nm - 1) + 1)
+    xp2 = np.linspace(0.0, Lp, 2 * (np_ - 1) + 1)
+    u2, w2 = _fermion_march(_coupling(background_X, xm2, xp2),
+                            psi_plus_edge(xm2), psi_minus_edge(xp2), h / 2, step=2)
+    u = (4.0 * u2 - u) / 3.0
+    w = (4.0 * w2 - w) / 3.0
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(w))):
         raise NonFiniteValue("fermion integration produced non-finite values")
     su = -S_ALPHA_LM

@@ -544,6 +544,12 @@ def test_substitute_checks_degree_and_weight():
         al.substitute(psi_p, {"psi+": al.jet("psi+", 1, 0, CTX)})
 
 
+@pytest.mark.parametrize("coefficient", [0.5, "1/2", None])
+def test_graded_expr_rejects_inexact_coefficients(coefficient):
+    with pytest.raises(ConfigError):
+        al.GradedExpr(CTX, [(al.KEY_ONE, coefficient)])
+
+
 def test_jet_rewriter_picks_most_specific_base():
     A, B = al.jet("Y", ctx=CTX), al.jet("Y", 0, 2, CTX).scale(3)
     r = al.JetRewriter([(("X", 1, 0), A), (("X", 0, 1), B), (("X", 0, 2), A)])
@@ -559,6 +565,62 @@ def test_jet_rewriter_non_termination():
     r = al.JetRewriter([(("X", 0, 0), X + Y)])
     with pytest.raises(NonTermination):
         r.reduce(X)
+
+
+def test_jet_rewriter_two_rule_cycle():
+    X, Y = al.jet("X", ctx=CTX), al.jet("Y", ctx=CTX)
+    r = al.JetRewriter([(("X", 0, 0), Y), (("Y", 0, 0), X)])
+    with pytest.raises(NonTermination, match="needs itself"):
+        r.reduce(X + Y)
+
+
+def test_jet_rewriter_climbing_rule():
+    # X -> d-X needs the normal form of every higher d- jet in turn
+    r = al.JetRewriter([(("X", 0, 0), al.jet("X", 1, 0, CTX))])
+    with pytest.raises(NonTermination):
+        r.reduce(al.jet("X", ctx=CTX))
+
+
+def test_failed_normal_form_leaves_no_mark():
+    # a jet whose normal form failed is not taken for one in progress later
+    r = al.JetRewriter([(("F", 0, 0), al.trig("s", {"X": Q(1)}, ctx=CTX)),
+                        (("X", 0, 0), al.jet("psi+", ctx=CTX))])
+    for _ in range(2):
+        with pytest.raises(NotScalarDegree):
+            r.reduce(al.jet("F", ctx=CTX))
+
+
+def test_substitute_may_mention_the_bound_field():
+    # substitute takes one pass of the plain rules, so X -> 3/2*X is a
+    # binding there; as a rewrite rule its normal form needs itself
+    X = al.jet("X", ctx=CTX)
+    e = X * al.jet("X", 1, 0, CTX)
+    assert al.substitute(e, {"X": X.scale(Q(3, 2))}) == e.scale(Q(9, 4))
+    with pytest.raises(NonTermination, match="needs itself"):
+        al.JetRewriter([(("X", 0, 0), X.scale(Q(3, 2)))]).reduce(X)
+
+
+def test_reduce_is_one_substitution_pass(monkeypatch):
+    psi = al.jet("psi+", ctx=CTX)
+    r = al.JetRewriter([(("F", 0, 0), psi * al.jet("X", 0, 1, CTX)),
+                        (("X", 0, 1), al.jet("Y", ctx=CTX))])
+    e = al.jet("F", 1, 0, CTX) + al.jet("F", ctx=CTX) * al.jet("X", 1, 1, CTX)
+    inputs = []
+    substitute_jets = al.substitute_jets
+
+    def recording(expr, rule):
+        inputs.append(expr)
+        return substitute_jets(expr, rule)
+
+    monkeypatch.setattr(al, "substitute_jets", recording)
+    got = r.reduce(e)
+    # the other passes build the memoized normal forms, once per bound jet
+    assert [x for x in inputs if x is e] == [e]
+    assert len(inputs) == 1 + sum(nf is not None for nf in r._normal.values())
+    inputs.clear()
+    assert r.reduce(e) == got and inputs == [e]
+    Y = al.jet("Y", ctx=CTX)
+    assert got == al.d_minus(psi * Y) + psi * Y * al.d_minus(Y)
 
 
 def test_series_coefficient():

@@ -9,6 +9,8 @@ from gradedsg import parser as ps
 from gradedsg import superspace as ss
 from gradedsg.errors import ConfigError, ContextMismatch, OutsideWindow
 
+from fixpoint import reduce_to_fixed_point
+
 
 def expr_eq(a, b):
     return (a - b).is_zero()
@@ -55,12 +57,12 @@ def test_bt_rewriter_prefers_listed_equation(sysm):
 
 
 def test_rewriter_caches_stay_flat_across_runs():
-    # a repeated run reuses the cached on-shell rewriter and its prolongations
+    # a repeated run reuses the cached on-shell rewriter and its normal forms
     bt.verify_auto_bt(bt.BTSystem())
     rewriter = md.on_shell_rewriter(bt.BTSystem().seed_field)
 
     def sizes():
-        return md.on_shell_rewriter.cache_info().currsize, len(rewriter._prolonged)
+        return md.on_shell_rewriter.cache_info().currsize, len(rewriter._normal)
 
     first = sizes()
     bt.verify_auto_bt(bt.BTSystem())
@@ -282,6 +284,55 @@ def test_on_shell_reduction_multiplies_only_what_binds(monkeypatch):
     monkeypatch.setattr(md, "reduce_on_shell", tracked_reduce)
     bt.conservation_audit(bt.BTSystem(order=6, ctx=al.Context(0, -2, 8)), 4)
     assert 0 < len(products) <= 900
+
+
+@pytest.fixture
+def reductions_against_the_fixed_point(monkeypatch):
+    """Record every ``JetRewriter.reduce`` as (one pass, fixed-point loop)."""
+    seen = []
+    reduce = al.JetRewriter.reduce
+
+    def checked(self, e):
+        got = reduce(self, e)
+        seen.append((got, reduce_to_fixed_point(self, e)))
+        return got
+
+    monkeypatch.setattr(al.JetRewriter, "reduce", checked)
+    return seen
+
+
+def audit(amax, K, orientation):
+    return lambda: bt.conservation_audit(
+        bt.BTSystem(order=6, orientation=orientation, ctx=al.Context(0, -2, amax)), K)
+
+
+def verify_bt(sabotage):
+    return lambda: bt.verify_auto_bt(bt.BTSystem(sabotage=sabotage))
+
+
+# run -> (call, the number of reductions it makes)
+REDUCING_RUNS = {
+    "audit-8-4-minus": (audit(8, 4, "minus"), 6),
+    "audit-8-4-plus": (audit(8, 4, "plus"), 6),
+    "audit-10-6-minus": (audit(10, 6, "minus"), 8),
+    "audit-10-6-plus": (audit(10, 6, "plus"), 8),
+    "verify-bt": (verify_bt(None), 2),
+    "verify-bt-flip-first": (verify_bt("flip-first"), 2),
+    "verify-bt-flip-second": (verify_bt("flip-second"), 2),
+    # the raw and the completed cross-derivative mismatch
+    "export-body-system": (lambda: bt.export_body_system(bt.BTSystem()), 2),
+}
+
+
+@pytest.mark.parametrize("run", sorted(REDUCING_RUNS))
+def test_one_pass_reduction_equals_the_fixed_point(run, reductions_against_the_fixed_point):
+    # the memoized normal forms give what repeated plain passes give, in
+    # terms and in the truncation flag, for every reduction these runs make
+    call, count = REDUCING_RUNS[run]
+    call()
+    assert len(reductions_against_the_fixed_point) == count
+    for got, want in reductions_against_the_fixed_point:
+        assert got == want and got.truncated == want.truncated
 
 
 @pytest.mark.parametrize("orientation", ["minus", "plus"])

@@ -454,14 +454,14 @@ def test_fermions_kink_background_residual():
 
 
 def test_fermions_refinement_study():
+    # the plain march, before Richardson extrapolation, is second order
     errs = {}
     for h in (2.0 ** -5, 2.0 ** -6):
-        out = nm.integrate_fermions(lambda xm, xp: np.zeros_like(xm),
-                                    lambda xm: np.ones_like(xm),
-                                    lambda xp: np.zeros_like(xp), h=h,
-                                    richardson=False)
-        XM, XP = np.meshgrid(out.xm, out.xp, indexing="ij")
-        errs[h] = float(np.max(np.abs(out.u - nm.bessel_series(XM * XP))))
+        x = np.linspace(0.0, 4.0, int(round(4.0 / h)) + 1)
+        C = nm._coupling(lambda xm, xp: np.zeros_like(xm), x, x)
+        u, _ = nm._fermion_march(C, np.ones_like(x), np.zeros_like(x), h)
+        XM, XP = np.meshgrid(x, x, indexing="ij")
+        errs[h] = float(np.max(np.abs(u - nm.bessel_series(XM * XP))))
     assert 3.5 < errs[2.0 ** -5] / errs[2.0 ** -6] < 4.5
 
 

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradedsg import algebra as al
+from gradedsg import model as md
 from gradedsg import parser as ps
 from gradedsg import superspace as ss
 from gradedsg.errors import MixedParameterFamilies
@@ -24,6 +25,7 @@ from gradedsg.grading import (DEG_01, DEG_10, DEG_11, DEG_EVEN, commutation_sign
                               pairing)
 
 from factor_chain import substitute_by_factors
+from fixpoint import reduce_to_fixed_point
 
 # z-order <= 1 per factor keeps every product of two factors inside nz = 2,
 # and a^-1 .. a^2 keeps it inside the a-window: nothing is dropped silently.
@@ -384,4 +386,37 @@ def test_substitution_equals_the_factor_chain(sub):
     e, binds = sub
     rule = lambda name, m, n: binds.get((name, m, n))
     got, want = al.substitute_jets(e, rule), substitute_by_factors(e, rule)
+    assert got == want and got.truncated == want.truncated
+
+
+# ---------------------------------------------------------------------------
+# on-shell reduction in one pass against the fixed-point loop
+
+ON_SHELL = ss.generic_superfield("Phi", nz=0)
+# every field the on-shell rules bind or keep, with jets up to (2, 2)
+on_shell_jets = st.lists(st.tuples(st.sampled_from(("X", "psi+", "psi-", "F")), small, small),
+                         min_size=1, max_size=3)
+
+
+@st.composite
+def on_shell_products(draw):
+    ctx = ON_SHELL.expr.ctx
+    factors = [al.GradedExpr.rational(draw(coefficients), ctx),
+               al.apow(draw(st.integers(-1, 2)), ctx)]
+    if draw(st.booleans()):
+        factors.append(al.gen("alpha", ctx))
+    factors.extend(al.jet(*atom, ctx=ctx) for atom in draw(on_shell_jets))
+    if draw(st.booleans()):
+        factors.append(al.trig(draw(st.sampled_from("sc")), {"X": Q(draw(st.integers(1, 2)), 2)},
+                               ctx=ctx))
+    return functools.reduce(operator.mul, factors)
+
+
+@PROPERTY
+@given(products=st.lists(on_shell_products(), min_size=1, max_size=3))
+def test_on_shell_reduction_equals_the_fixed_point(products):
+    # a fresh rewriter, so that each example builds its normal forms itself
+    rewriter = md.on_shell_rewriter.__wrapped__(ON_SHELL)
+    e = functools.reduce(operator.add, products)
+    got, want = rewriter.reduce(e), reduce_to_fixed_point(rewriter, e)
     assert got == want and got.truncated == want.truncated

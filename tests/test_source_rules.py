@@ -93,6 +93,21 @@ def test_one_monomial_rebuild_loop():
     assert set(sites) == {"algebra.py: substitute_jets"}
 
 
+def test_one_substitution_pass_per_reduction():
+    # JetRewriter keeps its rules in normal form, so a reduction is one
+    # substitute_jets pass and no pass loop is needed anywhere
+    sites = [f"{path.name}: {where}" for path in package_sources()
+             for where in call_sites(path.read_text(), "substitute_jets")]
+    assert sites == ["algebra.py: normal", "algebra.py: reduce", "algebra.py: substitute"]
+    algebra = ast.parse((Path(gradedsg.__file__).parent / "algebra.py").read_text())
+    rewriter, = [node for node in algebra.body
+                 if isinstance(node, ast.ClassDef) and node.name == "JetRewriter"]
+    methods = {fn.name: fn for fn in rewriter.body if isinstance(fn, ast.FunctionDef)}
+    for name in ("normal", "reduce"):
+        assert not [node for node in ast.walk(methods[name])
+                    if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+
+
 def test_one_rk4_step():
     # both Backlund integrators take their RK4 steps through one function
     sites = [f"{path.name}: {where}" for path in package_sources()
