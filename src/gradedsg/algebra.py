@@ -27,16 +27,15 @@ to sum), which makes the zero test decidable.  Trig atoms are interned, so
 equal atoms are one object with a cached hash.
 
 Monomial products are cached by ``_mul_keys_cached``, keyed on the two keys
-and the sabotage flag only: the z-order, theta and a-window tests run in
-``GradedExpr.__mul__``, so every truncation window shares one cache.  A miss
+only: the z-order, theta and a-window tests run in ``GradedExpr.__mul__``
+(its one caller), so every truncation window shares one cache.  A miss
 is composed from per-slot tables, each a pure function of immutable or
 interned inputs: ``_trig_mul`` per pair of interned trig atoms,
 ``_merge_jets`` per pair of jet tuples (it also returns the interleaving
 parity of the second tuple into the first and the first one's degree) and
 ``_prefix_sign`` per pair of ``(z, theta-, theta+, clifford)`` prefixes.
 The pairing is bilinear mod 2 and every jet ranks after the prefix, so these
-give the whole sign (``_cross_sign``).  The sabotage flag enters only
-through ``cf_mul``, which no table captures.  A cached product is
+give the whole sign (``_cross_sign``).  A cached product is
 ``(key, numerator, denominator)`` entries: the denominator is 1, or 2 for a
 trig half-sum (4 where a Niven 1/2 joins it).
 """
@@ -87,18 +86,11 @@ _CACHE_SIZE = 200000
 # truncation context
 
 class Context(NamedTuple):
-    """Truncation settings: z-order bound and Laurent window in a.
-
-    ``commuting_params`` makes the '-','+' spinor-parameter product lose its
-    minus sign, i.e. the parameters (wrongly) commute; it exists only so
-    that sabotage checks can show a cancellation depends on it.  It keys the
-    product cache, which no other field of the context does.
-    """
+    """Truncation settings: z-order bound and Laurent window in a."""
 
     nz: int = 1
     amin: int = -2
     amax: int = 8
-    commuting_params: bool = False
 
 
 DEFAULT_CTX = Context()
@@ -202,8 +194,7 @@ def cf_degree(cf: tuple[str, str]) -> Degree:
     return _CF_DEGREE[cf]
 
 
-def cf_mul(cf1: tuple[str, str], cf2: tuple[str, str],
-           commuting_params: bool) -> tuple[int, tuple[str, str], int]:
+def cf_mul(cf1: tuple[str, str], cf2: tuple[str, str]) -> tuple[int, tuple[str, str], int]:
     """Product of two clifford slots: (sign, cf, v-shift)."""
     fam1, k1 = cf1
     fam2, k2 = cf2
@@ -217,8 +208,6 @@ def cf_mul(cf1: tuple[str, str], cf2: tuple[str, str],
     fam = fam1 or fam2
     table = _ETA_TABLE if fam == "E" else _LAMBDA_TABLE
     sign, kind, vshift = table[(k1, k2)]
-    if commuting_params and (k1, k2) == ("-", "+"):
-        sign = -sign
     out_fam = "" if kind in ("1", "a") else fam
     return sign, (out_fam, kind), vshift
 
@@ -557,7 +546,7 @@ class GradedExpr:
             return self.scale(other)
         self._require_same_ctx(other)
         ctx = self.ctx
-        nz, amin, amax, commuting = ctx
+        nz, amin, amax = ctx
         products = []
         append = products.append
         # lcm of the product-table denominators met so far
@@ -575,7 +564,7 @@ class GradedExpr:
                     truncated = True
                     continue
                 c12 = c1 * c2
-                for k, n, d in _mul_keys_cached(k1, k2, commuting):
+                for k, n, d in _mul_keys_cached(k1, k2):
                     if d != den:
                         if den % d:
                             grown = lcm(den, d)
@@ -673,7 +662,7 @@ def _exact(q):
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _mul_keys_cached(k1: Key, k2: Key, commuting_params: bool) -> tuple:
+def _mul_keys_cached(k1: Key, k2: Key) -> tuple:
     """``(key, numerator, denominator)`` entries of a monomial product,
     before the z-order, theta and a-window tests that ``__mul__`` makes;
     shared by every window.
@@ -684,7 +673,7 @@ def _mul_keys_cached(k1: Key, k2: Key, commuting_params: bool) -> tuple:
     """
     z1, tm1, tp1, cf1, v1, a1, gj1, bj1, t1 = k1
     z2, tm2, tp2, cf2, v2, a2, gj2, bj2, t2 = k2
-    csign, cf, vshift = cf_mul(cf1, cf2, commuting_params)
+    csign, cf, vshift = cf_mul(cf1, cf2)
     gj, jets_parity, jets1_degree = _merge_jets(gj1, gj2)
     if gj is None:
         return ()
@@ -1168,6 +1157,7 @@ def mirror_pm(e: GradedExpr) -> GradedExpr:
     multiplied back in their original order and the product restores
     normal ordering.
     """
+    ctx = e.ctx
     out = []
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
@@ -1175,16 +1165,13 @@ def mirror_pm(e: GradedExpr) -> GradedExpr:
         cf2 = ({"L": "E", "E": "L"}.get(fam, fam), kind)
         bj2 = tuple(sorted(((name, n, m), exp) for (name, m, n), exp in bj))
         # the graded jets are the only slot the mirror reorders
-        pairs = (((z, tp, tm, cf2, -v, a, (), bj2, t), c),)
+        head = GradedExpr(ctx, (((z, tp, tm, cf2, -v, a, (), bj2, t), 1),))
         for (name, m, n), exp in gj:
-            atom = (0, 0, 0, CF_ONE, 0, 0, (((_MIRROR_FIELDS.get(name, name), n, m), 1),),
-                    (), None)
-            # a product with a trig-free atom has denominator 1
             for _ in range(exp):
-                pairs = [(k2, c2 * s) for k, c2 in pairs
-                         for k2, s, _ in _mul_keys_cached(k, atom, e.ctx.commuting_params)]
-        out.extend(pairs)
-    return _from_ints(e.ctx, out, e.den, e.truncated)
+                head = head * jet(_MIRROR_FIELDS.get(name, name), n, m, ctx)
+        # every jet is trig-free, so each product keeps denominator 1
+        out.extend((k, c * s) for k, s in head.terms.items())
+    return _from_ints(ctx, out, e.den, e.truncated)
 
 
 def substitute(e: GradedExpr, bindings: Mapping[str, GradedExpr]) -> GradedExpr:

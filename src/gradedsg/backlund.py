@@ -400,7 +400,10 @@ def verify_current_conservation(sys: BTSystem) -> Report:
     Both halves are evaluated through their chain-rule factor with the
     matching relation substituted; the halves are reported separately to
     exhibit the cancellation, which rests on the anticommutation of the two
-    spinor parameters.
+    spinor parameters.  The control adds the first half to the second one
+    recomputed with its factors swapped, so that param1 multiplies before
+    param2.  That sum is the residual commuting parameters would leave, so
+    it must be nonzero.
     """
     rep = Report(f"currents[{sys.orientation}]")
     ctx = sys.ctx
@@ -426,14 +429,17 @@ def verify_current_conservation(sys: BTSystem) -> Report:
                   * al.trig_of("s", sys.sum_arg, QUARTER)
                   * sys.term2).scale(-QUARTER)
     # D1 j2 = -(a^-1/4) p2 sin(diff/4) (D1 target - D1 seed) -> term1
-    half_second = (al.apow(-1, ctx) * al.gen(sys.param2, ctx)
-                   * al.trig_of("s", sys.diff_arg, QUARTER)
-                   * sys.term1).scale(-QUARTER)
+    factor = (al.apow(-1, ctx) * al.gen(sys.param2, ctx)
+              * al.trig_of("s", sys.diff_arg, QUARTER))
+    half_second = (factor * sys.term1).scale(-QUARTER)
     residual = half_first + half_second
     rep.add_zero_check("divergence vanishes", residual,
                        half_first=al.to_text(half_first),
                        half_second=al.to_text(half_second),
                        halves_cancel=residual.is_zero() and not half_first.is_zero())
+    swapped = half_first + (sys.term1 * factor).scale(-QUARTER)
+    rep.add("cancellation requires anticommuting parameters",
+            "fail" if swapped.is_zero() else "pass")
     return rep
 
 

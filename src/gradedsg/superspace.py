@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from . import algebra as al
 from .algebra import Context, GradedExpr, Q
-from .errors import InhomogeneousExpression, UnknownSymbol
+from .errors import ConfigError, InhomogeneousExpression, UnknownSymbol
 from .grading import (
     DEG_01,
     DEG_10,
@@ -137,9 +137,12 @@ def _component_name(role: str, label: str) -> str:
 
 def generic_superfield(label: str, nz: int = 0,
                        ctx: Optional[Context] = None) -> SuperField:
-    """Scalar superfield with fresh component jets up to z-order nz."""
+    """Scalar superfield with fresh component jets up to z-order nz, which
+    a given ``ctx`` must share (a lower one would drop listed components)."""
     if ctx is None:
         ctx = Context(nz=nz) if nz != al.DEFAULT_CTX.nz else al.DEFAULT_CTX
+    elif ctx.nz != nz:
+        raise ConfigError(f"superfield of z-order {nz} in a context of z-order {ctx.nz}")
     comps = []
     expr = GradedExpr.zero(ctx)
     for role, (deg, w, zord, tm, tp) in _COMPONENT_ROLES.items():

@@ -17,6 +17,8 @@ from gradedsg import numeric as nm
 from gradedsg import parser as ps
 from gradedsg import superspace as ss
 
+from sabotage import commuting_parameters
+
 
 def _verdict(n, ok, text):
     print(f"CRITERION {n}: {'PASS' if ok else 'FAIL'} - {text}")
@@ -94,12 +96,15 @@ def test_criterion_6_current_conservation():
     for orientation in ("minus", "plus"):
         rep = bt.verify_current_conservation(bt.BTSystem(orientation=orientation))
         ok &= rep.passed()
+        status = {e.name: e.status for e in rep.entries}
+        ok &= status["cancellation requires anticommuting parameters"] == "pass"
         div = [e for e in rep.entries if e.name == "divergence vanishes"][0]
         ok &= div.details["halves_cancel"] is True
-    # the cancellation pattern needs the anticommutator of the parameters to
-    # vanish: making them commute leaves the sine-product residual
-    sab = bt.BTSystem(ctx=al.BT_CTX._replace(commuting_params=True))
-    ok &= not bt.verify_current_conservation(sab).passed()
+        # the cancellation pattern needs the anticommutator of the parameters
+        # to vanish: making them commute leaves the sine-product residual
+        with commuting_parameters():
+            sab = bt.verify_current_conservation(bt.BTSystem(orientation=orientation))
+        ok &= {e.name: e.status for e in sab.entries}["divergence vanishes"] == "fail"
     _verdict(6, ok, "spinor-current divergence is exactly zero via the "
                     "anticommutation cancellation")
 

@@ -12,6 +12,7 @@ from gradedsg.errors import (ConfigError, ContextMismatch, MixedParameterFamilie
 from gradedsg.grading import DEG_01
 
 from factor_chain import substitute_by_factors
+from sabotage import commuting_parameters
 
 CTX = al.BT_CTX
 
@@ -652,10 +653,13 @@ def test_mirror_involution():
 
 
 def test_sabotage_hook_scoped():
-    sab = CTX._replace(commuting_params=True)
-    lm, lp = al.gen("lambda-", sab), al.gen("lambda+", sab)
-    assert expr_eq(lm * lp, al.gen("alpha", sab))
+    # the patched tables act inside the block only, and no product made
+    # there stays in the product cache
+    with commuting_parameters():
+        assert expr_eq(g("lambda-") * g("lambda+"), g("alpha"))
+        assert expr_eq(g("eta-") * g("eta+"), g("alpha"))
     assert expr_eq(g("lambda-") * g("lambda+"), -g("alpha"))
+    assert expr_eq(g("eta-") * g("eta+"), -g("alpha"))
 
 
 def _random_graded(rng, ctx):

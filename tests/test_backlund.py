@@ -10,6 +10,7 @@ from gradedsg import superspace as ss
 from gradedsg.errors import ConfigError, ContextMismatch, OutsideWindow
 
 from fixpoint import reduce_to_fixed_point
+from sabotage import commuting_parameters
 
 
 def expr_eq(a, b):
@@ -235,8 +236,17 @@ def test_current_conservation_exact(sysm, sysp):
 
 
 def test_current_conservation_needs_anticommutation():
-    sab = bt.BTSystem(ctx=al.BT_CTX._replace(commuting_params=True))
-    assert not bt.verify_current_conservation(sab).passed()
+    # under the real tables the control (the residual that commuting
+    # parameters would leave) is nonzero; under commuting ones the
+    # divergence itself stops vanishing
+    for orientation in ("minus", "plus"):
+        rep = bt.verify_current_conservation(bt.BTSystem(orientation=orientation))
+        status = {e.name: e.status for e in rep.entries}
+        assert status["cancellation requires anticommuting parameters"] == "pass"
+        with commuting_parameters():
+            sab = bt.verify_current_conservation(bt.BTSystem(orientation=orientation))
+        status = {e.name: e.status for e in sab.entries}
+        assert status["divergence vanishes"] == "fail"
 
 
 def test_current_conservation_sabotage():

@@ -201,6 +201,14 @@ def test_shipped_golden_files_match(capsys):
     assert cli.main(argv) == 0
 
 
+def test_symbolic_checks_stdout_is_pinned(capsys):
+    # the nine symbolic checks in text format, byte for byte: a change to
+    # the report must come with a change to tests/symbolic_checks.txt
+    assert cli.main([]) == 0
+    want = (Path(__file__).parent / "symbolic_checks.txt").read_text()
+    assert capsys.readouterr().out == want
+
+
 # ---------------------------------------------------------------------------
 # numpy is loaded by the numeric companion only
 

@@ -204,11 +204,11 @@ def ref_trig_mul(t1, t2):
     return out
 
 
-def ref_product(k1, k2, commuting_params):
+def ref_product(k1, k2):
     z1, tm1, tp1, cf1, v1, a1, gj1, bj1, t1 = k1
     z2, tm2, tp2, cf2, v2, a2, gj2, bj2, t2 = k2
     sign = ref_sign(k1, k2)
-    csign, cf, vshift = al.cf_mul(cf1, cf2, commuting_params)
+    csign, cf, vshift = al.cf_mul(cf1, cf2)
     gj = ref_merge(gj1, gj2, graded=True)
     if gj is None:
         return ()
@@ -224,10 +224,8 @@ def ref_product(k1, k2, commuting_params):
 def test_product_of_keys_equals_the_reference(ab):
     assume(not ab[0].is_zero() and not ab[1].is_zero())
     (k1,), (k2,) = ab[0].terms, ab[1].terms
-    for commuting_params in (False, True):
-        entries = al._mul_keys_cached(k1, k2, commuting_params)
-        assert [(k, Q(n, d)) for k, n, d in entries] == list(
-            ref_product(k1, k2, commuting_params))
+    entries = al._mul_keys_cached(k1, k2)
+    assert [(k, Q(n, d)) for k, n, d in entries] == list(ref_product(k1, k2))
 
 
 def only_key(e):
@@ -239,7 +237,7 @@ def test_a_repeated_odd_jet_gives_no_product():
     psi = only_key(al.jet("psi+", 1, 0, CTX))
     with_x = only_key(al.jet("psi+", 1, 0, CTX) * al.jet("X", ctx=CTX))
     for k1, k2 in ((psi, psi), (psi, with_x), (with_x, psi)):
-        assert al._mul_keys_cached(k1, k2, False) == ()
+        assert al._mul_keys_cached(k1, k2) == ()
 
 
 @pytest.mark.parametrize("jets", [False, True])
@@ -250,7 +248,7 @@ def test_mixed_families_raise(jets):
     if jets:
         lam, eta = lam * al.jet("psi+", ctx=CTX), eta * al.jet("psi+", ctx=CTX)
     with pytest.raises(MixedParameterFamilies):
-        al._mul_keys_cached(only_key(lam), only_key(eta), False)
+        al._mul_keys_cached(only_key(lam), only_key(eta))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +277,7 @@ def assert_canonical(e):
 def ref_mul(a, b):
     # __mul__ over {key: Fraction} dicts: the same window tests, the
     # reference monomial product
-    nz, amin, amax, commuting = CTX
+    nz, amin, amax = CTX
     out = {}
     for k1, c1 in a.items():
         for k2, c2 in b.items():
@@ -287,7 +285,7 @@ def ref_mul(a, b):
                 continue
             if not amin <= k1[5] + k2[5] <= amax:
                 continue
-            for k, c in ref_product(k1, k2, commuting):
+            for k, c in ref_product(k1, k2):
                 out[k] = out.get(k, 0) + c1 * c2 * c
     return out
 
@@ -329,8 +327,7 @@ def test_operations_keep_the_canonical_form(steps):
 # more odd fields, two fields of degree (1,1) and two scalar fields
 SUB_JETS = (("psi+", 0, 0), ("psi+", 0, 1), ("psi+", 1, 0), ("psi-", 0, 0), ("chi-", 0, 0),
             ("F", 0, 0), ("G", 0, 0), ("X", 0, 0), ("Y", 0, 1))
-SUB_CTXS = st.sampled_from((al.Context(nz=1, amax=2), al.Context(nz=1, amax=2,
-                                                                 commuting_params=True)))
+SUB_CTX = al.Context(nz=1, amax=2)
 
 
 @st.composite
@@ -354,7 +351,7 @@ def sub_monomials(draw, ctx, family, jets, prefix):
 
 @st.composite
 def substitutions(draw):
-    ctx, family = draw(SUB_CTXS), draw(FAMILIES)
+    ctx, family = SUB_CTX, draw(FAMILIES)
     # distinct jets, several of one odd field, and maybe a square of G
     # (which sorts after F) or Y
     jets = st.tuples(st.lists(st.sampled_from(SUB_JETS), min_size=2, max_size=4, unique=True),

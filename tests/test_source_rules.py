@@ -117,12 +117,16 @@ def test_one_rk4_step():
 
 def test_product_is_the_only_normal_ordering():
     # graded signs come from the product alone: d_x and mirror_pm reuse it
-    # instead of re-sorting atoms with their own commutation signs
+    # instead of re-sorting atoms with their own commutation signs, and they
+    # reach the monomial-product table only through GradedExpr.__mul__
     algebra = Path(gradedsg.__file__).parent / "algebra.py"
     assert call_sites(algebra.read_text(), "commutation_sign") == []
-    sites = [f"{path.name}: {where}" for path in package_sources()
-             for where in call_sites(path.read_text(), "_cross_sign")]
-    assert sites == ["algebra.py: _mul_keys_cached"]
+    for callee, caller in (("_cross_sign", "_mul_keys_cached"),
+                           ("cf_mul", "_mul_keys_cached"),
+                           ("_mul_keys_cached", "__mul__")):
+        sites = [f"{path.name}: {where}" for path in package_sources()
+                 for where in call_sites(path.read_text(), callee)]
+        assert sites == [f"algebra.py: {caller}"], callee
 
 
 def module_level_imports(source: str) -> list[str]:

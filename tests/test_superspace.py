@@ -5,7 +5,7 @@ import pytest
 
 from gradedsg import algebra as al
 from gradedsg import superspace as ss
-from gradedsg.errors import InhomogeneousExpression, UnknownSymbol
+from gradedsg.errors import ConfigError, InhomogeneousExpression, UnknownSymbol
 from gradedsg.grading import commutation_sign, degree_add
 
 
@@ -21,6 +21,16 @@ def test_generic_superfield_contents():
     txt = al.to_text(phi1.expr)
     for piece in ("z*G", "z*theta-*chi+", "z*theta+*chi-", "z*theta-*theta+*Y"):
         assert piece in txt
+
+
+@pytest.mark.parametrize("nz, ctx_nz", [(1, 0), (0, 1)])
+def test_generic_superfield_rejects_another_z_order(nz, ctx_nz):
+    # a context of lower z-order would drop listed components from the
+    # expression; one of higher z-order would disagree with the field's own
+    with pytest.raises(ConfigError, match="z-order"):
+        ss.generic_superfield("Phi", nz=nz, ctx=al.Context(nz=ctx_nz))
+    sf = ss.generic_superfield("Phi", nz=ctx_nz, ctx=al.Context(nz=ctx_nz))
+    assert len(sf.expr.terms) == len(sf.components)
 
 
 def test_fresh_names_are_disjoint():
