@@ -708,17 +708,17 @@ def gen(name: str, ctx: Context = DEFAULT_CTX) -> GradedExpr:
         key = _GEN_KEYS[name]
     except KeyError:
         raise UnknownSymbol(f"unknown generator {name!r}") from None
-    return GradedExpr(ctx, ((key, 1),))
+    return _from_ints(ctx, (), 1, False, {key: 1})
 
 
 def apow(k: int, ctx: Context = DEFAULT_CTX) -> GradedExpr:
     if k < ctx.amin or k > ctx.amax:
         return GradedExpr(ctx, truncated=True)
-    return GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, k, (), (), None), 1),))
+    return _from_ints(ctx, (), 1, False, {(0, 0, 0, CF_ONE, 0, k, (), (), None): 1})
 
 
 def vpow(k: int, ctx: Context = DEFAULT_CTX) -> GradedExpr:
-    return GradedExpr(ctx, (((0, 0, 0, CF_ONE, k, 0, (), (), None), 1),))
+    return _from_ints(ctx, (), 1, False, {(0, 0, 0, CF_ONE, k, 0, (), (), None): 1})
 
 
 def jet(name: str, m: int = 0, n: int = 0, ctx: Context = DEFAULT_CTX) -> GradedExpr:
@@ -730,7 +730,7 @@ def jet(name: str, m: int = 0, n: int = 0, ctx: Context = DEFAULT_CTX) -> Graded
         key = (0, 0, 0, CF_ONE, 0, 0, (), atom, None)
     else:
         key = (0, 0, 0, CF_ONE, 0, 0, atom, (), None)
-    return GradedExpr(ctx, ((key, 1),))
+    return _from_ints(ctx, (), 1, False, {key: 1})
 
 
 def trig(kind: str, combo: Mapping[str, Fraction], pioff=Q(0),

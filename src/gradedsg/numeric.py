@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import algebra as al
 from .backlund import BodyBTSpec
@@ -423,39 +424,90 @@ def _edge_data(values, n: int, name: str) -> np.ndarray:
                       f"expected ({n},) or a scalar")
 
 
-def _fermion_march(C: np.ndarray, u0: np.ndarray, w0: np.ndarray,
+# width of a band of anti-diagonals, and height of a residual row block
+_BAND = 32
+
+
+def _coupling_block(background_X: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                    XM: np.ndarray, XP: np.ndarray) -> np.ndarray:
+    """Coupling 0.5 cos(X/2) of the background on one block of the grid.
+
+    ``XM`` and ``XP`` broadcast to the block; the background may return
+    any shape that broadcasts to it, such as ``np.zeros_like(xm)`` (a
+    column), and the coupling is evaluated on that shape and returned as a
+    read-only broadcast view of the block.  Any other shape raises
+    ``ConfigError``.
+    """
+    shape = np.broadcast_shapes(XM.shape, XP.shape)
+    X = background_X(XM, XP)
+    try:
+        np.broadcast_to(X, shape)
+    except ValueError:
+        raise ConfigError(f"background of shape {np.shape(X)} does not "
+                          f"broadcast to the grid block {shape}") from None
+    # X / 2.0 is a fresh array (0-d for a scalar), so the rest is in place
+    C = np.asarray(X / 2.0)
+    np.cos(C, out=C)
+    C *= 0.5
+    return np.broadcast_to(C, shape)
+
+
+def _coupling_bands(background_X: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                    xm: np.ndarray, xp: np.ndarray):
+    """The coupling on the (xm, xp) grid, one band of anti-diagonals at a time.
+
+    For d0 = 0, _BAND, 2*_BAND, ... yields ``(r0, band)`` with
+    ``band[i - r0, d - d0] = C[i, d - i]`` for the diagonals d0 <= d <
+    d0 + _BAND and the rows r0 <= i <= r1 that they cross.  The background
+    gets the column ``xm[r0:r1 + 1]`` and, in reverse row order, a no-copy
+    sliding window over ``xp`` padded with its end values; entries outside
+    the grid hold the coupling at an end value and are never read.
+    """
+    nm, np_ = len(xm), len(xp)
+    # window k holds xp[k - _BAND + 1 .. k], clipped to the grid
+    windows = sliding_window_view(np.pad(xp, _BAND - 1, mode="edge"), _BAND)
+    for d0 in range(0, nm + np_ - 1, _BAND):
+        r0, r1 = max(0, d0 - np_ + 1), min(nm - 1, d0 + _BAND - 1)
+        yield r0, _coupling_block(background_X, xm[r0:r1 + 1, None],
+                                  windows[d0 + _BAND - 1 - r1:d0 + _BAND - r0][::-1])
+
+
+def _fermion_march(background_X: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                   xm: np.ndarray, xp: np.ndarray, u0: np.ndarray, w0: np.ndarray,
                    h: float, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoidal box march of the coupled characteristic system.
 
     Returns ``u`` and ``w`` on the nodes ``[::step, ::step]`` only; the
-    march itself runs on every node of the (nm, np_) grid of ``C``.
+    march itself runs on every node of the (len(xm), len(xp)) grid, with
+    the coupling C = 0.5 cos(X/2) of ``background_X`` on that grid.
 
     Every node on an anti-diagonal depends only on the previous diagonal,
     so diagonals are swept with vector operations (the wavefront order);
     the per-node implicit 2x2 coupling is solved exactly.  The working set
-    is O(nm): the current and the previous diagonal live in length-nm
-    buffers indexed by row, so the left (i, j - 1) and upper (i - 1, j)
-    neighbours of node (i, j) are rows i and i - 1 of the previous
-    buffers, and the two diagonals are swapped, not copied.  Diagonal d of
-    ``C`` is the view ``C[:, ::-1].diagonal(np_ - 1 - d)``, which also reads
-    a read-only broadcast ``C``; no full-grid coupling factor, ``u`` or
-    ``w`` is built.  In the C-ordered output of width p the kept node
-    (a, D - a) has flat index a*(p - 1) + D, so a kept diagonal is written
-    as one basic slice of ``ravel()``.  The two coupling signs are equal in
-    the table, so one factor k = 0.5*h*su*C serves both equations.
+    is O(nm * _BAND): the current and the previous diagonal live in
+    length-nm buffers indexed by row, so the left (i, j - 1) and upper
+    (i - 1, j) neighbours of node (i, j) are rows i and i - 1 of the
+    previous buffers, and the two diagonals are swapped, not copied.  C is
+    never built on the grid: diagonal d reads column d % _BAND of the band
+    that ``_coupling_bands`` yields for it, one band is held at a time,
+    and the edge marches evaluate C on the edge row and the edge column.
+    In the C-ordered output of width p the kept node (a, D - a) has flat
+    index a*(p - 1) + D, so a kept diagonal is written as one basic slice
+    of ``ravel()``.  The two coupling signs are equal in the table, so one
+    factor k = 0.5*h*su*C serves both equations.
     """
     su = -S_ALPHA_LM  # from d+ psi+ = -(alpha/2) psi- cos(X/2)
     if -S_ALPHA_LP != su:
         raise InconsistentSystem("the two fermion coupling signs differ")
-    nm, np_ = C.shape
+    nm, np_ = len(xm), len(xp)
     u0 = _edge_data(u0, nm, "psi+")
     w0 = _edge_data(w0, np_, "psi-")
     # edges: single-family trapezoid marches with known partner data, summed
     # in order from the corner
-    fu = su * C[0, :] * w0
+    fu = su * _coupling_block(background_X, xm[:1, None], xp[None, :])[0] * w0
     u_edge = np.add.accumulate(np.concatenate(
         (u0[:1], 0.5 * h * (fu[:-1] + fu[1:]))))
-    fw = su * C[:, 0] * u0
+    fw = su * _coupling_block(background_X, xm[:, None], xp[None, :1])[:, 0] * u0
     w_edge = np.add.accumulate(np.concatenate(
         (w0[:1], 0.5 * h * (fw[:-1] + fw[1:]))))
     mo, po = (nm - 1) // step + 1, (np_ - 1) // step + 1
@@ -463,12 +515,16 @@ def _fermion_march(C: np.ndarray, u0: np.ndarray, w0: np.ndarray,
     w_out = np.empty((mo, po))
     uf, wf = u_out.ravel(), w_out.ravel()
     factor = 0.5 * h * su
-    C_anti = C[:, ::-1]
+    bands = _coupling_bands(background_X, xm, xp)
     stride = np_ - 1
     pu, pw, pk, cu, cw, ck, t1, t2 = np.empty((8, nm))
     for d in range(nm + np_ - 1):
         lo, hi = max(0, d - stride), min(nm - 1, d)
-        np.multiply(factor, C_anti.diagonal(stride - d), out=ck[lo:hi + 1])
+        t = d % _BAND
+        if t == 0:
+            band = None  # freed before the next band is evaluated
+            r0, band = next(bands)
+        np.multiply(factor, band[lo - r0:hi + 1 - r0, t], out=ck[lo:hi + 1])
         if lo == 0:
             cu[0], cw[0] = u_edge[d], w0[d]
         if hi == d:
@@ -502,26 +558,6 @@ def _fermion_march(C: np.ndarray, u0: np.ndarray, w0: np.ndarray,
     return u_out, w_out
 
 
-def _coupling(background_X: Callable[[np.ndarray, np.ndarray], np.ndarray],
-              xm: np.ndarray, xp: np.ndarray) -> np.ndarray:
-    """Coupling 0.5 cos(X/2) of the background on the (xm, xp) grid.
-
-    The background gets a (len(xm), 1) column and a (1, len(xp)) row, so no
-    full coordinate grids are built.  The coupling is evaluated on the shape
-    the background returns, such as ``np.zeros_like(xm)`` (a column) or a
-    function of ``xp + xm`` (the full grid), and returned as a read-only
-    broadcast view of the full grid.  A shape that does not broadcast to the
-    grid raises ``ConfigError``.
-    """
-    XM, XP = np.meshgrid(xm, xp, indexing="ij", sparse=True)
-    C = 0.5 * np.cos(background_X(XM, XP) / 2.0)
-    try:
-        return np.broadcast_to(C, (len(xm), len(xp)))
-    except ValueError:
-        raise ConfigError(f"background of shape {np.shape(C)} does not "
-                          f"broadcast to the grid {(len(xm), len(xp))}") from None
-
-
 def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarray],
                        psi_plus_edge: Callable[[np.ndarray], np.ndarray],
                        psi_minus_edge: Callable[[np.ndarray], np.ndarray],
@@ -531,37 +567,54 @@ def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarr
 
     psi+ = u lambda+ is carried along x+ (data on the x+ = 0 edge), psi-
     along x-; coupling signs come from the parameter-algebra table.
-    ``background_X`` is called on a sparse (xm, xp) grid and may return any
-    shape that broadcasts to the full grid (see ``_coupling``).  Each edge
-    callable returns one value per grid point, or a scalar for a constant
-    edge; any other shape raises ``ConfigError``.  The march is repeated at
-    half step and Richardson-extrapolated, cancelling the second-order
+    ``background_X`` is called on blocks of the (xm, xp) grid: a column of
+    xm values and a block of xp values that broadcast together.  It may
+    return any shape that broadcasts to the block, such as
+    ``np.zeros_like(xm)``; any other shape raises ``ConfigError`` (see
+    ``_coupling_block``).  Each edge callable returns one value per grid
+    point, or a scalar for a constant edge; any other shape raises
+    ``ConfigError``.  The march is repeated at half step and
+    Richardson-extrapolated in place, cancelling the second-order
     truncation term.  The half-step march returns only the nodes it shares
-    with the coarse grid, so the fine grid's solution is never stored.
+    with the coarse grid, and the coupling is evaluated band by band (see
+    ``_fermion_march``) and, for the residuals, in blocks of rows, so no
+    full-grid coupling or fine-grid solution is ever stored.
     """
     nm = int(round(Lm / h)) + 1
     np_ = int(round(Lp / h)) + 1
     xm = np.linspace(0.0, Lm, nm)
     xp = np.linspace(0.0, Lp, np_)
-    C = _coupling(background_X, xm, xp)
-    u, w = _fermion_march(C, psi_plus_edge(xm), psi_minus_edge(xp), h)
+    u, w = _fermion_march(background_X, xm, xp, psi_plus_edge(xm),
+                          psi_minus_edge(xp), h)
     xm2 = np.linspace(0.0, Lm, 2 * (nm - 1) + 1)
     xp2 = np.linspace(0.0, Lp, 2 * (np_ - 1) + 1)
-    u2, w2 = _fermion_march(_coupling(background_X, xm2, xp2),
-                            psi_plus_edge(xm2), psi_minus_edge(xp2), h / 2, step=2)
-    u = (4.0 * u2 - u) / 3.0
-    w = (4.0 * w2 - w) / 3.0
+    u2, w2 = _fermion_march(background_X, xm2, xp2, psi_plus_edge(xm2),
+                            psi_minus_edge(xp2), h / 2, step=2)
+    # (4 u2 - u)/3 in place, in the same IEEE operation order
+    for fine, coarse in ((u2, u), (w2, w)):
+        fine *= 4.0
+        fine -= coarse
+        fine /= 3.0
+    u, w = u2, w2
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(w))):
         raise NonFiniteValue("fermion integration produced non-finite values")
     su = -S_ALPHA_LM
     sw = -S_ALPHA_LP
-    # residuals of both equations, fourth-order differences on the interior
-    du_dp = (u[:, :-4] - 8 * u[:, 1:-3] + 8 * u[:, 3:-1] - u[:, 4:]) / (12 * h)
-    rp = du_dp - su * C[:, 2:-2] * w[:, 2:-2]
-    dw_dm = (w[:-4, :] - 8 * w[1:-3, :] + 8 * w[3:-1, :] - w[4:, :]) / (12 * h)
-    rm = dw_dm - sw * C[2:-2, :] * u[2:-2, :]
-    return FermionResult(xm, xp, u, w,
-                         float(np.max(np.abs(rp))), float(np.max(np.abs(rm))))
+    # residuals of both equations, fourth-order differences on the interior,
+    # in blocks of rows; a max is exact, so blocking does not change it
+    rp_max, rm_max = [], []
+    for r0 in range(0, nm, _BAND):
+        r1 = min(r0 + _BAND, nm)
+        C = _coupling_block(background_X, xm[r0:r1, None], xp[None, :])
+        ub, wb = u[r0:r1], w[r0:r1]
+        du_dp = (ub[:, :-4] - 8 * ub[:, 1:-3] + 8 * ub[:, 3:-1] - ub[:, 4:]) / (12 * h)
+        rp_max.append(np.max(np.abs(du_dp - su * C[:, 2:-2] * wb[:, 2:-2])))
+        i0, i1 = max(r0, 2), min(r1, nm - 2)
+        if i0 < i1:
+            dw_dm = (w[i0 - 2:i1 - 2] - 8 * w[i0 - 1:i1 - 1]
+                     + 8 * w[i0 + 1:i1 + 1] - w[i0 + 2:i1 + 2]) / (12 * h)
+            rm_max.append(np.max(np.abs(dw_dm - sw * C[i0 - r0:i1 - r0] * u[i0:i1])))
+    return FermionResult(xm, xp, u, w, float(np.max(rp_max)), float(np.max(rm_max)))
 
 
 # ---------------------------------------------------------------------------

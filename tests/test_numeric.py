@@ -320,40 +320,150 @@ def _cellwise_march(C, u0, w0, h):
     return np.array(u), np.array(w)
 
 
+def _indexing_background(X):
+    # on integer-valued coordinates, the background whose value at node
+    # (i, j) is X[i, j]; a 1-D X gives a column background
+    if X.ndim == 1:
+        return lambda XM, XP: X[XM.astype(int)]
+    return lambda XM, XP: X[XM.astype(int), XP.astype(int)]
+
+
 @pytest.mark.parametrize("shape", [(9, 9), (6, 11), (11, 6), (1, 7), (7, 1),
-                                   (8, 8), (2, 5), (5, 2)])
+                                   (8, 8), (2, 5), (5, 2), (70, 37), (37, 70),
+                                   (1, 70), (70, 1)])
 def test_fermion_march_matches_cellwise_reference(shape):
-    # every node for step 1, the nodes [::2, ::2] for step 2; a column
-    # coupling is also passed as the read-only broadcast view that
-    # ``_coupling`` makes of a zero background
+    # every node for step 1, the nodes [::2, ::2] for step 2, on a random
+    # background and on a random column background, which the march reads
+    # as a read-only broadcast; the last four shapes cross several bands
     rng = np.random.default_rng(sum(shape))
-    full = rng.uniform(-1.0, 1.0, shape)
+    full = rng.uniform(-2 * math.pi, 2 * math.pi, shape)
     u0 = rng.standard_normal(shape[0])
     w0 = rng.standard_normal(shape[1])
-    for C in (full, np.broadcast_to(full[:, :1], shape)):
+    xm = np.arange(shape[0], dtype=float)
+    xp = np.arange(shape[1], dtype=float)
+    column = full[:, 0]
+    couplings = (0.5 * np.cos(full / 2.0),
+                 np.broadcast_to(0.5 * np.cos(column[:, None] / 2.0), shape))
+    for X, C in zip((full, column), couplings):
         ref_u, ref_w = _cellwise_march(C, u0, w0, 2.0 ** -2)
         for step in (1, 2):
-            u, w = nm._fermion_march(C, u0, w0, 2.0 ** -2, step=step)
+            u, w = nm._fermion_march(_indexing_background(X), xm, xp, u0, w0,
+                                     2.0 ** -2, step=step)
             assert u.tobytes() == ref_u[::step, ::step].tobytes()
             assert w.tobytes() == ref_w[::step, ::step].tobytes()
 
 
 def test_half_step_march_stores_no_full_grid():
     # a deterministic memory gate: the Richardson march keeps O(n) working
-    # buffers and writes only the kept quarter of the nodes, so its traced
-    # peak stays below one full-grid float64 array
+    # buffers and one band of the coupling, and writes only the kept quarter
+    # of the nodes, so its traced peak stays below one full-grid float64
+    # array
     n = 257
     rng = np.random.default_rng(5)
-    C = rng.uniform(-1.0, 1.0, (n, n))
+    background = _indexing_background(rng.uniform(-2 * math.pi, 2 * math.pi, (n, n)))
+    x = np.arange(n, dtype=float)
     u0 = rng.standard_normal(n)
     w0 = rng.standard_normal(n)
     tracemalloc.start()
     try:
-        nm._fermion_march(C, u0, w0, 2.0 ** -8, step=2)
+        nm._fermion_march(background, x, x, u0, w0, 2.0 ** -8, step=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n
+
+
+_KINK_BG = lambda xm, xp: nm.kink((xp + xm) / 2.0)
+
+
+@pytest.mark.parametrize("nm_, np_", [(65, 33), (33, 65), (64, 64), (97, 31),
+                                      (1, 40), (40, 1), (1, 1)])
+def test_coupling_bands_equal_the_full_grid_coupling(nm_, np_):
+    # each band column is the anti-diagonal of 0.5 cos(X/2) evaluated on the
+    # full meshgrid, byte for byte, for a column, a full and a kink
+    # background, on grids that are not multiples of the band width
+    xm = np.linspace(0.0, 4.0, nm_)
+    xp = np.linspace(0.0, 2.0, np_)
+    XM, XP = np.meshgrid(xm, xp, indexing="ij")
+    column = lambda a, b: np.sin(a)
+    full = lambda a, b: np.sin(a + 0.0 * b)
+    for bg in (column, full, _KINK_BG):
+        C_anti = (0.5 * np.cos(bg(XM, XP) / 2.0))[:, ::-1]
+        bands = list(nm._coupling_bands(bg, xm, xp))
+        assert len(bands) == -(-(nm_ + np_ - 1) // nm._BAND)
+        for d in range(nm_ + np_ - 1):
+            r0, band = bands[d // nm._BAND]
+            lo, hi = max(0, d - np_ + 1), min(nm_ - 1, d)
+            assert (band[lo - r0:hi + 1 - r0, d % nm._BAND].tobytes()
+                    == C_anti.diagonal(np_ - 1 - d).tobytes())
+
+
+def _full_grid_residuals(u, w, C, h):
+    # both residual maxima as whole-grid expressions, in the integrator's
+    # operation order
+    su, sw = -nm.S_ALPHA_LM, -nm.S_ALPHA_LP
+    du_dp = (u[:, :-4] - 8 * u[:, 1:-3] + 8 * u[:, 3:-1] - u[:, 4:]) / (12 * h)
+    dw_dm = (w[:-4, :] - 8 * w[1:-3, :] + 8 * w[3:-1, :] - w[4:, :]) / (12 * h)
+    rp = du_dp - su * C[:, 2:-2] * w[:, 2:-2]
+    rm = dw_dm - sw * C[2:-2, :] * u[2:-2, :]
+    return float(np.max(np.abs(rp))), float(np.max(np.abs(rm)))
+
+
+def test_kink_fermions_equal_the_cellwise_richardson_march():
+    # the whole integration against the cell-by-cell reference on the full
+    # coupling, Richardson step and residuals included, on a grid whose
+    # half-step march crosses several bands and whose residuals take
+    # several row blocks
+    Lm, Lp, h = 2.5, 0.75, 2.0 ** -5
+    plus = lambda xm: np.exp(-xm)
+    minus = lambda xp: np.cos(xp)
+    out = nm.integrate_fermions(_KINK_BG, plus, minus, Lm=Lm, Lp=Lp, h=h)
+    levels = []
+    for k in (1, 2):
+        xm = np.linspace(0.0, Lm, k * int(round(Lm / h)) + 1)
+        xp = np.linspace(0.0, Lp, k * int(round(Lp / h)) + 1)
+        XM, XP = np.meshgrid(xm, xp, indexing="ij")
+        C = 0.5 * np.cos(_KINK_BG(XM, XP) / 2.0)
+        levels.append((C,) + _cellwise_march(C, plus(xm), minus(xp), h / k))
+    (C, u1, w1), (_, u2, w2) = levels
+    u = (4.0 * u2[::2, ::2] - u1) / 3.0
+    w = (4.0 * w2[::2, ::2] - w1) / 3.0
+    assert out.u.tobytes() == u.tobytes()
+    assert out.w.tobytes() == w.tobytes()
+    assert (out.residual_plus, out.residual_minus) == _full_grid_residuals(u, w, C, h)
+
+
+@pytest.mark.parametrize("row", [0, 31, 32, 69])
+def test_blocked_residuals_equal_the_full_grid_formula(row):
+    # a background that jumps on one row of the 70-row grid puts the
+    # residual maxima next to that row: the first and last interior rows,
+    # and both sides of the boundary between the first two row blocks
+    h = 2.0 ** -4
+    bg = lambda xm, xp: np.where(np.abs(xm - row * h) < h / 4, 3.0, 0.0) + 0.0 * xp
+    out = nm.integrate_fermions(bg, lambda xm: np.exp(-xm), lambda xp: np.cos(xp),
+                                Lm=69 * h, Lp=2.0, h=h)
+    u, w = out.u, out.w
+    XM, XP = np.meshgrid(out.xm, out.xp, indexing="ij")
+    C = 0.5 * np.cos(bg(XM, XP) / 2.0)
+    assert (out.residual_plus, out.residual_minus) == _full_grid_residuals(u, w, C, h)
+
+
+def test_kink_fermions_store_no_full_grid_coupling():
+    # a deterministic memory gate: the coarse solution and the kept nodes
+    # of the half-step one are a quarter of the fine grid each, four in
+    # all; the coupling adds a band or a row block at a time, so the whole
+    # integration peaks below 1.5 fine-grid float64 arrays (the full-grid
+    # coupling and its temporaries alone were over 3)
+    h = 2.0 ** -6
+    n = 2 * int(round(4.0 / h)) + 1
+    tracemalloc.start()
+    try:
+        nm.integrate_fermions(_KINK_BG, lambda xm: np.exp(-xm),
+                              lambda xp: np.zeros_like(xp), h=h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
 
 
 _ZERO_BG = lambda xm, xp: np.zeros_like(xm)
@@ -373,6 +483,8 @@ _ONES = lambda x: np.ones_like(x)
                  id="background of length 3"),
     pytest.param(lambda xm, xp: np.zeros((len(xm) + 1, 1)), _ONES, _ONES,
                  id="background column too long"),
+    pytest.param(lambda xm, xp: np.zeros(nm._BAND), _ONES, _ONES,
+                 id="background of the band width"),
 ])
 def test_bad_fermion_inputs_raise_typed_errors(background, plus, minus):
     with pytest.raises(ConfigError):
@@ -383,30 +495,13 @@ def test_bad_fermion_inputs_raise_typed_errors(background, plus, minus):
 def test_scalar_edge_data_broadcasts():
     # a scalar edge broadcasts: it gives the bytes of the full edge array
     h = 2.0 ** -3
-    kink_bg = lambda xm, xp: nm.kink((xp + xm) / 2.0)
-    scalar = nm.integrate_fermions(kink_bg, lambda xm: 1.0, lambda xp: 0.5,
+    scalar = nm.integrate_fermions(_KINK_BG, lambda xm: 1.0, lambda xp: 0.5,
                                    Lm=1.0, Lp=1.0, h=h)
-    arrays = nm.integrate_fermions(kink_bg, _ONES,
+    arrays = nm.integrate_fermions(_KINK_BG, _ONES,
                                    lambda xp: np.full_like(xp, 0.5),
                                    Lm=1.0, Lp=1.0, h=h)
     assert scalar.u.tobytes() == arrays.u.tobytes()
     assert scalar.w.tobytes() == arrays.w.tobytes()
-
-
-def test_coupling_broadcasts_the_background():
-    # the background sees a sparse grid and may return a column or the full
-    # grid; either gives the full-meshgrid coupling, byte for byte
-    xm = np.linspace(0.0, 4.0, 65)
-    xp = np.linspace(0.0, 2.0, 33)
-    XM, XP = np.meshgrid(xm, xp, indexing="ij")
-    column = lambda a, b: np.sin(a)
-    full = lambda a, b: np.sin(a + 0.0 * b)
-    for bg in (column, full, lambda a, b: nm.kink((b + a) / 2.0)):
-        C = nm._coupling(bg, xm, xp)
-        assert C.shape == (65, 33)
-        assert C.tobytes() == (0.5 * np.cos(bg(XM, XP) / 2.0)).tobytes()
-    assert (nm._coupling(column, xm, xp).tobytes()
-            == nm._coupling(full, xm, xp).tobytes())
 
 
 def test_bessel_series_equals_the_plain_sum():
@@ -447,8 +542,7 @@ def test_fermions_zero_background_closed_form():
 
 
 def test_fermions_kink_background_residual():
-    out = nm.integrate_fermions(lambda xm, xp: nm.kink((xp + xm) / 2.0),
-                                lambda xm: np.exp(-xm),
+    out = nm.integrate_fermions(_KINK_BG, lambda xm: np.exp(-xm),
                                 lambda xp: np.zeros_like(xp), h=2.0 ** -7)
     assert max(out.residual_plus, out.residual_minus) < 1e-5
 
@@ -458,8 +552,8 @@ def test_fermions_refinement_study():
     errs = {}
     for h in (2.0 ** -5, 2.0 ** -6):
         x = np.linspace(0.0, 4.0, int(round(4.0 / h)) + 1)
-        C = nm._coupling(lambda xm, xp: np.zeros_like(xm), x, x)
-        u, _ = nm._fermion_march(C, np.ones_like(x), np.zeros_like(x), h)
+        u, _ = nm._fermion_march(lambda xm, xp: np.zeros_like(xm), x, x,
+                                 np.ones_like(x), np.zeros_like(x), h)
         XM, XP = np.meshgrid(x, x, indexing="ij")
         errs[h] = float(np.max(np.abs(u - nm.bessel_series(XM * XP))))
     assert 3.5 < errs[2.0 ** -5] / errs[2.0 ** -6] < 4.5
