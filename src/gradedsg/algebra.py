@@ -20,24 +20,31 @@ slots come from the bit pairing of their degrees; products *inside* the
 clifford slot come from the spinor-parameter relation tables, which is where
 the two parameter families deviate from plain graded commutativity.
 
+A monomial key is the flat tuple ``(z, tm, tp, cf, v, a, gj, bj, trig)``
+(the packed monomials of Monagan & Pearce, CASC 2007).  The two jet slots
+hold the id of an interned jet tuple, 0 for none, and the trig slot holds
+None or the id, at least 1, of an interned trig atom, so every slot hashes
+in C and a dict operation on a key makes no Python call.  Ids follow the
+order of first use; readers dereference them (``jets_of``, ``trig_parts``)
+and sort keys by contents, never by id.
+
 The trig layer keeps at most one sine/cosine per term, of an argument that
 is a rational combination of scalar body symbols plus a rational multiple of
 pi.  Products of trig atoms are immediately rewritten to half-sums (product
-to sum), which makes the zero test decidable.  Trig atoms are interned, so
-equal atoms are one object with a cached hash.
+to sum), which makes the zero test decidable.
 
 Monomial products are cached by ``_mul_keys_cached``, keyed on the two keys
 only: the z-order, theta and a-window tests run in ``GradedExpr.__mul__``
 (its one caller), so every truncation window shares one cache.  A miss
 is composed from per-slot tables, each a pure function of immutable or
-interned inputs: ``_trig_mul`` per pair of interned trig atoms,
-``_merge_jets`` per pair of jet tuples (it also returns the interleaving
-parity of the second tuple into the first and the first one's degree) and
-``_prefix_sign`` per pair of ``(z, theta-, theta+, clifford)`` prefixes.
-The pairing is bilinear mod 2 and every jet ranks after the prefix, so these
-give the whole sign (``_cross_sign``).  A cached product is
-``(key, numerator, denominator)`` entries: the denominator is 1, or 2 for a
-trig half-sum (4 where a Niven 1/2 joins it).
+interned inputs: ``_trig_mul`` per pair of trig ids, ``_merge_jets`` per
+pair of jet ids (it also returns the interleaving parity of the second
+tuple into the first and the first one's degree) and ``_prefix_sign`` per
+pair of ``(z, theta-, theta+, clifford)`` prefixes.  The pairing is bilinear
+mod 2 and every jet ranks after the prefix, so these give the whole sign
+(``_cross_sign``).  A cached product is ``(key, numerator, denominator)``
+entries: the denominator is 1, or 2 for a trig half-sum (4 where a Niven
+1/2 joins it).
 """
 
 from __future__ import annotations
@@ -219,39 +226,44 @@ def cf_mul(cf1: tuple[str, str], cf2: tuple[str, str]) -> tuple[int, tuple[str, 
 # sorted by symbol with nonzero rational coefficients, the first positive,
 # pioff a rational multiple of pi in [0, 1/2) after canonicalization; a
 # constant angle (empty combo) is always a sine.  Atoms are interned
-# (hash-consed, Filliatre & Conchon 2006): _trig_atom makes every atom, and
-# equal atoms are one TrigAtom object, which computes its hash once, so
-# hashing a monomial key never reaches the Fractions inside it.  It also
-# keeps the lcm of its combo's denominators, which d_x scales by, and its
-# sin/cos partner of the same argument, which d_x swaps to.
+# (hash-consed, Filliatre & Conchon 2006): _trig_atom gives every atom an
+# int id, the same for equal atoms, and a key holds that id, so hashing a
+# key never reaches the Fractions inside the atom.  The id indexes the
+# record (kind, combo, pioff, den, partner): den is the lcm of the combo's
+# denominators, which d_x scales by, and partner the id of the sin/cos atom
+# of the same argument, which d_x swaps to (None for a constant angle).
+
+# id -> record; no atom has id 0, so a trig slot is None or a true int
+_TRIGS: list[Optional[tuple]] = [None]
+_TRIG_IDS: dict[tuple, int] = {}
 
 
-class TrigAtom(tuple):
-    """A canonical ``(kind, combo, pioff)`` triple; build it with ``_trig_atom``."""
-
-    def __hash__(self):
-        return self._hash
-
-
-_TRIG_ATOMS: dict[tuple, TrigAtom] = {}
-
-
-def _trig_atom(kind: str, combo: tuple, pioff: Fraction) -> TrigAtom:
-    """The one object for an already canonical atom, with its ``partner``."""
+def _trig_atom(kind: str, combo: tuple, pioff: Fraction) -> int:
+    """The id of an already canonical atom, interned with its partner."""
     plain = (kind, combo, pioff)
-    atom = _TRIG_ATOMS.get(plain)
+    atom = _TRIG_IDS.get(plain)
     if atom is None:
-        atom = _TRIG_ATOMS[plain] = TrigAtom(plain)
-        atom._hash = hash(plain)
-        atom._den = lcm(*(co.denominator for _, co in combo))
-        # registered first, so the partner's partner is this atom; constants have none
-        atom.partner = _trig_atom("c" if kind == "s" else "s", combo, pioff) if combo else None
+        atom = len(_TRIGS)
+        den = lcm(*(co.denominator for _, co in combo))
+        if not combo:
+            _TRIG_IDS[plain] = atom
+            _TRIGS.append((kind, combo, pioff, den, None))
+        else:
+            other = "c" if kind == "s" else "s"
+            _TRIG_IDS[plain], _TRIG_IDS[other, combo, pioff] = atom, atom + 1
+            _TRIGS.append((kind, combo, pioff, den, atom + 1))
+            _TRIGS.append((other, combo, pioff, den, atom))
     return atom
 
 
+def trig_parts(atom: int) -> tuple[str, tuple, Fraction]:
+    """The canonical ``(kind, combo, pioff)`` of a key's trig id."""
+    return _TRIGS[atom][:3]
+
+
 def _canon_trig(kind: str, combo: Mapping[str, Fraction],
-                pioff: Fraction) -> tuple[Fraction, Optional[TrigAtom]]:
-    """Canonicalize a trig atom; returns (coefficient factor, atom or None)."""
+                pioff: Fraction) -> tuple[Fraction, Optional[int]]:
+    """Canonicalize a trig atom; returns (coefficient factor, atom id or None)."""
     items = {}
     pioff = Q(pioff)
     for sym, co in combo.items():
@@ -290,7 +302,7 @@ def _canon_trig(kind: str, combo: Mapping[str, Fraction],
     return coef, _trig_atom(kind, tuple(ordered), pioff)
 
 
-def _trig_arg_add(t1: TrigAtom, t2: TrigAtom, sub: bool) -> tuple[dict, Fraction]:
+def _trig_arg_add(t1: tuple, t2: tuple, sub: bool) -> tuple[dict, Fraction]:
     combo: dict[str, Fraction] = dict(t1[1])
     for sym, co in t2[1]:
         combo[sym] = combo.get(sym, Q(0)) + (-co if sub else co)
@@ -299,10 +311,11 @@ def _trig_arg_add(t1: TrigAtom, t2: TrigAtom, sub: bool) -> tuple[dict, Fraction
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _trig_mul(t1: TrigAtom, t2: TrigAtom) -> tuple[tuple[int, int, Optional[TrigAtom]], ...]:
-    """Product-to-sum rewrite of a trig-atom pair as ``(numerator,
-    denominator, atom)`` triples, once per pair of interned atoms; a tuple,
-    so the shared result cannot be changed."""
+def _trig_mul(a1: int, a2: int) -> tuple[tuple[int, int, Optional[int]], ...]:
+    """Product-to-sum rewrite of a pair of trig ids as ``(numerator,
+    denominator, atom id)`` triples, once per pair; a tuple, so the shared
+    result cannot be changed."""
+    t1, t2 = _TRIGS[a1], _TRIGS[a2]
     k1, k2 = t1[0], t2[0]
     plus = _trig_arg_add(t1, t2, sub=False)
     minus = _trig_arg_add(t1, t2, sub=True)
@@ -327,12 +340,33 @@ def _trig_mul(t1: TrigAtom, t2: TrigAtom) -> tuple[tuple[int, int, Optional[Trig
 # monomial keys
 #
 # key = (z, tm, tp, cf, v, a, gj, bj, trig)
-#   gj: tuple of ((name, m, n), exp) for graded component jets
-#   bj: tuple of ((name, m, n), exp) for scalar (body) jets
+#   gj: id of a sorted tuple of ((name, m, n), exp) for graded component jets
+#   bj: id of a sorted tuple of ((name, m, n), exp) for scalar (body) jets
+#   trig: None or the id of a trig atom
+# Jet tuples are interned like trig atoms; id 0 is (), so "not gj" means
+# no graded jets.
 
 Key = tuple
 
-KEY_ONE: Key = (0, 0, 0, CF_ONE, 0, 0, (), (), None)
+_JETS: list[tuple] = [()]
+_JET_IDS: dict[tuple, int] = {(): 0}
+
+
+def _jet_id(jets: tuple) -> int:
+    """The id of a sorted ``((name, m, n), exp)`` tuple, interned on first use."""
+    i = _JET_IDS.get(jets)
+    if i is None:
+        i = _JET_IDS[jets] = len(_JETS)
+        _JETS.append(jets)
+    return i
+
+
+def jets_of(jet_id: int) -> tuple:
+    """The ``((name, m, n), exp)`` tuple of a key's jet slot."""
+    return _JETS[jet_id]
+
+
+KEY_ONE: Key = (0, 0, 0, CF_ONE, 0, 0, 0, 0, None)
 
 
 # Sign-relevant atoms are (rank, degree, multiplicity) triples.  The prefix
@@ -386,24 +420,23 @@ def _prefix_sign(p1: tuple, p2: tuple) -> tuple[int, Degree]:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _merge_jets(j1: tuple, j2: tuple) -> tuple[Optional[tuple], int, Degree]:
-    """Merge two sorted ``((name, m, n), exp)`` tuples.
+def _merge_jets(i1: int, i2: int) -> tuple[Optional[int], int, Degree]:
+    """Merge two jet slots.
 
-    Returns the merged tuple (None when an odd atom repeats), the parity of
-    interleaving j2's atoms into j1's and the degree of j1; the last two are
-    0 and even for scalar jets.
+    Returns the id of the merged tuple (None when an odd atom repeats), the
+    parity of interleaving the second slot's atoms into the first's and the
+    degree of the first; the last two are 0 and even for scalar jets.
     """
+    j1, j2 = _JETS[i1], _JETS[i2]
     counts = dict(j1)
     for atom, exp in j2:
         counts[atom] = counts.get(atom, 0) + exp
     merged = tuple(sorted(counts.items()))
     atoms1 = _jet_atoms(j1)
     parity = _interleave_parity(atoms1, _jet_atoms(j2))
-    for atom, deg, exp in _jet_atoms(merged):
-        if exp > 1 and is_self_odd(deg):
-            merged = None
-            break
-    return merged, parity, _atoms_degree(atoms1)
+    if any(exp > 1 and is_self_odd(deg) for _, deg, exp in _jet_atoms(merged)):
+        return None, parity, _atoms_degree(atoms1)
+    return _jet_id(merged), parity, _atoms_degree(atoms1)
 
 
 def _cross_sign(key1: Key, key2: Key, jets_parity: int, jets1_degree: Degree) -> int:
@@ -421,7 +454,7 @@ def _cross_sign(key1: Key, key2: Key, jets_parity: int, jets1_degree: Degree) ->
 
 def key_degree(key: Key) -> Degree:
     return degree_add(_atoms_degree(_prefix_atoms(key[:4])),
-                      _atoms_degree(_jet_atoms(key[6])))
+                      _atoms_degree(_jet_atoms(_JETS[key[6]])))
 
 
 def key_weight(key: Key) -> BoostWeight:
@@ -433,21 +466,20 @@ def key_weight(key: Key) -> BoostWeight:
         w += 1
     w += _CF_WEIGHT[cf]
     w += 2 * v
-    for (name, m, n), exp in gj:
-        w += exp * (field_info(name).weight + 2 * (m - n))
-    for (name, m, n), exp in bj:
+    for (name, m, n), exp in _JETS[gj] + _JETS[bj]:
         w += exp * (field_info(name).weight + 2 * (m - n))
     return w
 
 
 def _key_sortable(key: Key):
+    """A sort key by contents: ids follow the order of first use."""
     z, tm, tp, cf, v, a, gj, bj, trig = key
     trig_s = ()
     if trig is not None:
-        kind, combo, pioff = trig
+        kind, combo, pioff = trig_parts(trig)
         trig_s = (kind, tuple((s, c.numerator, c.denominator) for s, c in combo),
                   pioff.numerator, pioff.denominator)
-    return (z, tm, tp, cf, v, a, gj, bj, trig_s)
+    return (z, tm, tp, cf, v, a, _JETS[gj], _JETS[bj], trig_s)
 
 
 # ---------------------------------------------------------------------------
@@ -689,17 +721,17 @@ def _mul_keys_cached(k1: Key, k2: Key) -> tuple:
 # construction helpers
 
 _GEN_KEYS = {
-    "z": (1, 0, 0, CF_ONE, 0, 0, (), (), None),
-    "theta-": (0, 1, 0, CF_ONE, 0, 0, (), (), None),
-    "theta+": (0, 0, 1, CF_ONE, 0, 0, (), (), None),
-    "alpha": (0, 0, 0, CF_ALPHA, 0, 0, (), (), None),
-    "lambda+": (0, 0, 0, ("L", "+"), 0, 0, (), (), None),
-    "lambda-": (0, 0, 0, ("L", "-"), 0, 0, (), (), None),
-    "eta+": (0, 0, 0, ("E", "+"), 0, 0, (), (), None),
-    "eta-": (0, 0, 0, ("E", "-"), 0, 0, (), (), None),
-    "v+": (0, 0, 0, CF_ONE, 1, 0, (), (), None),
-    "v-": (0, 0, 0, CF_ONE, -1, 0, (), (), None),
-    "a": (0, 0, 0, CF_ONE, 0, 1, (), (), None),
+    "z": (1, 0, 0, CF_ONE, 0, 0, 0, 0, None),
+    "theta-": (0, 1, 0, CF_ONE, 0, 0, 0, 0, None),
+    "theta+": (0, 0, 1, CF_ONE, 0, 0, 0, 0, None),
+    "alpha": (0, 0, 0, CF_ALPHA, 0, 0, 0, 0, None),
+    "lambda+": (0, 0, 0, ("L", "+"), 0, 0, 0, 0, None),
+    "lambda-": (0, 0, 0, ("L", "-"), 0, 0, 0, 0, None),
+    "eta+": (0, 0, 0, ("E", "+"), 0, 0, 0, 0, None),
+    "eta-": (0, 0, 0, ("E", "-"), 0, 0, 0, 0, None),
+    "v+": (0, 0, 0, CF_ONE, 1, 0, 0, 0, None),
+    "v-": (0, 0, 0, CF_ONE, -1, 0, 0, 0, None),
+    "a": (0, 0, 0, CF_ONE, 0, 1, 0, 0, None),
 }
 
 
@@ -714,22 +746,22 @@ def gen(name: str, ctx: Context = DEFAULT_CTX) -> GradedExpr:
 def apow(k: int, ctx: Context = DEFAULT_CTX) -> GradedExpr:
     if k < ctx.amin or k > ctx.amax:
         return GradedExpr(ctx, truncated=True)
-    return _from_ints(ctx, (), 1, False, {(0, 0, 0, CF_ONE, 0, k, (), (), None): 1})
+    return _from_ints(ctx, (), 1, False, {(0, 0, 0, CF_ONE, 0, k, 0, 0, None): 1})
 
 
 def vpow(k: int, ctx: Context = DEFAULT_CTX) -> GradedExpr:
-    return _from_ints(ctx, (), 1, False, {(0, 0, 0, CF_ONE, k, 0, (), (), None): 1})
+    return _from_ints(ctx, (), 1, False, {(0, 0, 0, CF_ONE, k, 0, 0, 0, None): 1})
 
 
 def jet(name: str, m: int = 0, n: int = 0, ctx: Context = DEFAULT_CTX) -> GradedExpr:
     info = field_info(name)
     if info.constant and (m or n):
         return GradedExpr.zero(ctx)
-    atom = (((name, m, n), 1),)
+    atom = _jet_id((((name, m, n), 1),))
     if info.degree == DEG_EVEN:
-        key = (0, 0, 0, CF_ONE, 0, 0, (), atom, None)
+        key = (0, 0, 0, CF_ONE, 0, 0, 0, atom, None)
     else:
-        key = (0, 0, 0, CF_ONE, 0, 0, atom, (), None)
+        key = (0, 0, 0, CF_ONE, 0, 0, atom, 0, None)
     return _from_ints(ctx, (), 1, False, {key: 1})
 
 
@@ -742,7 +774,7 @@ def trig(kind: str, combo: Mapping[str, Fraction], pioff=Q(0),
         if not field_info(sym).trig:
             raise UnsupportedAtom(f"{sym!r} may not appear inside a trig argument")
     coef, atom = _canon_trig(kind, combo, Q(pioff))
-    return GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, 0, (), (), atom), coef),))
+    return GradedExpr(ctx, (((0, 0, 0, CF_ONE, 0, 0, 0, 0, atom), coef),))
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +790,8 @@ def _pow_str(base: str, k: int) -> str:
     return base if k == 1 else f"{base}^{k}"
 
 
-def _trig_str(t: TrigAtom) -> str:
-    kind, combo, pioff = t
+def _trig_str(t: int) -> str:
+    kind, combo, pioff = trig_parts(t)
     pieces = list(combo)
     if pioff:
         pieces.append(("pi", pioff))
@@ -794,9 +826,7 @@ def term_str(key: Key, coef: Fraction) -> str:
         factors.append(_pow_str("v-", -v))
     if a:
         factors.append("a" if a == 1 else f"a^{a}")
-    for (name, m, n), exp in gj:
-        factors.append(_pow_str(_jet_str(name, m, n), exp))
-    for (name, m, n), exp in bj:
+    for (name, m, n), exp in _JETS[gj] + _JETS[bj]:
         factors.append(_pow_str(_jet_str(name, m, n), exp))
     if t is not None:
         factors.append(_trig_str(t))
@@ -841,13 +871,14 @@ def d_x(e: GradedExpr, direction: str) -> GradedExpr:
     den = 1
     for key in e.terms:
         t = key[8]
-        if t is not None and t._den != 1:
-            den = lcm(den, t._den)
+        if t is not None and _TRIGS[t][3] != 1:
+            den = lcm(den, _TRIGS[t][3])
     out = []
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
         cd = c * den
-        for graded, jets in ((True, gj), (False, bj)):
+        for graded, slot in ((True, gj), (False, bj)):
+            jets = _JETS[slot]
             for atom, exp in jets:
                 name, m, n = atom
                 info = field_info(name)
@@ -866,7 +897,7 @@ def d_x(e: GradedExpr, direction: str) -> GradedExpr:
                 else:
                     counts[atom] = exp - 1
                 counts[new] = counts.get(new, 0) + 1
-                jets2 = tuple(sorted(counts.items()))
+                jets2 = _jet_id(tuple(sorted(counts.items())))
                 if graded:
                     key2 = (z, tm, tp, cf, v, a, jets2, bj, t)
                 else:
@@ -874,18 +905,18 @@ def d_x(e: GradedExpr, direction: str) -> GradedExpr:
                 out.append((key2, cd * mult))
         # trig chain rule
         if t is not None:
-            kind, combo, _ = t
+            kind, combo, _, _, partner = _TRIGS[t]
             for sym, co in combo:
                 if field_info(sym).constant:
                     continue
                 factor = co.numerator * (den // co.denominator)
                 if kind == "c":
                     factor = -factor
-                counts = dict(bj)
+                counts = dict(_JETS[bj])
                 atom2 = (sym, dm, dn)
                 counts[atom2] = counts.get(atom2, 0) + 1
-                out.append(((z, tm, tp, cf, v, a, gj, tuple(sorted(counts.items())),
-                             t.partner), c * factor))
+                out.append(((z, tm, tp, cf, v, a, gj, _jet_id(tuple(sorted(counts.items()))),
+                             partner), c * factor))
     return _from_ints(e.ctx, out, e.den * den, e.truncated)
 
 
@@ -952,8 +983,8 @@ def _body_split(e: GradedExpr) -> tuple[dict[str, Fraction], Fraction, GradedExp
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
         if (z == 0 and not tm and not tp and cf == CF_ONE and v == 0 and a == 0
-                and not gj and t is None and len(bj) == 1):
-            (name, m, n), exp = bj[0]
+                and not gj and t is None and len(_JETS[bj]) == 1):
+            (name, m, n), exp = _JETS[bj][0]
             if exp == 1 and m == 0 and n == 0 and field_info(name).trig:
                 # each symbol is one key, so it is met at most once
                 if name == "pi":
@@ -1003,7 +1034,7 @@ def trig_of(kind: str, e: GradedExpr, half=Q(1)) -> GradedExpr:
         coef, atom = _canon_trig(fk_kind, combo, pioff)
         coef *= fk_sign
         if coef != 0:
-            base_key = (0, 0, 0, CF_ONE, 0, 0, (), (), atom)
+            base_key = (0, 0, 0, CF_ONE, 0, 0, 0, 0, atom)
             base = GradedExpr(ctx, ((base_key, coef / kfact),))
             result = result + base * power
         k += 1
@@ -1019,9 +1050,9 @@ def trig_of(kind: str, e: GradedExpr, half=Q(1)) -> GradedExpr:
 JetRule = Callable[[str, int, int], Optional[GradedExpr]]
 
 
-def _substituted_trig(t: TrigAtom, rule: JetRule, ctx: Context) -> Optional[GradedExpr]:
+def _substituted_trig(t: int, rule: JetRule, ctx: Context) -> Optional[GradedExpr]:
     """Trig atom re-expanded on its substituted argument; None if nothing binds."""
-    kind, combo, pioff = t
+    kind, combo, pioff = trig_parts(t)
     repls = [rule(sym, 0, 0) for sym, _ in combo]
     if all(repl is None for repl in repls):
         return None
@@ -1032,14 +1063,14 @@ def _substituted_trig(t: TrigAtom, rule: JetRule, ctx: Context) -> Optional[Grad
 
 
 def _times_run(term: Optional[GradedExpr], key: Key, c: int, run: list[list],
-               t: Optional[TrigAtom], ctx: Context) -> GradedExpr:
+               t: Optional[int], ctx: Context) -> GradedExpr:
     """``term`` times the monomial of a run of kept jets and trig atom ``t``,
     taken in normal order, so its sign is +1; the first run (no ``term``)
     also carries the prefix of ``key`` and the coefficient ``c``."""
-    gj, bj = tuple(run[0]), tuple(run[1])
+    gj, bj = _jet_id(tuple(run[0])), _jet_id(tuple(run[1]))
     if term is None:
         return _from_ints(ctx, (), 1, False, {key[:6] + (gj, bj, t): c})
-    if gj or bj or t:
+    if gj or bj or t is not None:
         term = term * _from_ints(ctx, (), 1, False, {(0, 0, 0, CF_ONE, 0, 0, gj, bj, t): 1})
     return term
 
@@ -1066,8 +1097,8 @@ def substitute_jets(e: GradedExpr, rule: JetRule) -> GradedExpr:
         gj, bj, t = key[6:]
         term = None  # the product so far, from the first bound atom on
         run = [[], []]  # the kept graded and scalar jets since then
-        for kept, jets in enumerate((gj, bj)):
-            for atom, exp in jets:
+        for kept, slot in enumerate((gj, bj)):
+            for atom, exp in _JETS[slot]:
                 r = rule(*atom)
                 if r is None:
                     run[kept].append((atom, exp))
@@ -1163,10 +1194,10 @@ def mirror_pm(e: GradedExpr) -> GradedExpr:
         z, tm, tp, cf, v, a, gj, bj, t = key
         fam, kind = cf
         cf2 = ({"L": "E", "E": "L"}.get(fam, fam), kind)
-        bj2 = tuple(sorted(((name, n, m), exp) for (name, m, n), exp in bj))
+        bj2 = _jet_id(tuple(sorted(((name, n, m), exp) for (name, m, n), exp in _JETS[bj])))
         # the graded jets are the only slot the mirror reorders
-        head = GradedExpr(ctx, (((z, tp, tm, cf2, -v, a, (), bj2, t), 1),))
-        for (name, m, n), exp in gj:
+        head = GradedExpr(ctx, (((z, tp, tm, cf2, -v, a, 0, bj2, t), 1),))
+        for (name, m, n), exp in _JETS[gj]:
             for _ in range(exp):
                 head = head * jet(_MIRROR_FIELDS.get(name, name), n, m, ctx)
         # every jet is trig-free, so each product keeps denominator 1

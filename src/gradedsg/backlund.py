@@ -236,7 +236,7 @@ def _sector_rules(sys: BTSystem, which: str) -> dict[tuple[str, int, int], Grade
     rules: dict[tuple[str, int, int], GradedExpr] = {}
     for sector, expr in lsec.items():
         (key, coef), *rest = expr.coefficients()
-        atoms = key[6] or key[7]
+        atoms = al.jets_of(key[6] or key[7])
         if rest or len(atoms) != 1 or atoms[0][1] != 1:
             raise UnsupportedAtom(f"left-hand sector {sector} is not a single target jet")
         atom = atoms[0][0]
@@ -543,19 +543,28 @@ class BodyBTSpec:
 
 
 def _extract_trig_coef(expr: GradedExpr):
-    """Sine-term data of a body relation: (coef, a-power, v-power, combo)."""
+    """Sine-term data of a body relation: (coef, a-power, v-power, combo).
+
+    The relation must hold exactly one trig term, so the result does not
+    depend on the order of its terms.
+    """
+    found = None
     for key, coef in expr.coefficients():
         z, tm, tp, cf, v, a, gj, bj, trig = key
         if trig is None:
             continue
+        if found is not None:
+            raise UnresolvedGenerator("body relation has more than one trig term")
         if cf != al.CF_ONE or gj or bj or z or tm or tp:
             raise UnresolvedGenerator(
                 f"unexpected structure in body relation term {al.term_str(key, coef)}")
-        kind, combo, pioff = trig
+        kind, combo, pioff = al.trig_parts(trig)
         if kind != "s" or pioff != 0:
             raise UnresolvedGenerator("body relation trig term is not a plain sine")
-        return coef, a, v, combo
-    raise UnresolvedGenerator("no trig term found in body relation")
+        found = coef, a, v, combo
+    if found is None:
+        raise UnresolvedGenerator("no trig term found in body relation")
+    return found
 
 
 def export_body_system(sys: BTSystem) -> BodyBTSpec:

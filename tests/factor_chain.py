@@ -15,15 +15,17 @@ def single_slot_factors(key, ctx):
     order, so their product is the monomial with sign +1."""
     z, tm, tp, cf, v, a, gj, bj, t = key
     if z or tm or tp or cf != al.CF_ONE or v or a:
-        yield al.GradedExpr(ctx, (((z, tm, tp, cf, v, a, (), (), None), 1),))
-    for atom, exp in gj:
-        factor = al.GradedExpr(ctx, (((0, 0, 0, al.CF_ONE, 0, 0, ((atom, 1),), (), None), 1),))
+        yield al.GradedExpr(ctx, (((z, tm, tp, cf, v, a, 0, 0, None), 1),))
+    for atom, exp in al.jets_of(gj):
+        factor = al.GradedExpr(ctx, (((0, 0, 0, al.CF_ONE, 0, 0, al._jet_id(((atom, 1),)), 0,
+                                       None), 1),))
         yield from [factor] * exp
-    for atom, exp in bj:
-        factor = al.GradedExpr(ctx, (((0, 0, 0, al.CF_ONE, 0, 0, (), ((atom, 1),), None), 1),))
+    for atom, exp in al.jets_of(bj):
+        factor = al.GradedExpr(ctx, (((0, 0, 0, al.CF_ONE, 0, 0, 0, al._jet_id(((atom, 1),)),
+                                       None), 1),))
         yield from [factor] * exp
     if t is not None:
-        yield al.GradedExpr(ctx, (((0, 0, 0, al.CF_ONE, 0, 0, (), (), t), 1),))
+        yield al.GradedExpr(ctx, (((0, 0, 0, al.CF_ONE, 0, 0, 0, 0, t), 1),))
 
 
 def substitute_by_factors(e, rule):
@@ -38,7 +40,7 @@ def substitute_by_factors(e, rule):
         term = al.GradedExpr.rational(coef, ctx)
         for factor in single_slot_factors(key, ctx):
             fkey, = factor.terms
-            atoms = fkey[6] or fkey[7]
+            atoms = al.jets_of(fkey[6] or fkey[7])
             repl = rule(*atoms[0][0]) if atoms else new_trig if fkey[8] is not None else None
             term = term * (factor if repl is None else repl)
         out = out + term

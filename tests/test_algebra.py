@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -199,10 +200,59 @@ def test_equal_trig_atoms_are_one_object():
     _, canon = al._canon_trig("s", u, Q(1, 3))
     # d- cos(u) = -u_- sin(u): the chain rule makes its sine atom itself
     chained = [key[8] for key in al.d_minus(al.trig("c", u, Q(1, 3), CTX)).terms]
-    assert canon is built
-    assert len(chained) == 2 and all(atom is built for atom in chained)
-    # an interned atom still equals and hashes like its plain triple
-    assert built == tuple(built) and hash(built) == hash(tuple(built))
+    assert type(built) is int and canon == built
+    assert len(chained) == 2 and all(atom == built for atom in chained)
+    # the id stands for its canonical triple, which interns back to it, and
+    # the chain rule's cosine partner has this sine as its own partner
+    triple = ("s", (("X", Q(1, 2)), ("X~", Q(-3))), Q(1, 3))
+    assert al.trig_parts(built) == triple and al._trig_atom(*triple) == built
+    partner = al._TRIGS[built][4]
+    assert al.trig_parts(partner) == ("c", *triple[1:]) and al._TRIGS[partner][4] == built
+
+
+def python_calls(fn, *args):
+    """Names of the Python-level functions entered while ``fn(*args)`` runs;
+    ``fn`` itself is entered when it is a Python function."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_keys_sort_by_contents_not_by_id():
+    # ids follow the order of first use: a sine interned before its cosine
+    # and a higher jet before a lower one still print in content order
+    u = {"X": Q(5, 7), "X~": Q(3, 11)}
+    sin, cos = al.trig("s", u, ctx=CTX), al.trig("c", u, ctx=CTX)
+    high, low = al.jet("Y~", 0, 7, CTX), al.jet("Y~", 0, 6, CTX)
+    assert _key(sin)[8] < _key(cos)[8] and _key(high)[7] < _key(low)[7]
+    assert al.to_text(sin + cos) == "cos(5/7*X + 3/11*X~) + sin(5/7*X + 3/11*X~)"
+    assert al.to_text(high + low) == "Y~_{++++++} + Y~_{+++++++}"
+
+
+def test_hashing_a_key_makes_no_python_call():
+    # jet and trig slots hold interned int ids, so hashing a key with graded
+    # jets, scalar jets and a trig atom, and a hit of the product cache on
+    # two such keys, run in C alone
+    u = {"X": Q(1, 2), "X~": Q(-3)}
+    k1 = _key(g("theta-") * g("lambda+") * al.jet("psi+", 1, 0, CTX) * al.jet("F", ctx=CTX)
+              * al.jet("X", 0, 1, CTX) * al.jet("Y", ctx=CTX) * al.trig("s", u, Q(1, 3), CTX))
+    k2 = _key(al.apow(2, CTX) * al.jet("psi-", ctx=CTX) * al.jet("X~", 2, 0, CTX)
+              * al.trig("c", {"X": Q(1)}, ctx=CTX))
+    assert all(al.jets_of(slot) for slot in k1[6:8]) and k1[8] is not None
+    assert len(al._mul_keys_cached(k1, k2)) == 2  # a product-to-sum pair, now cached
+    hits = al._mul_keys_cached.cache_info().hits
+    assert python_calls(hash, k1) == []
+    assert python_calls(al._mul_keys_cached, k1, k2) == []
+    assert al._mul_keys_cached.cache_info().hits == hits + 1
 
 
 def test_integral_coefficients_are_stored_as_ints(monkeypatch):
@@ -322,7 +372,7 @@ def test_substitute_jets_accumulates_without_adding(monkeypatch):
     assert same == e
     want = al.GradedExpr.zero(CTX)
     for m, mono in enumerate(monos):
-        (name, mm, nn), _ = _key(mono)[7][0]
+        (name, mm, nn), _ = al.jets_of(_key(mono)[7])[0]
         k = 1 if m % 2 == 0 else 2
         want = want + al.jet("X", mm, nn, CTX) * (repl if k == 1 else repl * repl).scale(m + 1)
     assert bound == want

@@ -7,7 +7,7 @@ from gradedsg import backlund as bt
 from gradedsg import model as md
 from gradedsg import parser as ps
 from gradedsg import superspace as ss
-from gradedsg.errors import ConfigError, ContextMismatch, OutsideWindow
+from gradedsg.errors import ConfigError, ContextMismatch, OutsideWindow, UnresolvedGenerator
 
 from fixpoint import reduce_to_fixed_point
 from sabotage import commuting_parameters
@@ -410,6 +410,21 @@ def test_export_body_system_values(sysm):
     assert dict(combo) == {"X": Q(1, 2), "X~": Q(1, 2)}
     # raw and completed second coefficients differ by the sign only
     assert spec.q_raw[0] == -spec.q[0]
+
+
+def test_trig_coefficient_needs_exactly_one_trig_term(sysm):
+    # a body relation with two sines has no one trig coefficient, whatever
+    # order its terms come in; one sine gives its data
+    ctx = sysm.ctx
+    one = ps.parse_expr("X_{-} + v+*a^2*sin(1/2*X + 1/2*X~)", ctx)
+    assert bt._extract_trig_coef(one) == (1, 2, 1, (("X", Q(1, 2)), ("X~", Q(1, 2))))
+    two = ps.parse_expr("X_{-} + v+*a^2*sin(1/2*X + 1/2*X~) + 3*sin(1/2*X - 1/2*X~)", ctx)
+    swapped = ps.parse_expr("3*sin(1/2*X - 1/2*X~) + X_{-} + v+*a^2*sin(1/2*X + 1/2*X~)", ctx)
+    for relation in (two, swapped):
+        with pytest.raises(UnresolvedGenerator, match="more than one trig term"):
+            bt._extract_trig_coef(relation)
+    with pytest.raises(UnresolvedGenerator, match="no trig term"):
+        bt._extract_trig_coef(ps.parse_expr("X_{-}", ctx))
 
 
 def test_export_induced_fermions(sysm):

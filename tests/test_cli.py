@@ -244,3 +244,60 @@ def test_numeric_loads_on_first_access():
             "print(before, gradedsg.numeric.kink(0.0) == math.pi)\n")
     proc = _python(code)
     assert proc.stdout == "False True\n", proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# interned ids follow the order of first use; no report may depend on them
+
+_INTERN_ORDER = '''
+import contextlib, io, random, sys
+from fractions import Fraction as Q
+from gradedsg import algebra as al
+
+case, golden, pinned = sys.argv[1:]
+if case == "times-run-first":
+    # the first atom ever interned is kept through _times_run, after a bound jet
+    assert len(al._TRIGS) == 1
+    e = al.jet("Y") * al.trig("s", {"X": Q(1)})
+    assert next(iter(e.terms))[8] == 1
+    got = al.substitute_jets(e, lambda name, m, n: al.GradedExpr.rational(2) if name == "Y" else None)
+    assert got == al.trig("s", {"X": Q(1)}).scale(2), al.to_text(got)
+if case in ("times-run-first", "shuffled"):
+    # jet tuples and trig atoms like those of the reports, in a random order
+    atoms = [(name, m, n) for name in ("X", "X~", "psi+", "psi-", "psi+~", "psi-~", "F", "F~")
+             for m in range(3) for n in range(3)]
+    jets = [((atom, 1),) for atom in atoms]
+    jets += [tuple(sorted(((a, 1), (b, 1)))) for a, b in zip(atoms, atoms[7:] + atoms[:7])]
+    angles = [(kind, {"X": Q(x, 4), "X~": Q(xt, 4)}, Q(p, 4))
+              for kind in "sc" for x in range(-4, 5) for xt in range(-4, 5) for p in range(2)]
+    first = jets + angles
+    random.Random(20).shuffle(first)
+    for item in first:
+        if isinstance(item[0], str):
+            al.trig(*item)
+        else:
+            al._jet_id(item)
+elif case == "redundancy-first":
+    from gradedsg import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["--check", "redundancy"])
+from gradedsg import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    audit = cli.main(["--check", "conservation-audit", "--golden", golden])
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    symbolic = cli.main([])
+print(audit, symbolic, out.getvalue() == open(pinned).read())
+'''
+
+
+@pytest.mark.parametrize("case", ["times-run-first", "shuffled", "redundancy-first"])
+def test_reports_do_not_depend_on_intern_order(case):
+    # a fresh interpreter interns in another order first; the audit must
+    # still equal its golden file and the symbolic checks their pinned text
+    root = Path(__file__).parents[1]
+    if not (root / "golden").is_dir():
+        pytest.skip("golden directory not present")
+    proc = _python(_INTERN_ORDER, case, str(root / "golden"),
+                   str(Path(__file__).parent / "symbolic_checks.txt"))
+    assert proc.stdout == "0 0 True\n", proc.stderr

@@ -353,15 +353,32 @@ def test_fermion_march_matches_cellwise_reference(shape):
             assert w.tobytes() == ref_w[::step, ::step].tobytes()
 
 
+def _row_gather_background(X):
+    # the background of _indexing_background, gathered row by row into its
+    # one block-sized result: besides it, a call allocates one row of
+    # indices and values at a time
+    def background(XM, XP):
+        out = np.empty(np.broadcast_shapes(XM.shape, XP.shape))
+        rows, cols = np.broadcast_to(XM, out.shape), np.broadcast_to(XP, out.shape)
+        for r, row in enumerate(out):
+            row[:] = X[int(rows[r, 0]), cols[r].astype(int)]
+        return out
+    return background
+
+
 def test_half_step_march_stores_no_full_grid():
     # a deterministic memory gate: the Richardson march keeps O(n) working
     # buffers and one band of the coupling, and writes only the kept quarter
     # of the nodes, so its traced peak stays below one full-grid float64
-    # array
+    # array; the background allocates one band-sized array per call, so the
+    # peak is the march's own
     n = 257
     rng = np.random.default_rng(5)
-    background = _indexing_background(rng.uniform(-2 * math.pi, 2 * math.pi, (n, n)))
+    full = rng.uniform(-2 * math.pi, 2 * math.pi, (n, n))
+    background = _row_gather_background(full)
     x = np.arange(n, dtype=float)
+    XM, XP = np.meshgrid(x[:40], x[::-1], indexing="ij")
+    assert background(XM[:, :1], XP).tobytes() == _indexing_background(full)(XM, XP).tobytes()
     u0 = rng.standard_normal(n)
     w0 = rng.standard_normal(n)
     tracemalloc.start()

@@ -157,7 +157,7 @@ def ref_rank_atoms(key):
         out.append(((2,), DEG_10, 1))
     if al.cf_degree(cf) != DEG_EVEN:
         out.append(((3,), al.cf_degree(cf), 1))
-    for (name, m, n), exp in gj:
+    for (name, m, n), exp in al.jets_of(gj):
         out.append(((4, name, m, n), al.field_info(name).degree, exp))
     return out
 
@@ -173,29 +173,31 @@ def ref_sign(k1, k2):
 
 def ref_merge(j1, j2, graded):
     counts = {}
-    for atom, exp in j1 + j2:
+    for atom, exp in al.jets_of(j1) + al.jets_of(j2):
         counts[atom] = counts.get(atom, 0) + exp
     if graded and any(exp > 1 and is_self_odd(al.field_info(atom[0]).degree)
                       for atom, exp in counts.items()):
         return None
-    return tuple(sorted(counts.items()))
+    return al._jet_id(tuple(sorted(counts.items())))
 
 
 def ref_trig_mul(t1, t2):
     # sin a sin b = (cos(a-b) - cos(a+b))/2, sin a cos b = (sin(a+b) + sin(a-b))/2,
     # cos a sin b = (sin(a+b) - sin(a-b))/2, cos a cos b = (cos(a+b) + cos(a-b))/2
+    (kind1, combo1, pioff1), (kind2, combo2, pioff2) = al.trig_parts(t1), al.trig_parts(t2)
+
     def angle(sign):
-        combo = dict(t1[1])
-        for sym, co in t2[1]:
+        combo = dict(combo1)
+        for sym, co in combo2:
             combo[sym] = combo.get(sym, 0) + sign * co
-        return combo, t1[2] + sign * t2[2]
+        return combo, pioff1 + sign * pioff2
 
     half = Q(1, 2)
     plus, minus = angle(1), angle(-1)
     parts = {("s", "s"): ((half, "c", minus), (-half, "c", plus)),
              ("s", "c"): ((half, "s", plus), (half, "s", minus)),
              ("c", "s"): ((half, "s", plus), (-half, "s", minus)),
-             ("c", "c"): ((half, "c", plus), (half, "c", minus))}[t1[0], t2[0]]
+             ("c", "c"): ((half, "c", plus), (half, "c", minus))}[kind1, kind2]
     out = []
     for pre, kind, (combo, pioff) in parts:
         factor, atom = al._canon_trig(kind, combo, pioff)
