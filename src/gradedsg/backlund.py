@@ -15,11 +15,11 @@ jet-level rewriter ``bt_rewriter`` exposes the same relations as oriented
 rules for interactive use; the body-system export rewrites with its own
 first-order body relations.
 
-``BTSystem.order`` is the one series-length setting.  A system builds its
-relation terms, its series coefficients and their sum once, as cached
-properties, and every check reads them from there.  The conservation audit
-at order K raises the order to K + 2 (on a copy of the system) when the
-system's own series is too short.
+A system is an orientation, a series order and a window, from seed Phi to
+target Phi~.  It builds each relation's sine coefficient (so each sign is
+set in one place), the relation terms, the series and its sum once, as
+cached properties, and every check reads them from there.  The audit at
+order K raises a shorter system's order to K + 2, on a copy.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 from . import algebra as al
 from . import model as md
@@ -63,26 +62,20 @@ def max_audit_order(ctx: Context) -> int:
 class BTSystem:
     """An oriented auto-Backlund rewrite system between two superfields.
 
-    orientation 'minus': the growth equation feeds the D- derivative and
-    carries lambda+; 'plus' swaps the derivative directions and uses the
-    eta family.  ``sabotage`` flips the trig-term sign of one equation and
-    exists only so that non-solutions demonstrably fail.
+    From seed Phi to target Phi~.  orientation 'minus': the growth equation
+    feeds the D- derivative and carries lambda+; 'plus' swaps the derivative
+    directions and uses the eta family.  ``order`` is the series length.
     """
 
     orientation: str = "minus"
-    seed: str = "Phi"
-    target: str = "Phi~"
     order: int = 6
     ctx: Context = al.BT_CTX
-    sabotage: Optional[str] = None  # None | 'flip-first' | 'flip-second'
 
     def __post_init__(self):
         if self.orientation not in _SIDES:
             raise ConfigError("orientation must be 'minus' or 'plus'")
         if self.ctx.nz != 0:
             raise ConfigError("Backlund systems require the z-independent mode")
-        if self.sabotage not in (None, "flip-first", "flip-second"):
-            raise ConfigError("sabotage must be None, 'flip-first' or 'flip-second'")
         if self.ctx.amin > A_FLOOR:
             raise OutsideWindow(f"Backlund systems need amin <= {A_FLOOR}")
 
@@ -105,11 +98,11 @@ class BTSystem:
 
     @functools.cached_property
     def seed_field(self) -> ss.SuperField:
-        return ss.generic_superfield(self.seed, nz=0, ctx=self.ctx)
+        return ss.generic_superfield("Phi", nz=0, ctx=self.ctx)
 
     @functools.cached_property
     def target_field(self) -> ss.SuperField:
-        return ss.generic_superfield(self.target, nz=0, ctx=self.ctx)
+        return ss.generic_superfield("Phi~", nz=0, ctx=self.ctx)
 
     @functools.cached_property
     def sum_arg(self) -> GradedExpr:
@@ -119,23 +112,25 @@ class BTSystem:
     def diff_arg(self) -> GradedExpr:
         return self.target_field.expr - self.seed_field.expr
 
-    def _sign(self, flag: str) -> int:
-        """Trig-term sign of the relation that the sabotage flag ``flag`` flips."""
-        return -1 if self.sabotage == flag else 1
+    @functools.cached_property
+    def sine_coef1(self) -> GradedExpr:
+        """Sine coefficient of the first relation: 2 a param1."""
+        return (al.gen("a", self.ctx) * al.gen(self.param1, self.ctx)).scale(2)
+
+    @functools.cached_property
+    def sine_coef2(self) -> GradedExpr:
+        """Sine coefficient of the second relation: 2 a^-1 param2."""
+        return (al.apow(-1, self.ctx) * al.gen(self.param2, self.ctx)).scale(2)
 
     @functools.cached_property
     def term1(self) -> GradedExpr:
         """Trig term of the first relation: 2 a param1 sin((target + seed)/4)."""
-        ctx, sign = self.ctx, self._sign("flip-first")
-        return (al.gen("a", ctx) * al.gen(self.param1, ctx)
-                * al.trig_of("s", self.sum_arg, QUARTER)).scale(2 * sign)
+        return self.sine_coef1 * al.trig_of("s", self.sum_arg, QUARTER)
 
     @functools.cached_property
     def term2(self) -> GradedExpr:
         """Trig term of the second relation: 2 a^-1 param2 sin((target - seed)/4)."""
-        ctx, sign = self.ctx, self._sign("flip-second")
-        return (al.apow(-1, ctx) * al.gen(self.param2, ctx)
-                * al.trig_of("s", self.diff_arg, QUARTER)).scale(2 * sign)
+        return self.sine_coef2 * al.trig_of("s", self.diff_arg, QUARTER)
 
     @functools.cached_property
     def rhs1(self) -> GradedExpr:
@@ -267,9 +262,10 @@ def verify_auto_bt(sys: BTSystem) -> Report:
     In the z-independent mode both mixed covariant derivatives of the target
     coincide, so the target residual is evaluated as twice the mixed
     derivative with the second relation substituted innermost, the first
-    relation substituted into the chain-rule factor, and the seed equation
-    of motion applied at the end.  The chain-rule steps themselves are
-    asserted against the engine first.
+    relation's term substituted into the chain-rule factor, and the seed
+    equation of motion applied at the end.  The chain-rule steps themselves
+    are asserted against the engine first.  The control substitutes the
+    negated term: that sign-flipped system must leave a nonzero residual.
     """
     rep = Report(f"verify-bt[{sys.orientation}]")
     ctx = sys.ctx
@@ -284,26 +280,28 @@ def verify_auto_bt(sys: BTSystem) -> Report:
         rep.add_zero_check(f"chain-rule oracle D2 {label}",
                            trig_chain_residual(sys.D2, kind, arg, QUARTER))
 
-    # D1(rhs2) with the chain factor substituted via the first relation
-    d1_of_trig2 = (al.trig_of("c", sys.diff_arg, QUARTER) * sys.term1).scale(QUARTER)
-    d1_rhs2 = (-ss.apply(sys.D1, ss.apply(sys.D2, seed.expr))
-               + (al.apow(-1, ctx) * al.gen(sys.param2, ctx)
-                  * d1_of_trig2).scale(2 * sys._sign("flip-second")))
-    target_residual = (d1_rhs2.scale(2)
-                       + alpha * al.trig_of("s", target.expr, HALF))
-    E = target_residual - md.sg_residual(seed)
-    E = md.reduce_on_shell(E, seed)
+    # D1(rhs2) with the chain factor substituted via a first-relation term
+    def on_shell_residual(term1: GradedExpr) -> GradedExpr:
+        d1_of_trig2 = (al.trig_of("c", sys.diff_arg, QUARTER) * term1).scale(QUARTER)
+        d1_rhs2 = (-ss.apply(sys.D1, ss.apply(sys.D2, seed.expr))
+                   + sys.sine_coef2 * d1_of_trig2)
+        E = (d1_rhs2.scale(2) + alpha * al.trig_of("s", target.expr, HALF)
+             - md.sg_residual(seed))
+        return md.reduce_on_shell(E, seed)
+
+    E = on_shell_residual(sys.term1)
     ok = E.is_zero()
     rep.add("target residual equals seed residual on shell",
             "pass" if ok else "fail",
             () if ok else tuple(sorted(al.term_str(k, c) for k, c in E.coefficients())))
+    rep.add("sign-flipped system is rejected",
+            "fail" if on_shell_residual(-sys.term1).is_zero() else "pass")
 
     # route asymmetry of the printed system (informational): substituting
     # the first relation innermost instead leaves a nonzero obstruction.
     d2_of_trig1 = (al.trig_of("c", sys.sum_arg, QUARTER) * sys.term2).scale(QUARTER)
     d2_rhs1 = (ss.apply(sys.D2, ss.apply(sys.D1, seed.expr))
-               + (al.gen("a", ctx) * al.gen(sys.param1, ctx)
-                  * d2_of_trig1).scale(2 * sys._sign("flip-first")))
+               + sys.sine_coef1 * d2_of_trig1)
     alt = (d2_rhs1.scale(2) + alpha * al.trig_of("s", target.expr, HALF)
            - md.sg_residual(seed))
     alt = md.reduce_on_shell(alt, seed)
@@ -369,10 +367,8 @@ def verify_redundancy(sys: BTSystem) -> Report:
     rep = Report(f"redundancy[{sys.orientation}]")
     phis = sys.series_sum
     seed = sys.seed_field
-    ctx = sys.ctx
     lhs = ss.apply(sys.D1, phis) - ss.apply(sys.D1, seed.expr)
-    rhs = (al.gen("a", ctx) * al.gen(sys.param1, ctx)
-           * al.trig_of("s", phis + seed.expr, QUARTER)).scale(2)
+    rhs = sys.sine_coef1 * al.trig_of("s", phis + seed.expr, QUARTER)
     residual = md.reduce_on_shell(lhs - rhs, seed)
     for n in range(0, sys.order + 1):
         rep.add_finding(f"order {n}", al.series_coefficient(residual, n))
@@ -443,7 +439,7 @@ def verify_current_conservation(sys: BTSystem) -> Report:
     return rep
 
 
-def conservation_audit(sys: BTSystem, K: int = 4) -> Report:
+def conservation_audit(sys: BTSystem, K: int) -> Report:
     """Order-by-order audit of the conservation-law family (informational).
 
     Expands the current identity on the series solution through order K

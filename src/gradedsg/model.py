@@ -77,10 +77,8 @@ def potential_derivative(L: LagrangianExpr, field: ss.SuperField) -> GradedExpr:
     return out
 
 
-def euler_lagrange(L: LagrangianExpr, field: Optional[ss.SuperField] = None) -> GradedExpr:
+def euler_lagrange(L: LagrangianExpr, field: ss.SuperField) -> GradedExpr:
     """D-(dL/dPhi-) + D+(dL/dPhi+) - dW/dPhi for first-order Lagrangians."""
-    if field is None:
-        field = ss.generic_superfield("Phi", nz=0)
     phi_minus = ss.apply(ss.D_MINUS, field.expr)
     phi_plus = ss.apply(ss.D_PLUS, field.expr)
     # dL/dPhi- = kinetic * Phi+, dL/dPhi+ = kinetic * Phi- (left derivatives;
@@ -109,16 +107,14 @@ def auxiliary_solution(field: ss.SuperField) -> GradedExpr:
             * al.trig("s", {field.body: HALF}, ctx=ctx)).scale(Q(-1, 2))
 
 
-def component_equations(eliminate_auxiliary: bool = True,
-                        field: Optional[ss.SuperField] = None) -> dict[str, GradedExpr]:
+def component_equations(eliminate_auxiliary: bool,
+                        field: ss.SuperField) -> dict[str, GradedExpr]:
     """Theta-sector residuals of the field equation, normalized for display.
 
     Keys: 'aux' (theta^0 sector as computed), 'X', 'psi+', 'psi-' (scaled to
     match the customary component form: the theta-theta sector doubled, the
     linear sectors negated).
     """
-    if field is None:
-        field = ss.generic_superfield("Phi", nz=0)
     res = sg_residual(field)
     if eliminate_auxiliary:
         res = al.substitute(res, {field.component("F"): auxiliary_solution(field)})
@@ -132,10 +128,8 @@ def component_equations(eliminate_auxiliary: bool = True,
     }
 
 
-def classical_residual(field: Optional[ss.SuperField] = None) -> GradedExpr:
+def classical_residual(field: ss.SuperField) -> GradedExpr:
     """Component X-equation with the fermions switched off."""
-    if field is None:
-        field = ss.generic_superfield("Phi", nz=0)
     eqs = component_equations(eliminate_auxiliary=True, field=field)
     ctx = field.expr.ctx
     zero = GradedExpr.zero(ctx)
@@ -175,7 +169,5 @@ def on_shell_rewriter(field: ss.SuperField) -> al.JetRewriter:
     ))
 
 
-def reduce_on_shell(e: GradedExpr, field: Optional[ss.SuperField] = None) -> GradedExpr:
-    if field is None:
-        field = ss.generic_superfield("Phi", nz=0)
+def reduce_on_shell(e: GradedExpr, field: ss.SuperField) -> GradedExpr:
     return on_shell_rewriter(field).reduce(e)

@@ -94,8 +94,8 @@ class FieldState:
 
 def kink(x, t: float = 0.0, v: float = 0.0, x0: float = 0.0):
     """Topological kink 4*arctan(exp(gamma (x - v t - x0))), |v| < 1."""
-    if abs(v) >= 1:
-        raise VelocityOutOfRange(f"|v| = {abs(v)} >= 1")
+    if not abs(v) < 1:  # also rejects NaN
+        raise VelocityOutOfRange(f"|v| = {abs(v)} must be below 1")
     gamma = 1.0 / math.sqrt(1.0 - v * v)
     return 4.0 * np.arctan(np.exp(gamma * (np.asarray(x, dtype=float) - v * t - x0)))
 
@@ -103,8 +103,8 @@ def kink(x, t: float = 0.0, v: float = 0.0, x0: float = 0.0):
 def kink_state(L: float = 20.0, h: float = 2.0 ** -7, v: float = 0.0,
                x0: float = 0.0) -> FieldState:
     s = FieldState.empty(L, h)
+    s.X = kink(s.x, 0.0, v, x0)  # checks v before gamma divides by 1 - v^2
     gamma = 1.0 / math.sqrt(1.0 - v * v)
-    s.X = kink(s.x, 0.0, v, x0)
     # d/dt of the travelling profile
     arg = gamma * (s.x - x0)
     s.Xdot = -2.0 * gamma * v / np.cosh(arg)
@@ -163,9 +163,14 @@ def solve_leapfrog(s0: FieldState, T: float, dt: Optional[float] = None) -> Fiel
     h = s0.h
     if dt is None:
         dt = h / 2
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt = {dt} must be finite and positive")
     if dt >= h:
         raise CFLViolation(f"dt = {dt} must be smaller than h = {h}")
-    steps = int(round(T / dt))
+    ratio = T / dt
+    if not (math.isfinite(ratio) and round(ratio) >= 1):
+        raise ConfigError(f"T = {T} must be finite and hold at least one step of {dt}")
+    steps = int(round(ratio))
 
     def accel(X):
         a = _second_deriv_4(X, h)
@@ -580,8 +585,12 @@ def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarr
     ``_fermion_march``) and, for the residuals, in blocks of rows, so no
     full-grid coupling or fine-grid solution is ever stored.
     """
+    if not all(math.isfinite(v) and v > 0 for v in (Lm, Lp, h)):
+        raise ConfigError(f"Lm = {Lm}, Lp = {Lp} and h = {h} must be finite and positive")
     nm = int(round(Lm / h)) + 1
     np_ = int(round(Lp / h)) + 1
+    if min(nm, np_) < 5:  # the fourth-order residual reads five nodes
+        raise ConfigError(f"a {nm} x {np_} grid has a side of fewer than 5 nodes")
     xm = np.linspace(0.0, Lm, nm)
     xp = np.linspace(0.0, Lp, np_)
     u, w = _fermion_march(background_X, xm, xp, psi_plus_edge(xm),

@@ -118,7 +118,6 @@ class SuperField:
     expr: GradedExpr
     body: str
     components: tuple[tuple[str, str], ...]  # (role, field name)
-    nz: int
 
     def component(self, role: str) -> str:
         for r, n in self.components:
@@ -160,7 +159,7 @@ def generic_superfield(label: str, nz: int = 0,
             term = al.gen("z", ctx) * term
         expr = expr + term
     body = _component_name("X", label)
-    return SuperField(label, expr, body, tuple(comps), nz)
+    return SuperField(label, expr, body, tuple(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +180,7 @@ _EXPECTED_BRACKETS = {
 _BY_NAME = {D.name: D for D in SUPERTRANSLATIONS + COVARIANT}
 
 
-def superalgebra_checks(probe: Optional[GradedExpr] = None):
+def superalgebra_checks(probe: GradedExpr):
     """Yield (label, residual) pairs for every algebra relation.
 
     Covers all ordered generator pairs of the supertranslation algebra, the
@@ -201,8 +200,6 @@ def superalgebra_checks(probe: Optional[GradedExpr] = None):
     equal ``bracket`` term for term.  The 162 relations take 169 derivation
     applications, one per distinct word, and no result outlives the call.
     """
-    if probe is None:
-        probe = generic_superfield("Phi", nz=1).expr
     words: dict[tuple[str, ...], GradedExpr] = {(): probe}
 
     def word(*names: str) -> GradedExpr:
@@ -257,11 +254,8 @@ def superalgebra_checks(probe: Optional[GradedExpr] = None):
                 yield f"jacobi[{na},[{nb},{nc}]]", triple(na, nb, nc) - rhs1 - rhs2
 
 
-def derivation_covariance_checks(probe: Optional[GradedExpr] = None):
+def derivation_covariance_checks(probe: GradedExpr):
     """Degree and weight shifts of every derivation on a homogeneous probe."""
-    if probe is None:
-        sf = generic_superfield("Phi", nz=1)
-        probe = sf.expr
     for D in SUPERTRANSLATIONS + COVARIANT:
         out = D(probe)
         if out.is_zero():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
@@ -10,7 +11,7 @@ from gradedsg import superspace as ss
 from gradedsg.errors import ConfigError, ContextMismatch, OutsideWindow, UnresolvedGenerator
 
 from fixpoint import reduce_to_fixed_point
-from sabotage import commuting_parameters
+from sabotage import commuting_parameters, flipped_relation
 
 
 def expr_eq(a, b):
@@ -97,9 +98,24 @@ def test_auto_bt_minus_and_plus(sysm, sysp):
 
 
 def test_auto_bt_sabotage_detected():
-    for flag in ("flip-first", "flip-second"):
-        rep = bt.verify_auto_bt(bt.BTSystem(sabotage=flag))
-        assert not rep.passed()
+    # a wrong sign in either relation, in either orientation, is no
+    # auto-Backlund transformation
+    for orientation in ("minus", "plus"):
+        for which in (1, 2):
+            rep = bt.verify_auto_bt(flipped_relation(orientation, which))
+            status = {e.name: e.status for e in rep.entries}
+            assert status["target residual equals seed residual on shell"] == "fail"
+
+
+@pytest.mark.parametrize("orientation", ["minus", "plus"])
+def test_sign_flip_control_matches_the_flipped_system(orientation):
+    # the report's own control says what verifying the system with its
+    # first relation's sign flipped says
+    rep = bt.verify_auto_bt(bt.BTSystem(orientation=orientation))
+    control = {e.name: e.status for e in rep.entries}["sign-flipped system is rejected"]
+    flipped = bt.verify_auto_bt(flipped_relation(orientation, 1))
+    assert control == ("fail" if flipped.passed() else "pass")
+    assert control == "pass"
 
 
 def test_route_asymmetry_value(sysm):
@@ -250,8 +266,11 @@ def test_current_conservation_needs_anticommutation():
 
 
 def test_current_conservation_sabotage():
-    rep = bt.verify_current_conservation(bt.BTSystem(sabotage="flip-second"))
-    assert not rep.passed()
+    for orientation in ("minus", "plus"):
+        for which in (1, 2):
+            rep = bt.verify_current_conservation(flipped_relation(orientation, which))
+            status = {e.name: e.status for e in rep.entries}
+            assert status["divergence vanishes"] == "fail"
 
 
 def test_conservation_audit_findings(sysm):
@@ -316,8 +335,8 @@ def audit(amax, K, orientation):
         bt.BTSystem(order=6, orientation=orientation, ctx=al.Context(0, -2, amax)), K)
 
 
-def verify_bt(sabotage):
-    return lambda: bt.verify_auto_bt(bt.BTSystem(sabotage=sabotage))
+def verify_bt(system):
+    return lambda: bt.verify_auto_bt(system())
 
 
 # run -> (call, the number of reductions it makes)
@@ -326,9 +345,10 @@ REDUCING_RUNS = {
     "audit-8-4-plus": (audit(8, 4, "plus"), 6),
     "audit-10-6-minus": (audit(10, 6, "minus"), 8),
     "audit-10-6-plus": (audit(10, 6, "plus"), 8),
-    "verify-bt": (verify_bt(None), 2),
-    "verify-bt-flip-first": (verify_bt("flip-first"), 2),
-    "verify-bt-flip-second": (verify_bt("flip-second"), 2),
+    # the target residual, the sign-flip control and the route asymmetry
+    "verify-bt": (verify_bt(bt.BTSystem), 3),
+    "verify-bt-flip-first": (verify_bt(lambda: flipped_relation("minus", 1)), 3),
+    "verify-bt-flip-second": (verify_bt(lambda: flipped_relation("minus", 2)), 3),
     # the raw and the completed cross-derivative mismatch
     "export-body-system": (lambda: bt.export_body_system(bt.BTSystem()), 2),
 }
@@ -374,13 +394,18 @@ def test_system_refuses_a_window_without_a_inverse_squared():
             bt.BTSystem(ctx=al.Context(0, amin, 8))
 
 
+def test_system_is_orientation_order_and_window():
+    # the seed and target are always Phi and Phi~, and no field is a switch
+    # that only a control uses
+    assert [f.name for f in dataclasses.fields(bt.BTSystem)] == ["orientation", "order", "ctx"]
+    sysm = bt.BTSystem()
+    assert (sysm.seed_field.body, sysm.target_field.body) == ("X", "X~")
+
+
 def test_system_fields_raise_config_errors():
-    for kwargs in ({"orientation": "sideways"}, {"ctx": al.Context(1, -2, 8)},
-                   {"sabotage": "flip-frist"}):
+    for kwargs in ({"orientation": "sideways"}, {"ctx": al.Context(1, -2, 8)}):
         with pytest.raises(ConfigError):
             bt.BTSystem(**kwargs)
-    for flag in (None, "flip-first", "flip-second"):
-        bt.BTSystem(sabotage=flag)
 
 
 @pytest.mark.parametrize("call, error", [

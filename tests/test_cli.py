@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gradedsg import algebra as al
+from gradedsg import backlund as bt
 from gradedsg import cli
 from gradedsg import parser as ps
 from gradedsg.errors import MiniLangSyntaxError, UnknownSymbol
@@ -129,6 +130,33 @@ def test_sabotage_flag_fails_run(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--check", "verify-bt", "--sabotage", "flip-first"])
     assert exc.value.code == 2
+
+
+def test_verify_bt_reads_its_control_from_the_minus_report(capsys, monkeypatch):
+    # two verifications and no third, sabotaged one: the control line is the
+    # minus report's own sign-flip entry
+    control = "sign-flipped system is rejected"
+    calls = []
+    verify = bt.verify_auto_bt
+
+    def counted(sys):
+        calls.append(sys.orientation)
+        return verify(sys)
+
+    monkeypatch.setattr(bt, "verify_auto_bt", counted)
+    assert cli.main(["--check", "verify-bt"]) == 0
+    assert calls == ["minus", "plus"]
+    assert f"PASS {control}\n" in capsys.readouterr().out
+
+    def plus_control_fails(sys):
+        rep = verify(sys)
+        if sys.orientation == "plus":
+            next(e for e in rep.entries if e.name == control).status = "fail"
+        return rep
+
+    monkeypatch.setattr(bt, "verify_auto_bt", plus_control_fails)
+    rep = cli.check_verify_bt(cli.RunConfig())
+    assert {e.name: e.status for e in rep.entries}[control] == "pass"
 
 
 def test_eval_mode(capsys):
@@ -253,6 +281,7 @@ _INTERN_ORDER = '''
 import contextlib, io, random, sys
 from fractions import Fraction as Q
 from gradedsg import algebra as al
+from gradedsg import backlund as bt
 
 case, golden, pinned = sys.argv[1:]
 if case == "times-run-first":

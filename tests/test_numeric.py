@@ -50,8 +50,12 @@ def test_kink_values_and_limits():
     assert nm.kink(0.0) == pytest.approx(math.pi)
     assert nm.kink(-60.0) == pytest.approx(0.0, abs=1e-12)
     assert nm.kink(60.0) == pytest.approx(2 * math.pi, abs=1e-12)
-    with pytest.raises(VelocityOutOfRange):
-        nm.kink(0.0, v=1.0)
+    # |v| < 1 is checked before gamma divides by 1 - v^2; NaN fails it too
+    for v in (1.0, -1.0, 1.5, math.inf, math.nan):
+        with pytest.raises(VelocityOutOfRange):
+            nm.kink(0.0, v=v)
+        with pytest.raises(VelocityOutOfRange):
+            nm.kink_state(5.0, 2.0 ** -5, v=v)
 
 
 def test_static_kink_residual_fine_grid():
@@ -84,6 +88,11 @@ def test_leapfrog_vacuum_and_cfl():
     assert np.all(out.X == 0.0)
     with pytest.raises(CFLViolation):
         nm.solve_leapfrog(s0, 1.0, dt=1.0)
+    # dt must be finite and positive, and T must hold at least one step
+    for T, dt in ((1.0, 0.0), (1.0, -0.01), (1.0, math.nan), (-1.0, None),
+                  (0.0, None), (2.0 ** -8, None), (math.nan, None), (math.inf, None)):
+        with pytest.raises(ConfigError):
+            nm.solve_leapfrog(s0, T, dt=dt)
 
 
 @pytest.mark.parametrize("L, h", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
@@ -507,6 +516,23 @@ def test_bad_fermion_inputs_raise_typed_errors(background, plus, minus):
     with pytest.raises(ConfigError):
         nm.integrate_fermions(background, plus, minus, Lm=1.0, Lp=1.0,
                               h=2.0 ** -3)
+
+
+@pytest.mark.parametrize("Lm, Lp, h", [
+    (1.0, 1.0, 0.0), (1.0, 1.0, -2.0 ** -3), (1.0, 1.0, math.nan),
+    (math.inf, 1.0, 2.0 ** -3), (1.0, math.nan, 2.0 ** -3), (0.0, 1.0, 2.0 ** -3),
+    (0.375, 1.0, 2.0 ** -3), (1.0, 0.375, 2.0 ** -3),  # a side of 4 nodes
+])
+def test_bad_fermion_grid_raises_config_error(Lm, Lp, h):
+    with pytest.raises(ConfigError):
+        nm.integrate_fermions(_ZERO_BG, _ONES, _ONES, Lm=Lm, Lp=Lp, h=h)
+
+
+def test_five_nodes_a_side_are_enough():
+    # the fourth-order residual reads five nodes, so the smallest grid has
+    # one interior residual node a side
+    res = nm.integrate_fermions(_ZERO_BG, _ONES, _ONES, Lm=0.5, Lp=0.5, h=2.0 ** -3)
+    assert res.u.shape == (5, 5)
 
 
 def test_scalar_edge_data_broadcasts():

@@ -220,6 +220,49 @@ def test_no_untyped_value_errors():
     assert offenders == []
 
 
+def word_uses(source: str, word: str) -> list[int]:
+    """Lines of each name, attribute, keyword, parameter, definition or string
+    constant (docstrings included) that contains ``word``, in any case."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            text = node.id
+        elif isinstance(node, ast.Attribute):
+            text = node.attr
+        elif isinstance(node, (ast.keyword, ast.arg)):
+            text = node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            text = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            continue
+        if text and word in text.lower():
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_guard_finds_word_uses():
+    source = ("import x  # a sabotage comment is no use\n"
+              "sabotage = 1\n"
+              "x.sabotage_flag\n"
+              "f(sabotage=None)\n"
+              "def g(sabotage): pass\n"
+              "def sabotaged(): pass\n"
+              "'Sabotage flips a sign'\n"
+              "class Sabotage: pass\n"
+              "f(**kwargs)\n")
+    assert word_uses(source, "sabotage") == [2, 3, 4, 5, 6, 7, 8]
+
+
+def test_no_test_switch_in_the_package():
+    # controls are computed by the checks themselves; a sabotaged system is
+    # built by the tests (tests/sabotage.py), never by a package setting
+    offenders = [f"{path.name}:{line}" for path in package_sources()
+                 for line in word_uses(path.read_text(), "sabotage")]
+    assert offenders == []
+
+
 def test_no_assert_statements():
     # python -O strips assert statements; invariants raise typed errors
     offenders = [f"{path.name}:{line}" for path in package_sources()

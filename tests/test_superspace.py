@@ -78,7 +78,8 @@ def test_bracket_examples():
 
 
 def test_full_superalgebra_suite_is_clean():
-    failures = [label for label, res in ss.superalgebra_checks()
+    probe = ss.generic_superfield("Phi", nz=1).expr
+    failures = [label for label, res in ss.superalgebra_checks(probe)
                 if not res.is_zero()]
     assert failures == []
 
@@ -94,10 +95,11 @@ def test_suite_evaluates_each_word_once(monkeypatch):
         calls.append(self.name)
         return call(self, e)
 
+    probe = ss.generic_superfield("Phi", nz=1).expr
     monkeypatch.setattr(ss.Derivation, "__call__", counted)
     for _ in range(2):  # a second call makes as many: no result is kept
         calls.clear()
-        assert len(list(ss.superalgebra_checks())) == 162
+        assert len(list(ss.superalgebra_checks(probe))) == 162
         assert len(calls) == 169
 
 
@@ -146,7 +148,8 @@ def test_suite_matches_definitions_under_sabotage(monkeypatch):
 
 
 def test_derivation_covariance():
-    assert all(ok for _, ok in ss.derivation_covariance_checks())
+    probe = ss.generic_superfield("Phi", nz=1).expr
+    assert all(ok for _, ok in ss.derivation_covariance_checks(probe))
 
 
 def test_weight_examples():
