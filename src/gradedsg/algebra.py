@@ -45,6 +45,15 @@ mod 2 and every jet ranks after the prefix, so these give the whole sign
 (``_cross_sign``).  A cached product is ``(key, numerator, denominator)``
 entries: the denominator is 1, or 2 for a trig half-sum (4 where a Niven
 1/2 joins it).
+
+A term that leaves the Laurent window in ``a`` is dropped, and the result
+records where: its precision ``prec`` is None when it is exact, and
+otherwise the lowest power of ``a`` that a dropped term could still reach,
+so every coefficient below ``a^prec`` is exact (the ``O(a^p)`` of power
+series arithmetic, Knuth, TAOCP vol. 2 section 4.7).  A product takes
+``min(prec f + val g, prec g + val f)`` and the lowest power it drops, a
+sum the lower precision of its two terms, and ``series_coefficient``
+refuses an order at or past the precision.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import (
@@ -501,18 +510,22 @@ class GradedExpr:
     ``_from_ints``, which the ring operations and derivatives call directly
     with integer numerators.  A coefficient is an ``int`` or a ``Fraction``,
     and an operand also a ``GradedExpr``; anything else raises ``ConfigError``.
+
+    ``prec`` is the precision in ``a``: None when exact, else the lowest
+    power of ``a`` a dropped term could reach (``-inf`` when that has no
+    bound).  Equality compares the terms, not the precision.
     """
 
-    __slots__ = ("ctx", "terms", "den", "truncated")
+    __slots__ = ("ctx", "terms", "den", "prec")
 
     def __init__(self, ctx: Context, terms: Iterable[tuple[Key, "int | Fraction"]] = (),
-                 truncated: bool = False):
+                 prec: "int | float | None" = None):
         pairs = [(k, _exact(c)) for k, c in terms]
         # over the lcm of the denominators every coefficient is an int numerator
         den = lcm(*(c.denominator for _, c in pairs))
         e = _from_ints(ctx, ((k, c.numerator * (den // c.denominator)) for k, c in pairs),
-                       den, truncated)
-        self.ctx, self.terms, self.den, self.truncated = e.ctx, e.terms, e.den, e.truncated
+                       den, prec)
+        self.ctx, self.terms, self.den, self.prec = e.ctx, e.terms, e.den, e.prec
 
     # -- helpers ------------------------------------------------------------
 
@@ -550,12 +563,14 @@ class GradedExpr:
                else {k: c * m1 for k, c in self.terms.items()})
         pairs = (other.terms.items() if m2 == 1
                  else ((k, c * m2) for k, c in other.terms.items()))
-        return _from_ints(self.ctx, pairs, den, self.truncated or other.truncated, acc)
+        p, q = self.prec, other.prec
+        return _from_ints(self.ctx, pairs, den, p if q is None else q if p is None else min(p, q),
+                          acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _from_ints(self.ctx, (), self.den, self.truncated,
+        return _from_ints(self.ctx, (), self.den, self.prec,
                           {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
@@ -571,7 +586,7 @@ class GradedExpr:
             return GradedExpr.zero(self.ctx)
         p = q.numerator
         acc = self.terms.copy() if p == 1 else {k: p * c for k, c in self.terms.items()}
-        return _from_ints(self.ctx, (), self.den * q.denominator, self.truncated, acc)
+        return _from_ints(self.ctx, (), self.den * q.denominator, self.prec, acc)
 
     def __mul__(self, other):
         if not isinstance(other, GradedExpr):
@@ -583,7 +598,7 @@ class GradedExpr:
         append = products.append
         # lcm of the product-table denominators met so far
         den = 1
-        truncated = self.truncated or other.truncated
+        low = None  # the lowest power of a that the window drops
         for k1, c1 in self.terms.items():
             z1, tm1, tp1, a1 = k1[0], k1[1], k1[2], k1[5]
             for k2, c2 in other.terms.items():
@@ -593,7 +608,8 @@ class GradedExpr:
                     continue
                 a = a1 + k2[5]
                 if a < amin or a > amax:
-                    truncated = True
+                    if low is None or a < low:
+                        low = a
                     continue
                 c12 = c1 * c2
                 for k, n, d in _mul_keys_cached(k1, k2):
@@ -605,7 +621,9 @@ class GradedExpr:
                             den = grown
                         n *= den // d
                     append((k, c12 * n))
-        return _from_ints(ctx, products, self.den * other.den * den, truncated)
+        if self.prec is not None or other.prec is not None:
+            low = _product_prec(self, other, low)
+        return _from_ints(ctx, products, self.den * other.den * den, low)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -649,7 +667,7 @@ _new_expr = object.__new__
 
 
 def _from_ints(ctx: Context, pairs: Iterable[tuple[Key, int]], den: int,
-               truncated: bool, acc: Optional[dict] = None) -> GradedExpr:
+               prec: "int | float | None", acc: Optional[dict] = None) -> GradedExpr:
     """The expression ``sum(numerator * key) / den`` in canonical form.
 
     ``pairs`` of a repeated key are summed into ``acc`` (a fresh dict of
@@ -681,8 +699,25 @@ def _from_ints(ctx: Context, pairs: Iterable[tuple[Key, int]], den: int,
     e.ctx = ctx
     e.terms = acc
     e.den = den
-    e.truncated = truncated
+    e.prec = prec
     return e
+
+
+def _val(e: GradedExpr) -> "int | float":
+    """The lowest power of ``a`` that ``e`` may hold: its lowest term or its
+    precision; ``inf`` for the exact zero."""
+    low = min((key[5] for key in e.terms), default=inf)
+    return low if e.prec is None else min(low, e.prec)
+
+
+def _product_prec(f: GradedExpr, g: GradedExpr, low: Optional[int]) -> "int | float":
+    """Precision of ``f * g``, whose pair loop dropped ``low`` at the lowest:
+    (F + O(a^p)) (G + O(a^q)) is FG + O(a^(p + val G)) + O(a^(q + val F))."""
+    for x, y in ((f, g), (g, f)):
+        if x.prec is not None and (y.terms or y.prec is not None):
+            p = x.prec + _val(y)
+            low = p if low is None else min(low, p)
+    return low
 
 
 def _exact(q):
@@ -740,17 +775,17 @@ def gen(name: str, ctx: Context = DEFAULT_CTX) -> GradedExpr:
         key = _GEN_KEYS[name]
     except KeyError:
         raise UnknownSymbol(f"unknown generator {name!r}") from None
-    return _from_ints(ctx, (), 1, False, {key: 1})
+    return _from_ints(ctx, (), 1, None, {key: 1})
 
 
 def apow(k: int, ctx: Context = DEFAULT_CTX) -> GradedExpr:
     if k < ctx.amin or k > ctx.amax:
-        return GradedExpr(ctx, truncated=True)
-    return _from_ints(ctx, (), 1, False, {(0, 0, 0, CF_ONE, 0, k, 0, 0, None): 1})
+        return GradedExpr(ctx, prec=k)
+    return _from_ints(ctx, (), 1, None, {(0, 0, 0, CF_ONE, 0, k, 0, 0, None): 1})
 
 
 def vpow(k: int, ctx: Context = DEFAULT_CTX) -> GradedExpr:
-    return _from_ints(ctx, (), 1, False, {(0, 0, 0, CF_ONE, k, 0, 0, 0, None): 1})
+    return _from_ints(ctx, (), 1, None, {(0, 0, 0, CF_ONE, k, 0, 0, 0, None): 1})
 
 
 def jet(name: str, m: int = 0, n: int = 0, ctx: Context = DEFAULT_CTX) -> GradedExpr:
@@ -762,7 +797,7 @@ def jet(name: str, m: int = 0, n: int = 0, ctx: Context = DEFAULT_CTX) -> Graded
         key = (0, 0, 0, CF_ONE, 0, 0, 0, atom, None)
     else:
         key = (0, 0, 0, CF_ONE, 0, 0, atom, 0, None)
-    return _from_ints(ctx, (), 1, False, {key: 1})
+    return _from_ints(ctx, (), 1, None, {key: 1})
 
 
 def trig(kind: str, combo: Mapping[str, Fraction], pioff=Q(0),
@@ -857,15 +892,35 @@ def to_text(e: GradedExpr) -> str:
 # ---------------------------------------------------------------------------
 # derivations (primitive layer)
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _shift_jets(slot: int, direction: str) -> tuple[tuple[int, int], ...]:
+    """``d_x`` of a jet slot: ``(id, multiplicity)`` per jet that it shifts."""
+    dm, dn = (1, 0) if direction == "-" else (0, 1)
+    jets = _JETS[slot]
+    out = []
+    for atom, exp in jets:
+        name, m, n = atom
+        info, new, counts = field_info(name), (name, m + dm, n + dn), dict(jets)
+        odd = is_self_odd(info.degree)
+        if info.constant or (odd and new in counts):
+            continue
+        counts[atom] = exp - 1
+        counts[new] = counts.get(new, 0) + 1
+        flip = odd and sum(k for other, k in jets if atom < other < new) % 2
+        out.append((_jet_id(tuple(sorted((j, k) for j, k in counts.items() if k))),
+                    -exp if flip else exp))
+    return tuple(out)
+
+
 def d_x(e: GradedExpr, direction: str) -> GradedExpr:
     """Abstract x-derivative (direction '-' or '+'): shifts jet indices.
 
     An even derivation: each jet is shifted in place, with no sign from the
     factors before it.  The shifted jet then moves to its sorted place past
     the jets of its own field between its old and new index; each such jet
-    of a self-odd field flips the sign, and landing on one gives zero.
-    The result's denominator is ``e.den`` times the lcm of the trig
-    chain-rule factors' denominators.
+    of a self-odd field flips the sign, and landing on one gives zero (a
+    table per slot id, ``_shift_jets``).  The result's denominator is
+    ``e.den`` times the lcm of the trig chain-rule factors' denominators.
     """
     dm, dn = (1, 0) if direction == "-" else (0, 1)
     den = 1
@@ -877,32 +932,10 @@ def d_x(e: GradedExpr, direction: str) -> GradedExpr:
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
         cd = c * den
-        for graded, slot in ((True, gj), (False, bj)):
-            jets = _JETS[slot]
-            for atom, exp in jets:
-                name, m, n = atom
-                info = field_info(name)
-                if info.constant:
-                    continue
-                new = (name, m + dm, n + dn)
-                counts = dict(jets)
-                mult = exp
-                if graded and is_self_odd(info.degree):
-                    if new in counts:
-                        continue
-                    if sum(k for other, k in jets if atom < other < new) % 2:
-                        mult = -mult
-                if exp == 1:
-                    del counts[atom]
-                else:
-                    counts[atom] = exp - 1
-                counts[new] = counts.get(new, 0) + 1
-                jets2 = _jet_id(tuple(sorted(counts.items())))
-                if graded:
-                    key2 = (z, tm, tp, cf, v, a, jets2, bj, t)
-                else:
-                    key2 = (z, tm, tp, cf, v, a, gj, jets2, t)
-                out.append((key2, cd * mult))
+        for jets2, mult in _shift_jets(gj, direction):
+            out.append(((z, tm, tp, cf, v, a, jets2, bj, t), cd * mult))
+        for jets2, mult in _shift_jets(bj, direction):
+            out.append(((z, tm, tp, cf, v, a, gj, jets2, t), cd * mult))
         # trig chain rule
         if t is not None:
             kind, combo, _, _, partner = _TRIGS[t]
@@ -912,12 +945,9 @@ def d_x(e: GradedExpr, direction: str) -> GradedExpr:
                 factor = co.numerator * (den // co.denominator)
                 if kind == "c":
                     factor = -factor
-                counts = dict(_JETS[bj])
-                atom2 = (sym, dm, dn)
-                counts[atom2] = counts.get(atom2, 0) + 1
-                out.append(((z, tm, tp, cf, v, a, gj, _jet_id(tuple(sorted(counts.items()))),
-                             partner), c * factor))
-    return _from_ints(e.ctx, out, e.den * den, e.truncated)
+                bj2 = _merge_jets(bj, _jet_id((((sym, dm, dn), 1),)))[0]
+                out.append(((z, tm, tp, cf, v, a, gj, bj2, partner), c * factor))
+    return _from_ints(e.ctx, out, e.den * den, e.prec)
 
 
 def d_minus(e: GradedExpr) -> GradedExpr:
@@ -931,7 +961,7 @@ def d_plus(e: GradedExpr) -> GradedExpr:
 def d_z(e: GradedExpr) -> GradedExpr:
     return _from_ints(e.ctx, (((key[0] - 1, *key[1:]), c * key[0])
                               for key, c in e.terms.items() if key[0]),
-                      e.den, e.truncated)
+                      e.den, e.prec)
 
 
 def d_theta(e: GradedExpr, which: str) -> GradedExpr:
@@ -940,7 +970,7 @@ def d_theta(e: GradedExpr, which: str) -> GradedExpr:
     return _from_ints(e.ctx, (((*key[:slot], 0, *key[slot + 1:]),
                                -c if key[0] % 2 else c)
                               for key, c in e.terms.items() if key[slot]),
-                      e.den, e.truncated)
+                      e.den, e.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -952,24 +982,31 @@ def component_split(e: GradedExpr) -> dict[tuple[int, int], GradedExpr]:
     for key, c in e.terms.items():
         z, tm, tp, cf, v, a, gj, bj, t = key
         out.setdefault((tm, tp), []).append(((z, 0, 0, cf, v, a, gj, bj, t), c))
-    return {sec: _from_ints(e.ctx, terms, e.den, e.truncated)
+    return {sec: _from_ints(e.ctx, terms, e.den, e.prec)
             for sec, terms in out.items()}
 
 
 def series_coefficient(e: GradedExpr, n: int) -> GradedExpr:
-    """Coefficient of a^n (a removed from the result)."""
+    """Coefficient of a^n (a removed from the result), exact: an order outside
+    the window, or at or past the precision, raises ``OutsideWindow``."""
     if n < e.ctx.amin or n > e.ctx.amax:
         raise OutsideWindow(f"a^{n} outside window [{e.ctx.amin}, {e.ctx.amax}]")
+    if e.prec is not None and n >= e.prec:
+        raise OutsideWindow(f"a^{n} is not certified: the expression is exact "
+                            f"below a^{e.prec} only")
     return _from_ints(e.ctx, (((*key[:5], 0, *key[6:]), c)
                               for key, c in e.terms.items() if key[5] == n),
-                      e.den, e.truncated)
+                      e.den, None)
 
 
 def with_context(e: GradedExpr, ctx: Context) -> GradedExpr:
     """Reinterpret under another truncation context, dropping what falls out."""
     kept = [(key, c) for key, c in e.terms.items() if key[0] <= ctx.nz]
     inside = [(key, c) for key, c in kept if ctx.amin <= key[5] <= ctx.amax]
-    return _from_ints(ctx, inside, e.den, e.truncated or len(inside) < len(kept))
+    dropped = [key[5] for key, _ in kept if not ctx.amin <= key[5] <= ctx.amax]
+    if e.prec is not None:
+        dropped.append(e.prec)
+    return _from_ints(ctx, inside, e.den, min(dropped, default=None))
 
 
 # ---------------------------------------------------------------------------
@@ -996,7 +1033,7 @@ def _body_split(e: GradedExpr) -> tuple[dict[str, Fraction], Fraction, GradedExp
             raise UnsupportedAtom(
                 "constant trig offsets must be rational multiples of pi")
         rest.append((key, c))
-    return combo, pioff, _from_ints(e.ctx, rest, e.den, e.truncated)
+    return combo, pioff, _from_ints(e.ctx, rest, e.den, e.prec)
 
 
 _TRIG_CYCLE = {"s": ("s", "c", "s", "c"), "c": ("c", "s", "c", "s")}
@@ -1009,7 +1046,10 @@ def trig_of(kind: str, e: GradedExpr, half=Q(1)) -> GradedExpr:
     The body (linear combination of trig-capable 0-jets plus a rational
     multiple of pi) seeds exact trig atoms; the remainder enters through a
     finite Taylor expansion that terminates because it is nilpotent under
-    the active truncation.
+    the active truncation.  A power of the remainder that vanishes only
+    under the truncation, at precision p, leaves a tail of precision
+    p + j val(remainder), j >= 0: p itself, or no bound when the remainder
+    holds a negative power of a.
     """
     if kind not in ("s", "c"):
         raise ConfigError("kind must be 's' or 'c'")
@@ -1041,6 +1081,8 @@ def trig_of(kind: str, e: GradedExpr, half=Q(1)) -> GradedExpr:
         if k > 64:
             raise NonNilpotentRemainder(
                 "trig remainder has no vanishing power under the truncation")
+    if power.prec is not None:
+        result = result + GradedExpr(ctx, prec=power.prec if _val(nil) >= 0 else -inf)
     return result
 
 
@@ -1069,9 +1111,9 @@ def _times_run(term: Optional[GradedExpr], key: Key, c: int, run: list[list],
     also carries the prefix of ``key`` and the coefficient ``c``."""
     gj, bj = _jet_id(tuple(run[0])), _jet_id(tuple(run[1]))
     if term is None:
-        return _from_ints(ctx, (), 1, False, {key[:6] + (gj, bj, t): c})
+        return _from_ints(ctx, (), 1, None, {key[:6] + (gj, bj, t): c})
     if gj or bj or t is not None:
-        term = term * _from_ints(ctx, (), 1, False, {(0, 0, 0, CF_ONE, 0, 0, gj, bj, t): 1})
+        term = term * _from_ints(ctx, (), 1, None, {(0, 0, 0, CF_ONE, 0, 0, gj, bj, t): 1})
     return term
 
 
@@ -1085,6 +1127,11 @@ def substitute_jets(e: GradedExpr, rule: JetRule) -> GradedExpr:
     otherwise each rewritten monomial is its factor-by-factor product, each
     run of kept atoms between bound ones multiplied in as one monomial, and
     one lcm of their denominators puts the result over ``e.den`` times it.
+    Its precision is the lowest of those of ``e`` and the rewritten
+    monomials.  That keeps an ``O(a^p)`` of ``e`` at ``O(a^p)`` only if no
+    replacement holds a negative power of ``a``: true of the on-shell rules;
+    the Backlund and body-export rules, which hold ``a^-1`` or ``a^-2``, are
+    only applied to exact expressions.
     """
     ctx = e.ctx
     trigs = {t: _substituted_trig(t, rule, ctx)
@@ -1092,7 +1139,7 @@ def substitute_jets(e: GradedExpr, rule: JetRule) -> GradedExpr:
     # (key, numerator, the denominator of the piece it came from)
     pieces = []
     den = None  # the lcm of the rewritten monomials' denominators; None while none is
-    truncated = e.truncated
+    prec = e.prec
     for key, c in e.terms.items():
         gj, bj, t = key[6:]
         term = None  # the product so far, from the first bound atom on
@@ -1116,11 +1163,11 @@ def substitute_jets(e: GradedExpr, rule: JetRule) -> GradedExpr:
         term = _times_run(term, key, c, run, t, ctx)
         den = lcm(den or 1, term.den)
         pieces.extend((k, n, term.den) for k, n in term.terms.items())
-        truncated = truncated or term.truncated
+        if term.prec is not None:
+            prec = term.prec if prec is None else min(prec, term.prec)
     if den is None:
         return e
-    return _from_ints(ctx, ((k, n * (den // d)) for k, n, d in pieces), e.den * den,
-                      truncated)
+    return _from_ints(ctx, ((k, n * (den // d)) for k, n, d in pieces), e.den * den, prec)
 
 
 # marks a jet whose normal form is being computed
@@ -1202,7 +1249,7 @@ def mirror_pm(e: GradedExpr) -> GradedExpr:
                 head = head * jet(_MIRROR_FIELDS.get(name, name), n, m, ctx)
         # every jet is trig-free, so each product keeps denominator 1
         out.extend((k, c * s) for k, s in head.terms.items())
-    return _from_ints(ctx, out, e.den, e.truncated)
+    return _from_ints(ctx, out, e.den, e.prec)
 
 
 def substitute(e: GradedExpr, bindings: Mapping[str, GradedExpr]) -> GradedExpr:

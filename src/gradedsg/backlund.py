@@ -18,8 +18,10 @@ first-order body relations.
 A system is an orientation, a series order and a window, from seed Phi to
 target Phi~.  It builds each relation's sine coefficient (so each sign is
 set in one place), the relation terms, the series and its sum once, as
-cached properties, and every check reads them from there.  The audit at
-order K raises a shorter system's order to K + 2, on a copy.
+cached properties, and every check reads them from there.  The series sum
+carries the precision O(a^(order + 1)) of the solution it truncates.  The
+audit at order K works on a copy of order at least K + 2 in the window
+[amin, K + 2], whose precision must certify order K.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ A_FLOOR = -2
 
 
 def max_audit_order(ctx: Context) -> int:
-    """Highest conservation-audit order that the window keeps complete."""
+    """Highest conservation-audit order whose narrowed window fits in ``ctx``."""
     return ctx.amax + A_FLOOR
 
 
@@ -161,9 +163,9 @@ class BTSystem:
 
     @functools.cached_property
     def series_sum(self) -> GradedExpr:
-        """The series solution: the sum of a^n * series[n]."""
+        """The series solution: the sum of a^n * series[n], + O(a^(order + 1))."""
         ctx = self.ctx
-        out = GradedExpr.zero(ctx)
+        out = GradedExpr(ctx, prec=self.order + 1)
         for n, coef in enumerate(self.series):
             out = out + al.apow(n, ctx) * coef
         return out
@@ -442,18 +444,26 @@ def verify_current_conservation(sys: BTSystem) -> Report:
 def conservation_audit(sys: BTSystem, K: int) -> Report:
     """Order-by-order audit of the conservation-law family (informational).
 
-    Expands the current identity on the series solution through order K
-    (the series term a^(K+2) feeds order K through the a^-2 placement, so a
-    shorter system is audited on a copy of order K + 2), recomputes every
-    derivative through an independent chain-rule path, and evaluates the
-    claimed closed-form laws for k <= K on shell.  Statuses
+    Expands the current identity on the series solution through order K,
+    recomputes every derivative through an independent chain-rule path, and
+    evaluates the claimed closed-form laws for k <= K on shell.  Statuses
     are engine truth; this report is meant to be diffed against a golden
     file, not asserted.
+
+    The series term a^(K+2) feeds order K through the a^-2 placement, so
+    the audit runs on a copy of order at least K + 2 in the window
+    [amin, K + 2], which must lie inside the caller's.  No order above K + 2
+    is computed, and the residual's precision certifies every order it
+    reports: ``series_coefficient`` raises ``OutsideWindow`` otherwise.
     """
     if K > max_audit_order(sys.ctx):
         raise OutsideWindow(f"audit order {K} needs amax >= {K - A_FLOOR}")
-    if sys.order < K - A_FLOOR:
-        sys = replace(sys, order=K - A_FLOOR)
+    return _audit(replace(sys, order=max(sys.order, K - A_FLOOR),
+                          ctx=Context(0, sys.ctx.amin, K - A_FLOOR)), K)
+
+
+def _audit(sys: BTSystem, K: int) -> Report:
+    """The conservation audit through order K, in the window of ``sys``."""
     rep = Report(f"conservation-audit[{sys.orientation}]")
     ctx = sys.ctx
     seed = sys.seed_field

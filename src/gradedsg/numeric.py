@@ -243,14 +243,19 @@ class BodyBT:
 
     @staticmethod
     def from_spec(spec: BodyBTSpec, a: float) -> "BodyBT":
-        if a == 0.0:
-            raise ConfigError("Backlund parameter a must be nonzero")
+        if not math.isfinite(a) or a == 0.0:
+            raise ConfigError(f"Backlund parameter a = {a} must be finite and nonzero")
 
         def reduce(tup):
             # normalize the sine argument so the target symbol enters with a
             # positive coefficient (sin is odd, so the sign moves out front)
             coef, apow, vpow, combo = tup
-            num = float(coef) * a ** apow  # v+ = v- = 1 numerically
+            try:
+                num = float(coef) * a ** apow  # v+ = v- = 1 numerically
+            except OverflowError:
+                num = math.inf
+            if not math.isfinite(num):
+                raise ConfigError(f"Backlund parameter a = {a} overflows a^{apow}")
             tgt = dict(combo).get(spec.target_body, Fraction(0))
             if tgt < 0:
                 num = -num
@@ -375,6 +380,10 @@ def classical_residual_on_grid(state: FieldState, state_prev: FieldState,
 def bt_target_time_march(seed_bt: BodyBT, state: FieldState, dt: float,
                          steps: int) -> list[FieldState]:
     """March the target field in time with its own relation (vacuum seed)."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt = {dt} must be finite and positive")
+    if steps < 0:
+        raise ConfigError(f"steps = {steps} must not be negative")
     out = [state]
     cur = state.X.copy()
     x = state.x

@@ -3,7 +3,7 @@
 ``substitute_jets`` multiplies each run of kept atoms into a rewritten
 monomial at once.  These helpers rebuild every monomial from its
 single-slot factors instead, one product per factor, which is the plain
-reading of the substitution it must agree with, truncation flag included.
+reading of the substitution it must agree with, precision included.
 """
 
 from gradedsg import algebra as al
@@ -33,7 +33,7 @@ def substitute_by_factors(e, rule):
     its coefficient times its single-slot factors, a bound factor replaced
     by its rule's value, multiplied left to right."""
     ctx = e.ctx
-    out = al.GradedExpr(ctx, truncated=e.truncated)
+    out = al.GradedExpr(ctx, prec=e.prec)
     for key, coef in e.coefficients():
         t = key[8]
         new_trig = None if t is None else al._substituted_trig(t, rule, ctx)

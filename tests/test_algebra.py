@@ -163,11 +163,11 @@ def test_truncation_soundness():
 
 def test_a_window_truncation_flagged():
     e = al.apow(5, CTX) * al.apow(5, CTX)
-    assert e.is_zero() and e.truncated
-    assert not (al.apow(2, CTX) * al.apow(2, CTX)).truncated
-    # substitution keeps the flag of its input
+    assert e.is_zero() and e.prec == 10
+    assert (al.apow(2, CTX) * al.apow(2, CTX)).prec is None
+    # substitution keeps the precision of its input
     kept = al.substitute_jets(e + al.jet("X", ctx=CTX), al.JetRewriter([]).rule)
-    assert kept.truncated
+    assert kept.prec == 10
 
 
 def test_a_window_test_keeps_its_place_among_the_zero_tests():
@@ -175,20 +175,77 @@ def test_a_window_test_keeps_its_place_among_the_zero_tests():
     # comes before the jet merge, as it always has
     odd = al.apow(5, CTX) * al.jet("psi+", ctx=CTX)
     e = odd * odd
-    assert e.is_zero() and e.truncated
+    assert e.is_zero() and e.prec == 10
     # and so is a product of the two parameter families, which inside the
     # window raises MixedParameterFamilies
     e = (al.apow(5, CTX) * g("lambda+")) * (al.apow(5, CTX) * g("eta+"))
-    assert e.is_zero() and e.truncated
+    assert e.is_zero() and e.prec == 10
     # a product that overflows nz, or repeats a theta, is zero before the
     # window test, so it is not truncated however far outside the window
     wide = al.DEFAULT_CTX
     odd_z = al.gen("z", wide) * al.apow(5, wide) * al.jet("psi+", ctx=wide)
     e = odd_z * odd_z
-    assert e.is_zero() and not e.truncated
+    assert e.is_zero() and e.prec is None
     odd_t = g("theta-") * al.apow(5, CTX) * al.jet("psi+", ctx=CTX)
     e = odd_t * odd_t
-    assert e.is_zero() and not e.truncated
+    assert e.is_zero() and e.prec is None
+
+
+def test_both_bracketings_agree_below_the_precision():
+    # a term dropped above amax comes back into the window after a product
+    # with a^-2: the precision says which orders are still exact
+    a5, a_2 = al.apow(5, CTX), al.apow(-2, CTX)
+    left, right = (a5 * a5) * a_2, a5 * (a5 * a_2)
+    assert left.is_zero() and left.prec == 8
+    assert al.to_text(right) == "a^8" and right.prec is None
+    for n in range(CTX.amin, CTX.amax + 1):
+        if n < left.prec:
+            assert al.series_coefficient(left, n) == al.series_coefficient(right, n)
+        else:
+            with pytest.raises(OutsideWindow):
+                al.series_coefficient(left, n)
+
+
+def test_precision_of_sums_products_and_projections():
+    a = al.gen("a", CTX)
+    # a sum keeps the lower precision; a product adds the other's valuation
+    loose = al.apow(9, CTX) + al.jet("X", ctx=CTX)
+    assert loose.prec == 9 and (loose + al.apow(10, CTX)).prec == 9
+    assert (loose * a).prec == 10 and (loose * al.apow(-1, CTX)).prec == 8
+    # the valuation of a zero with a precision is that precision
+    assert (al.apow(9, CTX) * al.apow(10, CTX)).prec == 19
+    # an exact zero factor makes the product exact
+    assert (loose * al.GradedExpr.zero(CTX)).prec is None
+    # a drop below amin leaves nothing certified in the window, until a
+    # product lifts the dropped a^-3 back into it
+    low = al.apow(-1, CTX) * al.apow(-2, CTX)
+    assert low.prec == -3
+    with pytest.raises(OutsideWindow):
+        al.series_coefficient(low, CTX.amin)
+    lifted = low * al.apow(5, CTX)
+    assert lifted.prec == 2 and al.series_coefficient(lifted, 1).is_zero()
+    with pytest.raises(OutsideWindow):
+        al.series_coefficient(lifted, 2)
+    # derivatives, splits and projections keep or lower it
+    assert al.d_plus(loose).prec == al.d_theta(loose, "-").prec == 9
+    assert al.with_context(loose + al.apow(4, CTX), al.Context(0, -2, 3)).prec == 4
+    assert al.with_context(al.jet("X", ctx=CTX), al.Context(0, -2, 3)).prec is None
+
+
+def test_trig_precision_follows_the_vanished_power():
+    X, psi = al.jet("X", ctx=CTX), al.jet("psi+", ctx=CTX)
+    pair = psi * al.jet("psi+", 0, 1, CTX)  # even and squares to zero
+    # a remainder that vanishes exactly leaves an exact expansion
+    assert al.trig_of("s", X + pair).prec is None
+    # Y a^3 is not nilpotent: its powers vanish at a^9 = a^(3 * 3), not
+    # before, so the tail is O(a^9); with a^-1 in the remainder no order
+    # is certified at all
+    body = al.jet("Y", ctx=CTX)
+    assert al.trig_of("s", X + al.apow(3, CTX) * body).prec == 9
+    tail = al.trig_of("c", X + al.apow(3, CTX) * body + al.apow(-1, CTX) * pair)
+    assert tail.prec == -math.inf
+    with pytest.raises(OutsideWindow):
+        al.series_coefficient(tail, CTX.amin)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 from fractions import Fraction as Q
 
 import pytest
@@ -357,24 +358,80 @@ REDUCING_RUNS = {
 @pytest.mark.parametrize("run", sorted(REDUCING_RUNS))
 def test_one_pass_reduction_equals_the_fixed_point(run, reductions_against_the_fixed_point):
     # the memoized normal forms give what repeated plain passes give, in
-    # terms and in the truncation flag, for every reduction these runs make
+    # terms and in the precision, for every reduction these runs make
     call, count = REDUCING_RUNS[run]
     call()
     assert len(reductions_against_the_fixed_point) == count
     for got, want in reductions_against_the_fixed_point:
-        assert got == want and got.truncated == want.truncated
+        assert got == want and got.prec == want.prec
 
 
 @pytest.mark.parametrize("orientation", ["minus", "plus"])
 @pytest.mark.parametrize("amax, K", [(8, 6), (12, 8)])
 def test_conservation_audit_raises_a_short_order(orientation, amax, K):
     # order 6 is too short for K > 4, whose a^-2 placement reads a^(K+2);
-    # at K = 8 the report would differ without the raise
+    # without the raise the residual's precision would not reach order K
     ctx = al.Context(0, -2, amax)
     short = bt.BTSystem(orientation=orientation, order=6, ctx=ctx)
     full = bt.BTSystem(orientation=orientation, order=K + 2, ctx=ctx)
     assert (bt.conservation_audit(short, K).to_text()
             == bt.conservation_audit(full, K).to_text())
+
+
+def caller_window_audit(sys, K):
+    """The audit in the caller's whole window, as it ran before it narrowed."""
+    return bt._audit(dataclasses.replace(sys, order=max(sys.order, K + 2)), K)
+
+
+@pytest.mark.parametrize("orientation", ["minus", "plus"])
+@pytest.mark.parametrize("amax, K", [(8, 4), (10, 6), (12, 8), (14, 10)])
+def test_conservation_audit_narrows_to_the_orders_it_reports(orientation, amax, K):
+    sys = bt.BTSystem(orientation=orientation, order=6, ctx=al.Context(0, -2, amax))
+    assert bt.conservation_audit(sys, K).to_text() == caller_window_audit(sys, K).to_text()
+
+
+@pytest.mark.parametrize("orientation", ["minus", "plus"])
+def test_audit_one_order_short_of_its_window_raises(orientation):
+    # in [-2, K + 1] the a^(K+2) terms that the a^-2 placement brings down
+    # to order K are dropped: the residual's precision is K, so the audit
+    # raises instead of printing an order-K residual with terms missing
+    sys = bt.BTSystem(orientation=orientation, order=6, ctx=al.Context(0, -2, 5))
+    with pytest.raises(OutsideWindow, match="a\\^4 is not certified"):
+        bt._audit(sys, 4)
+
+
+def test_series_sum_carries_the_precision_of_its_order():
+    # the series solution is known through a^order: order K + 1 certifies
+    # the audit at K (the a^-2 placement meets it squared, from a^2 up), and
+    # order K leaves order K uncertified
+    ctx = al.Context(0, -2, 8)
+    assert bt.BTSystem(order=5, ctx=ctx).series_sum.prec == 6
+    placement = {e.name: e for e in bt.conservation_audit(bt.BTSystem(ctx=ctx), 4).entries
+                 if e.name.startswith("printed placement")}
+    assert len(placement) == 5
+    short = {e.name: e for e in bt._audit(bt.BTSystem(order=5, ctx=ctx), 4).entries}
+    assert all(short[name] == entry for name, entry in placement.items())
+    with pytest.raises(OutsideWindow):
+        bt._audit(bt.BTSystem(order=4, ctx=ctx), 4)
+
+
+def test_conservation_audit_multiplies_only_in_its_window(monkeypatch):
+    # a work count, not a wall clock: at (amax, K) = (12, 8) the narrowed
+    # audit makes 1,554 products from cold, and the same audit in the
+    # caller's window [-2, 12] makes 2,382
+    products = []
+    mul = al.GradedExpr.__mul__
+
+    def counting_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    # a fresh on-shell rewriter, so that no earlier test's normal forms count
+    monkeypatch.setattr(md, "on_shell_rewriter", functools.lru_cache(
+        md.on_shell_rewriter.__wrapped__))
+    monkeypatch.setattr(al.GradedExpr, "__mul__", counting_mul)
+    bt.conservation_audit(bt.BTSystem(order=6, ctx=al.Context(0, -2, 12)), 8)
+    assert 0 < len(products) <= 1900
 
 
 def test_conservation_audit_refuses_orders_past_the_window():

@@ -178,6 +178,25 @@ def test_body_bt_rejects_zero_parameter(body_spec):
         nm.BodyBT.from_spec(body_spec, 0.0)
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 1e-300, 1e200])
+def test_body_bt_rejects_a_non_finite_or_overflowing_parameter(body_spec, a):
+    # the relations carry a^2 and a^-2: 1e-300 ** -2 and 1e200 ** 2 overflow
+    with pytest.raises(ConfigError):
+        nm.BodyBT.from_spec(body_spec, a)
+
+
+@pytest.mark.parametrize("dt, steps", [(0.0, 2), (-0.01, 2), (math.nan, 2), (math.inf, 2),
+                                       (0.01, -1)])
+def test_bt_time_march_rejects_bad_steps(body_spec, dt, steps):
+    body = nm.BodyBT.from_spec(body_spec, 1.2)
+    state = nm.FieldState.empty(2.0, 0.25)
+    with pytest.raises(ConfigError):
+        nm.bt_target_time_march(body, state, dt, steps)
+    # no step is a valid march: the initial level alone
+    levels = nm.bt_target_time_march(body, state, 0.01, 0)
+    assert len(levels) == 1 and levels[0] is state
+
+
 def test_vacuum_seed_gives_kink(body_spec):
     for a in (1.0, 1.2, 0.8):
         body = nm.BodyBT.from_spec(body_spec, a)

@@ -120,7 +120,7 @@ def test_graded_leibniz(ab):
         sign = commutation_sign(D.degree, a.degree()) if not a.is_zero() else 1
         lhs = D(a * b)
         rhs = D(a) * b + (a * D(b)).scale(sign)
-        assert not (lhs.truncated or rhs.truncated)
+        assert lhs.prec is None and rhs.prec is None
         assert al.to_text(lhs) == al.to_text(rhs), D.name
 
 
@@ -385,7 +385,7 @@ def test_substitution_equals_the_factor_chain(sub):
     e, binds = sub
     rule = lambda name, m, n: binds.get((name, m, n))
     got, want = al.substitute_jets(e, rule), substitute_by_factors(e, rule)
-    assert got == want and got.truncated == want.truncated
+    assert got == want and got.prec == want.prec
 
 
 # ---------------------------------------------------------------------------
@@ -418,4 +418,69 @@ def test_on_shell_reduction_equals_the_fixed_point(products):
     rewriter = md.on_shell_rewriter.__wrapped__(ON_SHELL)
     e = functools.reduce(operator.add, products)
     got, want = rewriter.reduce(e), reduce_to_fixed_point(rewriter, e)
-    assert got == want and got.truncated == want.truncated
+    assert got == want and got.prec == want.prec
+
+
+# ---------------------------------------------------------------------------
+# the precision in a: what a narrow window keeps below it is exact
+
+NARROW = al.Context(nz=2, amin=-2, amax=1)
+# no fold below reaches past a^-13 or a^14, so nothing is dropped here
+WIDE = al.Context(nz=2, amin=-16, amax=16)
+
+
+def precision_steps(family):
+    step = st.tuples(st.sampled_from("+*ad"), SUMS[family], st.integers(-2, 2))
+    return st.tuples(SUMS[family], st.lists(step, min_size=1, max_size=6))
+
+
+def fold_in(ctx, steps):
+    """Run the steps in ``ctx``: add or multiply by a monomial, multiply by
+    a^k (a negative k brings dropped terms back), or take d+."""
+    e, rest = steps
+    e = al.with_context(e, ctx)
+    for op, m, k in rest:
+        m = al.with_context(m, ctx)
+        if op == "+":
+            e = e + m
+        elif op == "*":
+            e = e * m
+        elif op == "a":
+            e = e * al.apow(k, ctx)
+        else:
+            e = al.d_plus(e)
+    return e
+
+
+def assert_exact_below_the_precision(narrow, wide):
+    assert wide.prec is None
+    for n in range(NARROW.amin, NARROW.amax + 1):
+        if narrow.prec is not None and n >= narrow.prec:
+            break
+        got, want = al.series_coefficient(narrow, n), al.series_coefficient(wide, n)
+        assert (got.den, got.terms) == (want.den, want.terms), n
+
+
+@PROPERTY
+@given(steps=FAMILIES.flatmap(precision_steps))
+def test_coefficients_below_the_precision_are_those_of_a_wider_window(steps):
+    assert_exact_below_the_precision(fold_in(NARROW, steps), fold_in(WIDE, steps))
+
+
+# even remainders of a trig argument that square to zero
+NILPOTENT = (("psi+", 0, 0), ("psi+", 0, 1)), (("psi-", 0, 0), ("chi+", 0, 0))
+
+
+@PROPERTY
+@given(parts=st.lists(st.tuples(coefficients, st.integers(-1, 2), st.sampled_from(NILPOTENT)),
+                      min_size=1, max_size=3),
+       kind=st.sampled_from("sc"), shift=st.integers(-2, 2))
+def test_trig_is_exact_below_its_precision(parts, kind, shift):
+    def expand(ctx):
+        arg = al.jet("X", ctx=ctx)
+        for coef, k, atoms in parts:
+            arg = arg + (al.apow(k, ctx) * al.jet(*atoms[0], ctx=ctx)
+                         * al.jet(*atoms[1], ctx=ctx)).scale(coef)
+        return al.trig_of(kind, arg, Q(1, 2)) * al.apow(shift, ctx)
+
+    assert_exact_below_the_precision(expand(NARROW), expand(WIDE))

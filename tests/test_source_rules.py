@@ -263,6 +263,42 @@ def test_no_test_switch_in_the_package():
     assert offenders == []
 
 
+def attribute_uses(source: str, name: str) -> list[int]:
+    """Lines where ``name`` is an attribute, a parameter, a keyword argument
+    or an entry of a ``__slots__`` assignment."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            found.append(node.lineno)
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg == name:
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)):
+            found += [c.lineno for c in ast.walk(node.value)
+                      if isinstance(c, ast.Constant) and c.value == name]
+    return sorted(found)
+
+
+def test_guard_finds_attribute_uses():
+    source = ("class E:\n"
+              "    __slots__ = ('ctx', 'truncated')\n"
+              "    def __init__(self, truncated=False):\n"
+              "        self.truncated = truncated\n"
+              "f(truncated=True)\n"
+              "x = e.truncated or y\n"
+              "'a truncated series'\n"
+              "truncated = 1\n")
+    assert attribute_uses(source, "truncated") == [2, 3, 4, 5, 6]
+
+
+def test_no_truncation_flag_in_the_package():
+    # an expression carries its precision in a, which says which orders are
+    # exact; a boolean beside it could only disagree
+    offenders = [f"{path.name}:{line}" for path in package_sources()
+                 for line in attribute_uses(path.read_text(), "truncated")]
+    assert offenders == []
+
+
 def test_no_assert_statements():
     # python -O strips assert statements; invariants raise typed errors
     offenders = [f"{path.name}:{line}" for path in package_sources()
