@@ -124,34 +124,30 @@ class FieldInfo:
     constant: bool = False  # derivatives vanish (only "pi")
 
 
+# The model's alphabet, declared once; every other view derives from these.
+# component role -> (degree, weight, z-order, theta-, theta+), in the order a
+# superfield lists them, the body first
+COMPONENTS = {
+    "X": (DEG_EVEN, 0, 0, 0, 0),
+    "psi+": (DEG_01, +1, 0, 1, 0),
+    "psi-": (DEG_10, -1, 0, 0, 1),
+    "F": (DEG_11, 0, 0, 1, 1),
+    "G": (DEG_11, 0, 1, 0, 0),
+    "chi+": (DEG_10, +1, 1, 1, 0),
+    "chi-": (DEG_01, -1, 1, 0, 1),
+    "Y": (DEG_EVEN, 0, 1, 1, 1),
+}
+# superfield -> the suffix of its component fields' names
+SUPERFIELDS = {"Phi": "", "Phi~": "~"}
+
+# the body, with no z and no theta, is the one component a trig argument
+# may hold; nothing writes to the registry after import
 _REGISTRY: dict[str, FieldInfo] = {
     "pi": FieldInfo(DEG_EVEN, 0, trig=True, constant=True),
-    "X": FieldInfo(DEG_EVEN, 0, trig=True),
-    "X~": FieldInfo(DEG_EVEN, 0, trig=True),
-    "Y": FieldInfo(DEG_EVEN, 0),
-    "Y~": FieldInfo(DEG_EVEN, 0),
-    "psi+": FieldInfo(DEG_01, +1),
-    "psi-": FieldInfo(DEG_10, -1),
-    "psi+~": FieldInfo(DEG_01, +1),
-    "psi-~": FieldInfo(DEG_10, -1),
-    "F": FieldInfo(DEG_11, 0),
-    "F~": FieldInfo(DEG_11, 0),
-    "G": FieldInfo(DEG_11, 0),
-    "G~": FieldInfo(DEG_11, 0),
-    "chi+": FieldInfo(DEG_10, +1),
-    "chi+~": FieldInfo(DEG_10, +1),
-    "chi-": FieldInfo(DEG_01, -1),
-    "chi-~": FieldInfo(DEG_01, -1),
+    **{role + suffix: FieldInfo(degree, weight, trig=not (z or tm or tp))
+       for suffix in SUPERFIELDS.values()
+       for role, (degree, weight, z, tm, tp) in COMPONENTS.items()},
 }
-
-
-def register_field(name: str, degree: Degree, weight: BoostWeight,
-                   trig: bool = False) -> None:
-    info = FieldInfo(degree, weight, trig=trig)
-    old = _REGISTRY.get(name)
-    if old is not None and old != info:
-        raise ConfigError(f"field {name!r} already registered differently")
-    _REGISTRY[name] = info
 
 
 def field_info(name: str) -> FieldInfo:
@@ -170,22 +166,15 @@ def field_info(name: str) -> FieldInfo:
 CF_ONE = ("", "1")
 CF_ALPHA = ("", "a")
 
-_CF_DEGREE = {
-    ("", "1"): DEG_EVEN,
-    ("", "a"): DEG_11,
-    ("L", "+"): DEG_01,
-    ("L", "-"): DEG_10,
-    ("E", "+"): DEG_10,
-    ("E", "-"): DEG_01,
-}
-
-_CF_WEIGHT = {
-    ("", "1"): 0,
-    ("", "a"): 0,
-    ("L", "+"): +1,
-    ("L", "-"): -1,
-    ("E", "+"): -1,
-    ("E", "-"): +1,
+# clifford value -> (generator name, degree, weight); the identity has no
+# generator
+_CLIFFORD = {
+    CF_ONE: (None, DEG_EVEN, 0),
+    CF_ALPHA: ("alpha", DEG_11, 0),
+    ("L", "+"): ("lambda+", DEG_01, +1),
+    ("L", "-"): ("lambda-", DEG_10, -1),
+    ("E", "+"): ("eta+", DEG_10, -1),
+    ("E", "-"): ("eta-", DEG_01, +1),
 }
 
 # (kind1, kind2) -> (sign, kind, v-shift); v-shift counted in v+ units.
@@ -207,7 +196,7 @@ _ETA_TABLE = {kinds: (sign, kind, -vshift)
 
 
 def cf_degree(cf: tuple[str, str]) -> Degree:
-    return _CF_DEGREE[cf]
+    return _CLIFFORD[cf][1]
 
 
 def cf_mul(cf1: tuple[str, str], cf2: tuple[str, str]) -> tuple[int, tuple[str, str], int]:
@@ -473,7 +462,7 @@ def key_weight(key: Key) -> BoostWeight:
         w -= 1
     if tp:
         w += 1
-    w += _CF_WEIGHT[cf]
+    w += _CLIFFORD[cf][2]
     w += 2 * v
     for (name, m, n), exp in _JETS[gj] + _JETS[bj]:
         w += exp * (field_info(name).weight + 2 * (m - n))
@@ -755,15 +744,11 @@ def _mul_keys_cached(k1: Key, k2: Key) -> tuple:
 # ---------------------------------------------------------------------------
 # construction helpers
 
-_GEN_KEYS = {
+GENERATORS = {
     "z": (1, 0, 0, CF_ONE, 0, 0, 0, 0, None),
     "theta-": (0, 1, 0, CF_ONE, 0, 0, 0, 0, None),
     "theta+": (0, 0, 1, CF_ONE, 0, 0, 0, 0, None),
-    "alpha": (0, 0, 0, CF_ALPHA, 0, 0, 0, 0, None),
-    "lambda+": (0, 0, 0, ("L", "+"), 0, 0, 0, 0, None),
-    "lambda-": (0, 0, 0, ("L", "-"), 0, 0, 0, 0, None),
-    "eta+": (0, 0, 0, ("E", "+"), 0, 0, 0, 0, None),
-    "eta-": (0, 0, 0, ("E", "-"), 0, 0, 0, 0, None),
+    **{name: (0, 0, 0, cf, 0, 0, 0, 0, None) for cf, (name, _, _) in _CLIFFORD.items() if name},
     "v+": (0, 0, 0, CF_ONE, 1, 0, 0, 0, None),
     "v-": (0, 0, 0, CF_ONE, -1, 0, 0, 0, None),
     "a": (0, 0, 0, CF_ONE, 0, 1, 0, 0, None),
@@ -772,7 +757,7 @@ _GEN_KEYS = {
 
 def gen(name: str, ctx: Context = DEFAULT_CTX) -> GradedExpr:
     try:
-        key = _GEN_KEYS[name]
+        key = GENERATORS[name]
     except KeyError:
         raise UnknownSymbol(f"unknown generator {name!r}") from None
     return _from_ints(ctx, (), 1, None, {key: 1})
@@ -852,9 +837,7 @@ def term_str(key: Key, coef: Fraction) -> str:
     if tp:
         factors.append("theta+")
     if cf != CF_ONE:
-        fam, kind = cf
-        factors.append({"a": "alpha"}.get(kind)
-                       or ("lambda" if fam == "L" else "eta") + kind)
+        factors.append(_CLIFFORD[cf][0])
     if v > 0:
         factors.append(_pow_str("v+", v))
     elif v < 0:
@@ -1221,9 +1204,8 @@ class JetRewriter:
             raise NonTermination("jet rewriting climbs to ever higher jets") from None
 
 
-_MIRROR_FIELDS = {"psi+": "psi-", "psi-": "psi+", "chi+": "chi-", "chi-": "chi+",
-                  "psi+~": "psi-~", "psi-~": "psi+~", "chi+~": "chi-~",
-                  "chi-~": "chi+~"}
+# a field's mirror image swaps the + and - in its name, as psi+ and psi-
+_SWAP_PM = str.maketrans("+-", "-+")
 
 
 def mirror_pm(e: GradedExpr) -> GradedExpr:
@@ -1246,7 +1228,7 @@ def mirror_pm(e: GradedExpr) -> GradedExpr:
         head = GradedExpr(ctx, (((z, tp, tm, cf2, -v, a, 0, bj2, t), 1),))
         for (name, m, n), exp in _JETS[gj]:
             for _ in range(exp):
-                head = head * jet(_MIRROR_FIELDS.get(name, name), n, m, ctx)
+                head = head * jet(name.translate(_SWAP_PM), n, m, ctx)
         # every jet is trig-free, so each product keeps denominator 1
         out.extend((k, c * s) for k, s in head.terms.items())
     return _from_ints(ctx, out, e.den, e.prec)

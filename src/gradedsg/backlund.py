@@ -11,9 +11,7 @@ The verification strategy substitutes the first-order relations into
 explicit chain-rule factors (each substitution step is itself checked
 against the engine as an oracle), so no heuristic pattern matching on
 normalized expressions is ever needed for the theorem-level checks.  The
-jet-level rewriter ``bt_rewriter`` exposes the same relations as oriented
-rules for interactive use; the body-system export rewrites with its own
-first-order body relations.
+body-system export rewrites with its own first-order body relations.
 
 A system is an orientation, a series order and a window, from seed Phi to
 target Phi~.  It builds each relation's sine coefficient (so each sign is
@@ -222,7 +220,7 @@ def component_apply_cov(which: str, e: GradedExpr) -> GradedExpr:
 
 
 # ---------------------------------------------------------------------------
-# jet-level rewriter
+# the relations solved for the target jets
 
 def _sector_rules(sys: BTSystem, which: str) -> dict[tuple[str, int, int], GradedExpr]:
     """Solve one equation's theta sectors for the target jets they contain."""
@@ -240,19 +238,6 @@ def _sector_rules(sys: BTSystem, which: str) -> dict[tuple[str, int, int], Grade
         target = rsec.get(sector, GradedExpr.zero(sys.ctx))
         rules[atom] = target.scale(Q(1) / coef)
     return rules
-
-
-def bt_rewriter(sys: BTSystem, prefer: str = "eq1") -> al.JetRewriter:
-    """Oriented replacement of target-field jets by Backlund right-hand sides.
-
-    The preferred equation's sector rules are listed first, so they win the
-    tie for jets both equations determine (the auxiliary component).
-    """
-    if prefer not in ("eq1", "eq2"):
-        raise ConfigError("prefer must be 'eq1' or 'eq2'")
-    order = ("eq1", "eq2") if prefer == "eq1" else ("eq2", "eq1")
-    return al.JetRewriter(rule for which in order
-                          for rule in _sector_rules(sys, which).items())
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,8 @@ def _structure_tensor() -> np.ndarray:
     """4x4x4 tensor T[i,j,:] = coordinates of basis_i * basis_j, v+ = v- = 1."""
     ctx = al.BT_CTX
     exprs = [al.GradedExpr.rational(1, ctx)] + [al.gen(n, ctx) for n in BASIS[1:]]
-    keys = {}
-    for idx, name in enumerate(BASIS):
-        cf = al.CF_ONE if name == "1" else al._GEN_KEYS[name][3]
-        keys[cf] = idx
+    # the clifford slot of each basis element's one monomial
+    keys = {next(iter(e.terms))[3]: idx for idx, e in enumerate(exprs)}
     T = np.zeros((4, 4, 4))
     for i, ei in enumerate(exprs):
         for j, ej in enumerate(exprs):

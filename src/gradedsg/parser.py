@@ -32,19 +32,21 @@ from .errors import InhomogeneousExpression, MiniLangSyntaxError, UnknownSymbol
 
 MAX_POWER = 64
 
-_FIELD_NAMES = ["psi+~", "psi-~", "chi+~", "chi-~", "psi+", "psi-", "chi+",
-                "chi-", "X~", "F~", "G~", "Y~", "X", "F", "G", "Y"]
-_PARAM_NAMES = ["theta-", "theta+", "lambda+", "lambda-", "eta+", "eta-",
-                "alpha", "v+", "v-", "pi", "z", "a"]
+
+def _alternation(names) -> str:
+    """Regex alternation of ``names``, longest first, so that no name loses
+    to a shorter one it starts with (``alpha`` and ``a``, ``psi+~`` and ``psi+``)."""
+    return "|".join(re.escape(n) for n in sorted(names, key=len, reverse=True))
+
 
 _TOKEN_RE = re.compile("|".join([
     r"(?P<NUMBER>\d+(?:/\d+)?)",
     r"(?P<DOP>D-|D\+|Z\b)",
     r"(?P<FUNC>sin|cos)",
-    r"(?P<SUPER>Phi~|Phi)",
-    "(?P<FIELD>" + "|".join(re.escape(n) for n in _FIELD_NAMES)
-    + r")(?P<JET>_\{[-+]*\})?",
-    "(?P<PARAM>" + "|".join(re.escape(n) for n in _PARAM_NAMES) + ")",
+    "(?P<SUPER>" + _alternation(al.SUPERFIELDS) + ")",
+    "(?P<FIELD>" + _alternation(role + suffix for suffix in al.SUPERFIELDS.values()
+                                for role in al.COMPONENTS) + r")(?P<JET>_\{[-+]*\})?",
+    "(?P<PARAM>" + _alternation([*al.GENERATORS, "pi"]) + ")",
     r"(?P<PUNCT>[()*+^-])",
     r"(?P<SPACE>\s+)",
     r"(?P<WORD>[A-Za-z_][A-Za-z0-9_~+-]*)",
@@ -233,5 +235,6 @@ def describe(e: GradedExpr) -> dict:
         w_s = weight_str(w) if w is not None else "any (zero)"
     except InhomogeneousExpression:
         w_s = "inhomogeneous"
-    return {"text": al.to_text(e), "degree": deg_s, "weight": w_s,
-            "terms": len(e.terms)}
+    # an inexact result shows its precision, -inf when no order is certified
+    text = al.to_text(e) if e.prec is None else f"{al.to_text(e)} + O(a^{e.prec})"
+    return {"text": text, "degree": deg_s, "weight": w_s, "terms": len(e.terms)}

@@ -10,7 +10,6 @@ from gradedsg import algebra as al
 from gradedsg.errors import (ConfigError, ContextMismatch, MixedParameterFamilies,
                              NonNilpotentRemainder, NonTermination, NotScalarDegree,
                              OutsideWindow, UnknownSymbol, UnsupportedAtom)
-from gradedsg.grading import DEG_01
 
 from factor_chain import substitute_by_factors
 from sabotage import commuting_parameters
@@ -562,9 +561,16 @@ def test_trig_of_errors():
         al.trig_of("s", al.jet("X", ctx=CTX) + 1)  # bare rational offset
 
 
+def test_only_the_bodies_and_pi_enter_trig_arguments():
+    # each superfield's body, with no z and no theta, is its one
+    # trig-capable component
+    assert {name for name, info in al._REGISTRY.items() if info.trig} == {"pi", "X", "X~"}
+    for name in ("Y", "G~", "F", "psi-"):
+        with pytest.raises(UnsupportedAtom):
+            al.trig("s", {name: Q(1)}, ctx=CTX)
+
+
 @pytest.mark.parametrize("call, error", [
-    # the same name with another degree
-    (lambda: al.register_field("X", DEG_01, 0), ConfigError),
     # a sum and a product across two truncation contexts
     (lambda: al.jet("X", ctx=CTX) + al.jet("X", ctx=al.DEFAULT_CTX), ContextMismatch),
     (lambda: al.jet("X", ctx=CTX) * al.jet("X", ctx=al.DEFAULT_CTX), ContextMismatch),
@@ -576,7 +582,7 @@ def test_trig_of_errors():
     (lambda: al.trig("s", {"Z": Q(1)}, ctx=CTX), UnknownSymbol),
     (lambda: al.substitute(al.jet("X", ctx=CTX), {"Z": al.jet("X", ctx=CTX)}), UnknownSymbol),
     (lambda: al.gen("zeta", CTX), UnknownSymbol),
-], ids=["register_field", "sum contexts", "product contexts", "trig_of kind",
+], ids=["sum contexts", "product contexts", "trig_of kind",
         "trig kind", "field_info", "jet", "trig", "substitute", "gen"])
 def test_bad_arguments_raise_typed_errors(call, error):
     with pytest.raises(error):

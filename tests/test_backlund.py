@@ -32,31 +32,27 @@ def sysp():
 # ---------------------------------------------------------------------------
 # the rewrite relations
 
+def sector_rewriter(sys, *order):
+    """A jet rewriter of the sector rules of the equations in ``order``: on a
+    jet both determine (the auxiliary component), the first listed wins."""
+    return al.JetRewriter(rule for which in order
+                          for rule in bt._sector_rules(sys, which).items())
+
+
 def test_bt_reduce_first_derivative(sysm):
     # one rewriting pass turns D-(target) into the first right-hand side;
     # the fixed point reduces the target components inside the sine as well
     lhs = ss.apply(ss.D_MINUS, sysm.target_field.expr)
-    one_pass = al.substitute_jets(lhs, bt.bt_rewriter(sysm, prefer="eq1").rule)
-    assert expr_eq(one_pass, sysm.rhs1)
-    reduce = bt.bt_rewriter(sysm, prefer="eq1").reduce
-    assert expr_eq(reduce(lhs), reduce(sysm.rhs1))
+    rewriter = sector_rewriter(sysm, "eq1", "eq2")
+    assert expr_eq(al.substitute_jets(lhs, rewriter.rule), sysm.rhs1)
+    assert expr_eq(rewriter.reduce(lhs), rewriter.reduce(sysm.rhs1))
 
 
 def test_bt_reduce_second_derivative(sysm):
     lhs = ss.apply(ss.D_PLUS, sysm.target_field.expr)
-    one_pass = al.substitute_jets(lhs, bt.bt_rewriter(sysm, prefer="eq2").rule)
-    assert expr_eq(one_pass, sysm.rhs2)
-    reduce = bt.bt_rewriter(sysm, prefer="eq2").reduce
-    assert expr_eq(reduce(lhs), reduce(sysm.rhs2))
-
-
-def test_bt_rewriter_prefers_listed_equation(sysm):
-    # both equations determine the auxiliary jet; ``prefer`` picks whose rule
-    aux = (sysm.target_field.component("F"), 0, 0)
-    rules = {which: bt._sector_rules(sysm, which)[aux] for which in ("eq1", "eq2")}
-    assert not expr_eq(rules["eq1"], rules["eq2"])
-    for which in ("eq1", "eq2"):
-        assert expr_eq(bt.bt_rewriter(sysm, prefer=which).rule(*aux), rules[which])
+    rewriter = sector_rewriter(sysm, "eq2", "eq1")
+    assert expr_eq(al.substitute_jets(lhs, rewriter.rule), sysm.rhs2)
+    assert expr_eq(rewriter.reduce(lhs), rewriter.reduce(sysm.rhs2))
 
 
 def test_rewriter_caches_stay_flat_across_runs():
@@ -468,8 +464,7 @@ def test_system_fields_raise_config_errors():
 @pytest.mark.parametrize("call, error", [
     (lambda s: bt.component_apply_cov("-", al.jet("X", ctx=al.DEFAULT_CTX)), ContextMismatch),
     (lambda s: bt.component_apply_cov("x", al.jet("X", ctx=s.ctx)), ConfigError),
-    (lambda s: bt.bt_rewriter(s, "eq3"), ConfigError),
-], ids=["component_apply_cov nz", "component_apply_cov which", "bt_rewriter prefer"])
+], ids=["component_apply_cov nz", "component_apply_cov which"])
 def test_bad_arguments_raise_typed_errors(sysm, call, error):
     with pytest.raises(error):
         call(sysm)

@@ -26,6 +26,23 @@ def test_parse_examples():
     assert ps.parse_expr("sin(2*pi)").is_zero()
 
 
+def test_every_table_name_parses_to_its_atom():
+    # the token alternations are derived from the field and generator
+    # tables, longest name first, so each name is one token (alpha is not a
+    # followed by lpha, psi+~ is not psi+ followed by ~) and prints back
+    ctx = al.DEFAULT_CTX
+    for name, info in al._REGISTRY.items():
+        atom = al.jet(name, 0, 0, ctx)
+        assert ps.parse_expr(name, ctx) == atom and al.to_text(atom) == name
+        if not info.constant:
+            atom = al.jet(name, 1, 2, ctx)
+            text = name + "_{-++}"
+            assert ps.parse_expr(text, ctx) == atom and al.to_text(atom) == text
+    for name in al.GENERATORS:
+        atom = al.gen(name, ctx)
+        assert ps.parse_expr(name, ctx) == atom and al.to_text(atom) == name
+
+
 def test_parse_error_positions():
     with pytest.raises(MiniLangSyntaxError) as err:
         ps.parse_expr("sin()")
@@ -169,6 +186,11 @@ def test_eval_mode(capsys):
     assert "text: 0\n" in capsys.readouterr().out
     assert cli.main(["--eval", "sin()"]) == 2
     capsys.readouterr()
+    # an inexact result shows its precision, -inf when no order is certified
+    for text, want in (("sin(a^-1)", "a^-1 + O(a^-inf)"), ("a^9", "0 + O(a^9)"),
+                       ("a^-3", "0 + O(a^-3)")):
+        assert cli.main(["--eval", text]) == 0
+        assert f"text: {want}\n" in capsys.readouterr().out, text
     # expressions the engine rejects are expression errors too, and so are
     # a zero denominator and a power beyond the bound (on any base), which
     # must fail at once
@@ -237,16 +259,25 @@ def test_symbolic_checks_stdout_is_pinned(capsys):
     assert capsys.readouterr().out == want
 
 
+def test_symbolic_checks_survive_python_O():
+    # python -O strips assert statements; the engine's invariants raise
+    # typed errors instead, so the optimized run prints the same report
+    proc = _python("-O", "-m", "gradedsg.cli")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (Path(__file__).parent / "symbolic_checks.txt").read_text()
+
+
 # ---------------------------------------------------------------------------
 # numpy is loaded by the numeric companion only
 
-def _python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this gradedsg."""
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this gradedsg, with ``argv``
+    after the executable (``-c``, code and its arguments, say)."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=300)
 
 
@@ -261,7 +292,7 @@ def test_symbolic_run_imports_no_numpy(tmp_path):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rc = gradedsg.cli.main(sys.argv[2:] + ['--golden', sys.argv[1]])\n"
             "print(rc, 'numpy' in sys.modules)\n")
-    proc = _python(code, str(tmp_path / "golden"), *argv)
+    proc = _python("-c", code, str(tmp_path / "golden"), *argv)
     assert proc.stdout == "0 False\n", proc.stderr
 
 
@@ -270,7 +301,7 @@ def test_numeric_loads_on_first_access():
             "import gradedsg\n"
             "before = 'numpy' in sys.modules\n"
             "print(before, gradedsg.numeric.kink(0.0) == math.pi)\n")
-    proc = _python(code)
+    proc = _python("-c", code)
     assert proc.stdout == "False True\n", proc.stderr
 
 
@@ -327,6 +358,6 @@ def test_reports_do_not_depend_on_intern_order(case):
     root = Path(__file__).parents[1]
     if not (root / "golden").is_dir():
         pytest.skip("golden directory not present")
-    proc = _python(_INTERN_ORDER, case, str(root / "golden"),
+    proc = _python("-c", _INTERN_ORDER, case, str(root / "golden"),
                    str(Path(__file__).parent / "symbolic_checks.txt"))
     assert proc.stdout == "0 0 True\n", proc.stderr

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import gradedsg
+from gradedsg import algebra as al
 
 CACHE_DECORATORS = {"functools.lru_cache", "functools.cache", "lru_cache", "cache"}
 
@@ -299,6 +300,85 @@ def test_no_truncation_flag_in_the_package():
     assert offenders == []
 
 
+SWAP_PM = str.maketrans("+-", "-+")
+
+
+def spelled_fields(source: str, roles) -> list[int]:
+    """Lines of string constants that spell a ``Phi~`` component (one of
+    ``roles`` with the suffix ``~``) and of dict entries whose key and value
+    are strings that mirror each other (their + and - swapped)."""
+    partners = {role + "~" for role in roles}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and node.value in partners:
+            found.append(node.lineno)
+        elif isinstance(node, ast.Dict):
+            found += [k.lineno for k, v in zip(node.keys, node.values)
+                      if isinstance(k, ast.Constant) and isinstance(v, ast.Constant)
+                      and isinstance(k.value, str) and k.value != v.value
+                      and k.value.translate(SWAP_PM) == v.value]
+    return sorted(found)
+
+
+def test_guard_finds_spelled_fields():
+    source = ("names = ['psi+~', 'X~', 'Phi~', 'psi+', 'X~ + F']\n"
+              "MIRROR = {'chi+': 'chi-',\n"
+              "          'X': 'X', 'L': 'E', 'a+': 'b-', 'psi+': f(x)}\n"
+              "'psi+~ in a docstring'\n")
+    assert spelled_fields(source, ["X", "psi+", "chi+"]) == [1, 1, 2]
+
+
+def test_the_field_table_is_the_one_spelling():
+    # the components of Phi~ and the mirror images of the fields are derived
+    # from the field table, never written out by hand
+    offenders = [f"{path.name}:{line}" for path in package_sources()
+                 for line in spelled_fields(path.read_text(), al.COMPONENTS)]
+    assert offenders == []
+
+
+MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def registry_writes(source: str) -> list[int]:
+    """Lines that define ``register_field`` or write into ``_REGISTRY``: an
+    item assignment or deletion, or a mutating method taken on it."""
+
+    def is_registry(node: ast.AST) -> bool:
+        return ((isinstance(node, ast.Name) and node.id == "_REGISTRY")
+                or (isinstance(node, ast.Attribute) and node.attr == "_REGISTRY"))
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name == "register_field":
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+              and is_registry(node.value)):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr in MUTATORS
+              and is_registry(node.value)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_guard_finds_registry_writes():
+    source = ("_REGISTRY = {'X': 1}\n"
+              "def register_field(name): pass\n"
+              "_REGISTRY['Y'] = 2\n"
+              "al._REGISTRY[name] += 1\n"
+              "_REGISTRY.update(more)\n"
+              "del _REGISTRY['Y']\n"
+              "info = _REGISTRY['X'] or _REGISTRY.get('Z')\n")
+    assert registry_writes(source) == [2, 3, 4, 5, 6]
+
+
+def test_no_field_is_registered_at_run_time():
+    # the registry is built from the field table at import and never grows
+    offenders = [f"{path.name}:{line}" for path in package_sources()
+                 for line in registry_writes(path.read_text())]
+    assert offenders == []
+
+
 def test_no_assert_statements():
     # python -O strips assert statements; invariants raise typed errors
     offenders = [f"{path.name}:{line}" for path in package_sources()
@@ -312,8 +392,6 @@ UNUSED_ALLOWED = {
     "superspace.bracket",
     # the truncation projection the kernel tests compare through
     "algebra.with_context",
-    # the jet-level rewriter offered for interactive use
-    "backlund.bt_rewriter",
 }
 
 

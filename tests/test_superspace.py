@@ -33,12 +33,18 @@ def test_generic_superfield_rejects_another_z_order(nz, ctx_nz):
     assert len(sf.expr.terms) == len(sf.components)
 
 
-def test_fresh_names_are_disjoint():
-    a = ss.generic_superfield("Psi", nz=0)
-    b = ss.generic_superfield("Chi", nz=0)
-    assert a.body != b.body
+def test_phi_and_its_partner_are_the_only_superfields():
+    # the seed Phi and the Backlund target Phi~ have disjoint components; no
+    # other label names a superfield
+    a = ss.generic_superfield("Phi", nz=1)
+    b = ss.generic_superfield("Phi~", nz=1)
+    assert (a.body, b.body) == ("X", "X~")
+    assert [r for r, _ in a.components] == [r for r, _ in b.components]
     assert set(n for _, n in a.components).isdisjoint(n for _, n in b.components)
     assert not (a.expr - b.expr).is_zero()
+    for label in ("Psi", "Chi", "phi", "Phi~~", ""):
+        with pytest.raises(UnknownSymbol, match="unknown superfield"):
+            ss.generic_superfield(label, nz=0)
 
 
 def test_coordinate_actions():
@@ -147,9 +153,20 @@ def test_suite_matches_definitions_under_sabotage(monkeypatch):
     assert any(text != "0" for _, text in got)
 
 
-def test_derivation_covariance():
+def test_derivation_covariance(monkeypatch):
+    # one pass: each derivation is applied to each monomial of the probe,
+    # never to the whole probe first
+    calls = []
+    call = ss.Derivation.__call__
+
+    def counted(self, e):
+        calls.append(len(e.terms))
+        return call(self, e)
+
     probe = ss.generic_superfield("Phi", nz=1).expr
+    monkeypatch.setattr(ss.Derivation, "__call__", counted)
     assert all(ok for _, ok in ss.derivation_covariance_checks(probe))
+    assert calls == [1] * 7 * len(probe.terms)
 
 
 def test_weight_examples():
