@@ -46,11 +46,13 @@ mod 2 and every jet ranks after the prefix, so these give the whole sign
 entries: the denominator is 1, or 2 for a trig half-sum (4 where a Niven
 1/2 joins it).
 
-A term that leaves the Laurent window in ``a`` is dropped, and the result
-records where: its precision ``prec`` is None when it is exact, and
-otherwise the lowest power of ``a`` that a dropped term could still reach,
-so every coefficient below ``a^prec`` is exact (the ``O(a^p)`` of power
-series arithmetic, Knuth, TAOCP vol. 2 section 4.7).  A product takes
+An expression holds only what its context admits, however it is built: a
+term past the z-order vanishes, and a term that leaves the Laurent window
+in ``a`` is dropped, and the result records where.  Its precision ``prec``
+is None when it is exact, and otherwise the lowest power of ``a`` that a
+dropped term could still reach, so every coefficient below ``a^prec`` is
+exact (the ``O(a^p)`` of power series arithmetic, Knuth, TAOCP vol. 2
+section 4.7).  A product takes
 ``min(prec f + val g, prec g + val f)`` and the lowest power it drops, a
 sum the lower precision of its two terms, and ``series_coefficient``
 refuses an order at or past the precision.
@@ -274,19 +276,16 @@ def _canon_trig(kind: str, combo: Mapping[str, Fraction],
     if ordered and ordered[0][1] < 0:
         ordered = [(s, -c) for s, c in ordered]
         pioff = -pioff
-        if kind == "s":
-            coef = -coef
+        coef = -1 if kind == "s" else 1
     pioff %= 2
     if pioff >= 1:
         pioff -= 1
         coef = -coef
     if pioff >= HALF:
         pioff -= HALF
-        if kind == "s":
-            kind = "c"
-        else:
-            kind = "s"
+        if kind == "c":
             coef = -coef
+        kind = "c" if kind == "s" else "s"
     if not ordered:
         if pioff == 0:
             # constant angle, a multiple of pi/2: exact value
@@ -457,13 +456,8 @@ def key_degree(key: Key) -> Degree:
 
 def key_weight(key: Key) -> BoostWeight:
     z, tm, tp, cf, v, a, gj, bj, trig = key
-    w = 0
-    if tm:
-        w -= 1
-    if tp:
-        w += 1
-    w += _CLIFFORD[cf][2]
-    w += 2 * v
+    # theta- and theta+ carry weights -1 and +1
+    w = tp - tm + _CLIFFORD[cf][2] + 2 * v
     for (name, m, n), exp in _JETS[gj] + _JETS[bj]:
         w += exp * (field_info(name).weight + 2 * (m - n))
     return w
@@ -493,12 +487,13 @@ class GradedExpr:
     have equal ``(ctx, den, terms)``.  Read the rational values through
     ``coefficients()``.
 
-    ``GradedExpr(ctx, pairs)`` builds from ``(key, int | Fraction)`` pairs:
-    coefficients of a repeated key are summed and zero results dropped.  It
-    puts them over the lcm of their denominators and normalizes through
-    ``_from_ints``, which the ring operations and derivatives call directly
-    with integer numerators.  A coefficient is an ``int`` or a ``Fraction``,
-    and an operand also a ``GradedExpr``; anything else raises ``ConfigError``.
+    ``GradedExpr(ctx, pairs, prec)`` sums ``(key, int | Fraction)`` pairs
+    over the lcm of their denominators and keeps what ``ctx`` admits
+    (``_admitted``), so it also projects into a narrower window.  Ring
+    operations and derivatives, whose keys derive from admitted ones, call
+    the unchecked ``_from_ints``.  A coefficient is an ``int`` or a
+    ``Fraction``, and an operand also a ``GradedExpr``; anything else raises
+    ``ConfigError``.
 
     ``prec`` is the precision in ``a``: None when exact, else the lowest
     power of ``a`` a dropped term could reach (``-inf`` when that has no
@@ -512,8 +507,8 @@ class GradedExpr:
         pairs = [(k, _exact(c)) for k, c in terms]
         # over the lcm of the denominators every coefficient is an int numerator
         den = lcm(*(c.denominator for _, c in pairs))
-        e = _from_ints(ctx, ((k, c.numerator * (den // c.denominator)) for k, c in pairs),
-                       den, prec)
+        e = _admitted(ctx, ((k, c.numerator * (den // c.denominator)) for k, c in pairs),
+                      den, prec)
         self.ctx, self.terms, self.den, self.prec = e.ctx, e.terms, e.den, e.prec
 
     # -- helpers ------------------------------------------------------------
@@ -591,7 +586,8 @@ class GradedExpr:
         for k1, c1 in self.terms.items():
             z1, tm1, tp1, a1 = k1[0], k1[1], k1[2], k1[5]
             for k2, c2 in other.terms.items():
-                # a product that vanishes by z-order or a repeated theta is
+                # the tests of ``_admitted``, inline on this hot path: a
+                # product that vanishes by z-order or a repeated theta is
                 # not a truncation, so these tests come before the a-window
                 if z1 + k2[0] > nz or (tm1 and k2[1]) or (tp1 and k2[2]):
                     continue
@@ -692,6 +688,23 @@ def _from_ints(ctx: Context, pairs: Iterable[tuple[Key, int]], den: int,
     return e
 
 
+def _admitted(ctx: Context, pairs: Iterable[tuple[Key, int]], den: int = 1,
+              prec: "int | float | None" = None) -> GradedExpr:
+    """``_from_ints`` of the pairs that ``ctx`` admits, by the tests of
+    ``__mul__``: a term past the z-order vanishes exactly, and one whose
+    power of ``a`` lies outside ``[amin, amax]`` is dropped into ``prec``.
+    Every constructor builds through it."""
+    nz, amin, amax = ctx
+    kept = []
+    for key, c in pairs:
+        if key[0] <= nz:
+            if amin <= key[5] <= amax:
+                kept.append((key, c))
+            elif prec is None or key[5] < prec:
+                prec = key[5]
+    return _from_ints(ctx, kept, den, prec)
+
+
 def _val(e: GradedExpr) -> "int | float":
     """The lowest power of ``a`` that ``e`` may hold: its lowest term or its
     precision; ``inf`` for the exact zero."""
@@ -760,17 +773,15 @@ def gen(name: str, ctx: Context = DEFAULT_CTX) -> GradedExpr:
         key = GENERATORS[name]
     except KeyError:
         raise UnknownSymbol(f"unknown generator {name!r}") from None
-    return _from_ints(ctx, (), 1, None, {key: 1})
+    return _admitted(ctx, ((key, 1),))
 
 
 def apow(k: int, ctx: Context = DEFAULT_CTX) -> GradedExpr:
-    if k < ctx.amin or k > ctx.amax:
-        return GradedExpr(ctx, prec=k)
-    return _from_ints(ctx, (), 1, None, {(0, 0, 0, CF_ONE, 0, k, 0, 0, None): 1})
+    return _admitted(ctx, (((0, 0, 0, CF_ONE, 0, k, 0, 0, None), 1),))
 
 
 def vpow(k: int, ctx: Context = DEFAULT_CTX) -> GradedExpr:
-    return _from_ints(ctx, (), 1, None, {(0, 0, 0, CF_ONE, k, 0, 0, 0, None): 1})
+    return _admitted(ctx, (((0, 0, 0, CF_ONE, k, 0, 0, 0, None), 1),))
 
 
 def jet(name: str, m: int = 0, n: int = 0, ctx: Context = DEFAULT_CTX) -> GradedExpr:
@@ -778,11 +789,9 @@ def jet(name: str, m: int = 0, n: int = 0, ctx: Context = DEFAULT_CTX) -> Graded
     if info.constant and (m or n):
         return GradedExpr.zero(ctx)
     atom = _jet_id((((name, m, n), 1),))
-    if info.degree == DEG_EVEN:
-        key = (0, 0, 0, CF_ONE, 0, 0, 0, atom, None)
-    else:
-        key = (0, 0, 0, CF_ONE, 0, 0, atom, 0, None)
-    return _from_ints(ctx, (), 1, None, {key: 1})
+    # an even jet goes to the scalar slot, an odd one to the graded slot
+    gj, bj = (0, atom) if info.degree == DEG_EVEN else (atom, 0)
+    return _admitted(ctx, (((0, 0, 0, CF_ONE, 0, 0, gj, bj, None), 1),))
 
 
 def trig(kind: str, combo: Mapping[str, Fraction], pioff=Q(0),
@@ -923,8 +932,6 @@ def d_x(e: GradedExpr, direction: str) -> GradedExpr:
         if t is not None:
             kind, combo, _, _, partner = _TRIGS[t]
             for sym, co in combo:
-                if field_info(sym).constant:
-                    continue
                 factor = co.numerator * (den // co.denominator)
                 if kind == "c":
                     factor = -factor
@@ -957,7 +964,7 @@ def d_theta(e: GradedExpr, which: str) -> GradedExpr:
 
 
 # ---------------------------------------------------------------------------
-# sector split, series coefficients, truncation
+# sector split and series coefficients
 
 def component_split(e: GradedExpr) -> dict[tuple[int, int], GradedExpr]:
     """Split by theta sector; values have the theta bits removed."""
@@ -980,16 +987,6 @@ def series_coefficient(e: GradedExpr, n: int) -> GradedExpr:
     return _from_ints(e.ctx, (((*key[:5], 0, *key[6:]), c)
                               for key, c in e.terms.items() if key[5] == n),
                       e.den, None)
-
-
-def with_context(e: GradedExpr, ctx: Context) -> GradedExpr:
-    """Reinterpret under another truncation context, dropping what falls out."""
-    kept = [(key, c) for key, c in e.terms.items() if key[0] <= ctx.nz]
-    inside = [(key, c) for key, c in kept if ctx.amin <= key[5] <= ctx.amax]
-    dropped = [key[5] for key, _ in kept if not ctx.amin <= key[5] <= ctx.amax]
-    if e.prec is not None:
-        dropped.append(e.prec)
-    return _from_ints(ctx, inside, e.den, min(dropped, default=None))
 
 
 # ---------------------------------------------------------------------------
@@ -1052,10 +1049,8 @@ def trig_of(kind: str, e: GradedExpr, half=Q(1)) -> GradedExpr:
             kfact *= k
             if power.is_zero():
                 break
-        fk_kind = _TRIG_CYCLE[kind][k % 4]
-        fk_sign = _TRIG_SIGNS[kind][k % 4]
-        coef, atom = _canon_trig(fk_kind, combo, pioff)
-        coef *= fk_sign
+        coef, atom = _canon_trig(_TRIG_CYCLE[kind][k % 4], combo, pioff)
+        coef *= _TRIG_SIGNS[kind][k % 4]
         if coef != 0:
             base_key = (0, 0, 0, CF_ONE, 0, 0, 0, 0, atom)
             base = GradedExpr(ctx, ((base_key, coef / kfact),))

@@ -34,7 +34,7 @@ from . import superspace as ss
 from .algebra import Context, GradedExpr, Q
 from .errors import (ConfigError, ContextMismatch, InconsistentSystem,
                      OutsideWindow, UnresolvedGenerator, UnsupportedAtom)
-from .report import Report
+from .report import Report, exact_zero
 
 HALF = Q(1, 2)
 QUARTER = Q(1, 4)
@@ -277,12 +277,12 @@ def verify_auto_bt(sys: BTSystem) -> Report:
         return md.reduce_on_shell(E, seed)
 
     E = on_shell_residual(sys.term1)
-    ok = E.is_zero()
+    ok = exact_zero(E)
     rep.add("target residual equals seed residual on shell",
             "pass" if ok else "fail",
             () if ok else tuple(sorted(al.term_str(k, c) for k, c in E.coefficients())))
     rep.add("sign-flipped system is rejected",
-            "fail" if on_shell_residual(-sys.term1).is_zero() else "pass")
+            "fail" if exact_zero(on_shell_residual(-sys.term1)) else "pass")
 
     # route asymmetry of the printed system (informational): substituting
     # the first relation innermost instead leaves a nonzero obstruction.
@@ -422,7 +422,7 @@ def verify_current_conservation(sys: BTSystem) -> Report:
                        halves_cancel=residual.is_zero() and not half_first.is_zero())
     swapped = half_first + (sys.term1 * factor).scale(-QUARTER)
     rep.add("cancellation requires anticommuting parameters",
-            "fail" if swapped.is_zero() else "pass")
+            "fail" if exact_zero(swapped) else "pass")
     return rep
 
 

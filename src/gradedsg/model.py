@@ -60,7 +60,7 @@ def sine_gordon_lagrangian() -> LagrangianExpr:
 
 def potential_derivative(L: LagrangianExpr, field: ss.SuperField) -> GradedExpr:
     """dW/dPhi with left derivatives, as a superspace expression."""
-    ctx = field.expr.ctx
+    ctx = field.ctx
     out = GradedExpr.zero(ctx)
     for t in L.potential:
         if t.trig is None:
@@ -91,10 +91,9 @@ def euler_lagrange(L: LagrangianExpr, field: ss.SuperField) -> GradedExpr:
 def sg_residual(field: ss.SuperField) -> GradedExpr:
     """D-D+Phi + D+D-Phi + alpha sin(Phi/2), fully normalized."""
     e = field.expr
-    ctx = e.ctx
     mixed = (ss.apply(ss.D_MINUS, ss.apply(ss.D_PLUS, e))
              + ss.apply(ss.D_PLUS, ss.apply(ss.D_MINUS, e)))
-    return mixed + al.gen("alpha", ctx) * al.trig_of("s", e, HALF)
+    return mixed + al.gen("alpha", field.ctx) * al.trig_of("s", e, HALF)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +101,7 @@ def sg_residual(field: ss.SuperField) -> GradedExpr:
 
 def auxiliary_solution(field: ss.SuperField) -> GradedExpr:
     """The auxiliary component on shell: F = -(alpha/2) sin(X/2)."""
-    ctx = field.expr.ctx
+    ctx = field.ctx
     return (al.gen("alpha", ctx)
             * al.trig("s", {field.body: HALF}, ctx=ctx)).scale(Q(-1, 2))
 
@@ -119,7 +118,7 @@ def component_equations(eliminate_auxiliary: bool,
     if eliminate_auxiliary:
         res = al.substitute(res, {field.component("F"): auxiliary_solution(field)})
     sectors = al.component_split(res)
-    zero = GradedExpr.zero(field.expr.ctx)
+    zero = GradedExpr.zero(field.ctx)
     return {
         "aux": sectors.get((0, 0), zero),
         "psi-": sectors.get((1, 0), zero).scale(-1),
@@ -131,8 +130,7 @@ def component_equations(eliminate_auxiliary: bool,
 def classical_residual(field: ss.SuperField) -> GradedExpr:
     """Component X-equation with the fermions switched off."""
     eqs = component_equations(eliminate_auxiliary=True, field=field)
-    ctx = field.expr.ctx
-    zero = GradedExpr.zero(ctx)
+    zero = GradedExpr.zero(field.ctx)
     return al.substitute(eqs["X"], {
         field.component("psi+"): zero,
         field.component("psi-"): zero,
@@ -153,7 +151,7 @@ def on_shell_rewriter(field: ss.SuperField) -> al.JetRewriter:
     The canonical remainder mentions only pure d- strings of X and psi+,
     pure d+ strings of X and psi-, and trig atoms.
     """
-    ctx = field.expr.ctx
+    ctx = field.ctx
     body, psip, psim = field.body, field.component("psi+"), field.component("psi-")
     alpha = al.gen("alpha", ctx)
     sin_half = al.trig("s", {body: HALF}, ctx=ctx)

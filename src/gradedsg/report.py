@@ -5,6 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import algebra as al
+from .errors import OutsideWindow
+
+
+def exact_zero(residual: al.GradedExpr) -> bool:
+    """Whether a residual is zero; one with a precision has no verdict."""
+    if residual.prec is not None:
+        raise OutsideWindow(f"a residual exact only below a^{residual.prec} has no verdict")
+    return residual.is_zero()
 
 
 @dataclass
@@ -45,13 +53,13 @@ class Report:
 
     def add_zero_check(self, name: str, residual: al.GradedExpr, **details) -> Entry:
         """Pass when the residual is exactly zero; a failure prints it."""
-        if residual.is_zero():
+        if exact_zero(residual):
             return self.add(name, "pass", **details)
         return self.add(name, "fail", (al.to_text(residual),), **details)
 
     def add_finding(self, name: str, residual: al.GradedExpr, **details) -> Entry:
         """Informational residual: printed when nonzero, with ``is_zero``."""
-        zero = residual.is_zero()
+        zero = exact_zero(residual)
         return self.add(name, "info", () if zero else (al.to_text(residual),),
                         is_zero=zero, **details)
 

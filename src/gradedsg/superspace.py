@@ -99,18 +99,23 @@ def bracket(D1: Derivation, D2: Derivation, probe: GradedExpr) -> GradedExpr:
 
 @dataclass(frozen=True)
 class SuperField:
-    """A scalar superfield with its component jet generators."""
+    """A scalar superfield: its label and its window.  Its components' sum
+    ``expr`` follows from the two, so equality and the hash leave it out."""
 
     name: str
-    expr: GradedExpr
-    body: str
-    components: tuple[tuple[str, str], ...]  # (role, field name)
+    ctx: Context
+    expr: GradedExpr = field(compare=False)
+
+    @property
+    def body(self) -> str:
+        # the table lists the body first
+        return self.component(next(iter(al.COMPONENTS)))
 
     def component(self, role: str) -> str:
-        for r, n in self.components:
-            if r == role:
-                return n
-        raise UnknownSymbol(f"superfield {self.name!r} has no {role!r} component")
+        """The field name of a component role, up to the field's z-order."""
+        if role not in al.COMPONENTS or al.COMPONENTS[role][2] > self.ctx.nz:
+            raise UnknownSymbol(f"superfield {self.name!r} has no {role!r} component")
+        return role + al.SUPERFIELDS[self.name]
 
 
 def generic_superfield(label: str, nz: int = 0,
@@ -124,23 +129,16 @@ def generic_superfield(label: str, nz: int = 0,
         ctx = Context(nz=nz) if nz != al.DEFAULT_CTX.nz else al.DEFAULT_CTX
     elif ctx.nz != nz:
         raise ConfigError(f"superfield of z-order {nz} in a context of z-order {ctx.nz}")
-    comps = []
     expr = GradedExpr.zero(ctx)
     for role, (_, _, zord, tm, tp) in al.COMPONENTS.items():
         if zord > nz:
             continue
-        name = role + al.SUPERFIELDS[label]
-        comps.append((role, name))
-        term = al.jet(name, 0, 0, ctx)
-        if tp:
-            term = al.gen("theta+", ctx) * term
-        if tm:
-            term = al.gen("theta-", ctx) * term
-        for _ in range(zord):
-            term = al.gen("z", ctx) * term
+        term = al.jet(role + al.SUPERFIELDS[label], 0, 0, ctx)
+        # z^zord theta-^tm theta+^tp times the jet, built from the right
+        for name in ["theta+"] * tp + ["theta-"] * tm + ["z"] * zord:
+            term = al.gen(name, ctx) * term
         expr = expr + term
-    # the table lists the body first
-    return SuperField(label, expr, comps[0][1], tuple(comps))
+    return SuperField(label, ctx, expr)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ def expr_eq(a, b):
     return (a - b).is_zero()
 
 
+def project(e, ctx):
+    """``e`` rebuilt in ``ctx``, which keeps only what that window admits."""
+    return al.GradedExpr(ctx, e.coefficients(), e.prec)
+
+
 # ---------------------------------------------------------------------------
 # spinor-parameter relations
 
@@ -155,9 +160,39 @@ def test_truncation_soundness():
     for _ in range(20):
         a = _random_expr(rng, hi, ["X", "F"], 2) * al.gen("z", hi)
         b = _random_expr(rng, hi, ["Y", "psi+"], 2) + al.gen("z", hi)
-        drop = lambda e: al.with_context(e, lo)
+        drop = lambda e: project(e, lo)
         assert expr_eq(drop(a * b), drop(drop(a) * drop(b)))
         assert expr_eq(drop(a + b), drop(a) + drop(b))
+
+
+# every one-term constructor, as (label, build in a context)
+ONE_TERM_ATOMS = [
+    *((f"gen {name}", lambda ctx, name=name: al.gen(name, ctx)) for name in al.GENERATORS),
+    *((f"apow {k}", lambda ctx, k=k: al.apow(k, ctx)) for k in range(-4, 11)),
+    ("vpow 2", lambda ctx: al.vpow(2, ctx)),
+    ("vpow -3", lambda ctx: al.vpow(-3, ctx)),
+    ("jet psi+_{-+}", lambda ctx: al.jet("psi+", 1, 1, ctx)),
+    ("jet G", lambda ctx: al.jet("G", ctx=ctx)),
+    ("jet pi_{-}", lambda ctx: al.jet("pi", 1, 0, ctx)),
+    ("trig", lambda ctx: al.trig("c", {"X": Q(1, 2), "pi": Q(1, 3)}, ctx=ctx)),
+    ("rational", lambda ctx: al.GradedExpr.rational(Q(-3, 2), ctx)),
+]
+# holds every one-term atom exactly
+ONE_TERM_WIDE = al.Context(nz=1, amin=-4, amax=10)
+
+
+@pytest.mark.parametrize("nz", [0, 1])
+@pytest.mark.parametrize("amax", [0, 1, 8])
+def test_one_term_constructors_keep_what_their_window_admits(nz, amax):
+    # a one-term atom is what a wide window holds, projected into its own:
+    # z vanishes at z-order 0, and a power of a outside it is dropped into
+    # the precision, as a product would do
+    ctx = al.Context(nz=nz, amin=-2, amax=amax)
+    for label, build in ONE_TERM_ATOMS:
+        got, want = build(ctx), project(build(ONE_TERM_WIDE), ctx)
+        assert (got, got.prec) == (want, want.prec), label
+    assert al.gen("z", ctx).is_zero() == (nz == 0)
+    assert al.gen("z", ctx).prec is None
 
 
 def test_a_window_truncation_flagged():
@@ -227,8 +262,8 @@ def test_precision_of_sums_products_and_projections():
         al.series_coefficient(lifted, 2)
     # derivatives, splits and projections keep or lower it
     assert al.d_plus(loose).prec == al.d_theta(loose, "-").prec == 9
-    assert al.with_context(loose + al.apow(4, CTX), al.Context(0, -2, 3)).prec == 4
-    assert al.with_context(al.jet("X", ctx=CTX), al.Context(0, -2, 3)).prec is None
+    assert project(loose + al.apow(4, CTX), al.Context(0, -2, 3)).prec == 4
+    assert project(al.jet("X", ctx=CTX), al.Context(0, -2, 3)).prec is None
 
 
 def test_trig_precision_follows_the_vanished_power():
@@ -570,6 +605,20 @@ def test_only_the_bodies_and_pi_enter_trig_arguments():
             al.trig("s", {name: Q(1)}, ctx=CTX)
 
 
+def test_no_trig_argument_holds_a_constant_field():
+    # pi is folded into the offset wherever an atom is built, so no interned
+    # combo holds it and d_x's chain rule need not test for a constant
+    X, pi = al.jet("X", ctx=CTX), al.jet("pi", ctx=CTX)
+    built = [al.trig("s", {"X": Q(1, 3), "pi": Q(2, 5)}, ctx=CTX),
+             al.trig_of("c", X + pi.scale(Q(1, 7)), Q(1, 2)),
+             al.trig("s", {"X~": Q(1), "pi": Q(1, 9)}, ctx=CTX)
+             * al.trig("c", {"X": Q(2), "pi": Q(1, 11)}, ctx=CTX)]
+    assert all(key[8] is not None for e in built for key in e.terms)
+    constant = {name for name, info in al._REGISTRY.items() if info.constant}
+    assert constant == {"pi"}
+    assert not [atom for atom in al._TRIGS[1:] if constant & {s for s, _ in atom[1]}]
+
+
 @pytest.mark.parametrize("call, error", [
     # a sum and a product across two truncation contexts
     (lambda: al.jet("X", ctx=CTX) + al.jet("X", ctx=al.DEFAULT_CTX), ContextMismatch),
@@ -809,7 +858,7 @@ def test_mul_associative_on_random_expressions():
         # a-window truncation can differ between association orders, so
         # compare inside a safely interior window
         inner = al.Context(nz=0, amin=CTX.amin + 3, amax=CTX.amax - 3)
-        assert expr_eq(al.with_context(left, inner), al.with_context(right, inner))
+        assert expr_eq(project(left, inner), project(right, inner))
 
 
 def test_canonical_form_survives_refactoring():

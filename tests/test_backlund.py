@@ -525,3 +525,11 @@ def test_export_plus_orientation_mirrors(sysp):
     coef, apow, vpow, combo = spec.p
     assert (coef, apow, vpow) == (Q(1), 2, -1)
 
+
+def test_auto_bt_verdict_refuses_an_inexact_residual(monkeypatch):
+    # the on-shell residual is a verdict: with a precision it raises
+    reduce = md.reduce_on_shell
+    monkeypatch.setattr(md, "reduce_on_shell", lambda e, field: reduce(e, field)
+                        + al.GradedExpr(e.ctx, prec=3))
+    with pytest.raises(OutsideWindow):
+        bt.verify_auto_bt(bt.BTSystem())

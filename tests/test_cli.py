@@ -11,7 +11,7 @@ from gradedsg import algebra as al
 from gradedsg import backlund as bt
 from gradedsg import cli
 from gradedsg import parser as ps
-from gradedsg.errors import MiniLangSyntaxError, UnknownSymbol
+from gradedsg.errors import MiniLangSyntaxError, OutsideWindow, UnknownSymbol
 from gradedsg.report import Report
 
 
@@ -87,6 +87,20 @@ def test_report_zero_check_and_finding():
     assert by_name["no finding"].residual_terms == ()
     assert by_name["no finding"].details == {"is_zero": True}
     assert rep.status == "fail"
+
+
+def test_a_verdict_never_calls_an_inexact_zero_exact():
+    # 0 + O(a^3) is zero only below a^3, so no report entry may call it
+    # zero; a nonzero residual with a precision gets no verdict either
+    ctx = al.BT_CTX
+    for residual in (al.GradedExpr(ctx, prec=3), al.jet("X", ctx=ctx) + al.apow(9, ctx)):
+        assert residual.prec is not None
+        rep = Report("r")
+        with pytest.raises(OutsideWindow):
+            rep.add_zero_check("zero", residual)
+        with pytest.raises(OutsideWindow):
+            rep.add_finding("finding", residual)
+        assert rep.entries == []
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +202,9 @@ def test_eval_mode(capsys):
     capsys.readouterr()
     # an inexact result shows its precision, -inf when no order is certified
     for text, want in (("sin(a^-1)", "a^-1 + O(a^-inf)"), ("a^9", "0 + O(a^9)"),
-                       ("a^-3", "0 + O(a^-3)")):
+                       ("a^-3", "0 + O(a^-3)"),
+                       # the window has z-order 0, so z is zero however it enters
+                       ("z", "0"), ("z + X", "X"), ("D- z", "0"), ("Z z", "0")):
         assert cli.main(["--eval", text]) == 0
         assert f"text: {want}\n" in capsys.readouterr().out, text
     # expressions the engine rejects are expression errors too, and so are

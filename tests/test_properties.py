@@ -438,9 +438,10 @@ def fold_in(ctx, steps):
     """Run the steps in ``ctx``: add or multiply by a monomial, multiply by
     a^k (a negative k brings dropped terms back), or take d+."""
     e, rest = steps
-    e = al.with_context(e, ctx)
+    # rebuilding in ctx keeps only what that window admits
+    e = al.GradedExpr(ctx, e.coefficients(), e.prec)
     for op, m, k in rest:
-        m = al.with_context(m, ctx)
+        m = al.GradedExpr(ctx, m.coefficients(), m.prec)
         if op == "+":
             e = e + m
         elif op == "*":

@@ -390,8 +390,6 @@ def test_no_assert_statements():
 UNUSED_ALLOWED = {
     # the reference evaluator the bracket suite is tested against
     "superspace.bracket",
-    # the truncation projection the kernel tests compare through
-    "algebra.with_context",
 }
 
 

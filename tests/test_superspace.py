@@ -30,7 +30,13 @@ def test_generic_superfield_rejects_another_z_order(nz, ctx_nz):
     with pytest.raises(ConfigError, match="z-order"):
         ss.generic_superfield("Phi", nz=nz, ctx=al.Context(nz=ctx_nz))
     sf = ss.generic_superfield("Phi", nz=ctx_nz, ctx=al.Context(nz=ctx_nz))
-    assert len(sf.expr.terms) == len(sf.components)
+    roles = [role for role, info in al.COMPONENTS.items() if info[2] <= ctx_nz]
+    assert len(sf.expr.terms) == len(roles)
+    assert [sf.component(role) for role in roles] == roles
+    # a role past the field's z-order is not one of its components
+    for role in al.COMPONENTS.keys() - roles:
+        with pytest.raises(UnknownSymbol, match="has no"):
+            sf.component(role)
 
 
 def test_phi_and_its_partner_are_the_only_superfields():
@@ -39,8 +45,13 @@ def test_phi_and_its_partner_are_the_only_superfields():
     a = ss.generic_superfield("Phi", nz=1)
     b = ss.generic_superfield("Phi~", nz=1)
     assert (a.body, b.body) == ("X", "X~")
-    assert [r for r, _ in a.components] == [r for r, _ in b.components]
-    assert set(n for _, n in a.components).isdisjoint(n for _, n in b.components)
+    names_a = [a.component(role) for role in al.COMPONENTS]
+    names_b = [b.component(role) for role in al.COMPONENTS]
+    assert set(names_a).isdisjoint(names_b)
+    # a superfield is its label and its window: equality and the hash
+    # ignore the expression, which follows from the two
+    other = ss.SuperField("Phi", a.ctx, al.GradedExpr.zero(a.ctx))
+    assert a == other and hash(a) == hash(other) and a != b
     assert not (a.expr - b.expr).is_zero()
     for label in ("Psi", "Chi", "phi", "Phi~~", ""):
         with pytest.raises(UnknownSymbol, match="unknown superfield"):
