@@ -18,14 +18,14 @@ from .grading import Degree, commutation_sign, degree_add, pairing
 from .parser import parse_expr
 from .report import Report
 from .superspace import (D_MINUS, D_PLUS, P_MINUS, P_PLUS, Q_MINUS, Q_PLUS,
-                         Z_MINUSPLUS, SuperField, apply, bracket,
+                         Z_MINUSPLUS, SuperField, bracket,
                          generic_superfield)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BTSystem", "Context", "Degree", "GradedExpr", "Report", "SuperField",
-    "algebra", "apply", "backlund", "bracket", "commutation_sign",
+    "algebra", "backlund", "bracket", "commutation_sign",
     "degree_add", "gen", "generic_superfield", "grading", "jet", "model",
     "numeric", "pairing", "parse_expr", "parser", "superspace", "to_text",
     "trig_of",

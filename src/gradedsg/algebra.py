@@ -497,7 +497,9 @@ class GradedExpr:
 
     ``prec`` is the precision in ``a``: None when exact, else the lowest
     power of ``a`` a dropped term could reach (``-inf`` when that has no
-    bound).  Equality compares the terms, not the precision.
+    bound).  Equality compares the terms, not the precision, so an
+    expression is not hashable: as a key, ``X`` and ``X + O(a^3)`` would be
+    one.
     """
 
     __slots__ = ("ctx", "terms", "den", "prec")
@@ -617,9 +619,6 @@ class GradedExpr:
         if not isinstance(other, GradedExpr):
             return NotImplemented
         return self.ctx == other.ctx and self.den == other.den and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ctx, self.den, frozenset(self.terms.items())))
 
     # -- queries --------------------------------------------------------------
 
@@ -940,14 +939,6 @@ def d_x(e: GradedExpr, direction: str) -> GradedExpr:
     return _from_ints(e.ctx, out, e.den * den, e.prec)
 
 
-def d_minus(e: GradedExpr) -> GradedExpr:
-    return d_x(e, "-")
-
-
-def d_plus(e: GradedExpr) -> GradedExpr:
-    return d_x(e, "+")
-
-
 def d_z(e: GradedExpr) -> GradedExpr:
     return _from_ints(e.ctx, (((key[0] - 1, *key[1:]), c * key[0])
                               for key, c in e.terms.items() if key[0]),
@@ -1171,9 +1162,9 @@ class JetRewriter:
         bm, bn, expr = max((b for b in self._bases.get(name, ()) if b[0] <= m and b[1] <= n),
                            key=lambda b: b[0] + b[1], default=(m, n, None))
         for _ in range(m - bm):
-            expr = d_minus(expr)
+            expr = d_x(expr, "-")
         for _ in range(n - bn):
-            expr = d_plus(expr)
+            expr = d_x(expr, "+")
         return expr
 
     def normal(self, name: str, m: int, n: int) -> Optional[GradedExpr]:
@@ -1250,4 +1241,5 @@ def substitute(e: GradedExpr, bindings: Mapping[str, GradedExpr]) -> GradedExpr:
     # one pass of the plain prolongations, not of their normal forms: a
     # binding may mention its own field, as in X -> 3/2*X
     rewriter = JetRewriter(((name, 0, 0), b) for name, b in bindings.items())
-    return substitute_jets(e, rewriter.rule)
+    # each bound jet is derived once per call, however often it occurs
+    return substitute_jets(e, functools.cache(rewriter.rule))

@@ -135,12 +135,12 @@ class BTSystem:
     @functools.cached_property
     def rhs1(self) -> GradedExpr:
         """Right-hand side for D1(target)."""
-        return ss.apply(self.D1, self.seed_field.expr) + self.term1
+        return self.D1(self.seed_field.expr) + self.term1
 
     @functools.cached_property
     def rhs2(self) -> GradedExpr:
         """Right-hand side for D2(target)."""
-        return -ss.apply(self.D2, self.seed_field.expr) + self.term2
+        return -self.D2(self.seed_field.expr) + self.term2
 
     @functools.cached_property
     def series(self) -> tuple[GradedExpr, ...]:
@@ -156,7 +156,7 @@ class BTSystem:
         alpha_p1 = al.gen("alpha", ctx) * al.gen(self.param1, ctx)
         out = [seed]
         for n in range(self.order):
-            out.append((alpha_p1 * ss.apply(self.D2, out[-1])).scale(4 if n == 0 else 2))
+            out.append((alpha_p1 * self.D2(out[-1])).scale(4 if n == 0 else 2))
         return tuple(out)
 
     @functools.cached_property
@@ -181,8 +181,8 @@ def trig_chain_residual(D: ss.Derivation, kind: str, arg: GradedExpr,
     coefficients anticommute, which is why audits recompute derivatives
     sector-wise instead).
     """
-    lhs = ss.apply(D, al.trig_of(kind, arg, half))
-    darg = ss.apply(D, arg)
+    lhs = D(al.trig_of(kind, arg, half))
+    darg = D(arg)
     if kind == "s":
         rhs = (al.trig_of("c", arg, half) * darg).scale(Q(half))
     else:
@@ -210,12 +210,12 @@ def component_apply_cov(which: str, e: GradedExpr) -> GradedExpr:
     tp = al.gen("theta+", ctx)
     if which == "-":
         return (c10 + tp * c11
-                - (tm * al.d_minus(c00)).scale(HALF)
-                - (tm * (tp * al.d_minus(c01))).scale(HALF))
+                - (tm * al.d_x(c00, "-")).scale(HALF)
+                - (tm * (tp * al.d_x(c01, "-"))).scale(HALF))
     if which == "+":
         return (c01 + tm * c11
-                - (tp * al.d_plus(c00)).scale(HALF)
-                - (tm * (tp * al.d_plus(c10))).scale(HALF))
+                - (tp * al.d_x(c00, "+")).scale(HALF)
+                - (tm * (tp * al.d_x(c10, "+"))).scale(HALF))
     raise ConfigError("which must be '-' or '+'")
 
 
@@ -224,7 +224,7 @@ def component_apply_cov(which: str, e: GradedExpr) -> GradedExpr:
 
 def _sector_rules(sys: BTSystem, which: str) -> dict[tuple[str, int, int], GradedExpr]:
     """Solve one equation's theta sectors for the target jets they contain."""
-    lhs = ss.apply(sys.D1 if which == "eq1" else sys.D2, sys.target_field.expr)
+    lhs = (sys.D1 if which == "eq1" else sys.D2)(sys.target_field.expr)
     rhs = sys.rhs1 if which == "eq1" else sys.rhs2
     lsec = al.component_split(lhs)
     rsec = al.component_split(rhs)
@@ -270,8 +270,7 @@ def verify_auto_bt(sys: BTSystem) -> Report:
     # D1(rhs2) with the chain factor substituted via a first-relation term
     def on_shell_residual(term1: GradedExpr) -> GradedExpr:
         d1_of_trig2 = (al.trig_of("c", sys.diff_arg, QUARTER) * term1).scale(QUARTER)
-        d1_rhs2 = (-ss.apply(sys.D1, ss.apply(sys.D2, seed.expr))
-                   + sys.sine_coef2 * d1_of_trig2)
+        d1_rhs2 = -sys.D1(sys.D2(seed.expr)) + sys.sine_coef2 * d1_of_trig2
         E = (d1_rhs2.scale(2) + alpha * al.trig_of("s", target.expr, HALF)
              - md.sg_residual(seed))
         return md.reduce_on_shell(E, seed)
@@ -287,8 +286,7 @@ def verify_auto_bt(sys: BTSystem) -> Report:
     # route asymmetry of the printed system (informational): substituting
     # the first relation innermost instead leaves a nonzero obstruction.
     d2_of_trig1 = (al.trig_of("c", sys.sum_arg, QUARTER) * sys.term2).scale(QUARTER)
-    d2_rhs1 = (ss.apply(sys.D2, ss.apply(sys.D1, seed.expr))
-               + sys.sine_coef1 * d2_of_trig1)
+    d2_rhs1 = sys.D2(sys.D1(seed.expr)) + sys.sine_coef1 * d2_of_trig1
     alt = (d2_rhs1.scale(2) + alpha * al.trig_of("s", target.expr, HALF)
            - md.sg_residual(seed))
     alt = md.reduce_on_shell(alt, seed)
@@ -317,7 +315,7 @@ def verify_closed_form(sys: BTSystem) -> Report:
     deriv = sys.seed_field.expr  # D2^n(seed)
     for n, coef in enumerate(sys.series[1:], start=1):
         cliff = p1 * (p1 * cliff) * p2
-        deriv = ss.apply(sys.D2, deriv)
+        deriv = sys.D2(deriv)
         printed_sign = -1 if (n + 1) % 2 else 1
         engine_sign = -1 if (n + n // 2) % 2 else 1
         closed = (cliff * deriv).scale(engine_sign * 2 ** (n + 1))
@@ -337,10 +335,10 @@ def verify_recursion(sys: BTSystem) -> Report:
     series = sys.series
     p2 = al.gen(sys.param2, sys.ctx)
     rep.add_zero_check("order 0 anchor (doubled seed derivative)",
-                       ss.apply(sys.D2, series[0]).scale(4) - p2 * series[1])
+                       sys.D2(series[0]).scale(4) - p2 * series[1])
     for n in range(1, sys.order):
         rep.add_zero_check(f"order {n}",
-                           ss.apply(sys.D2, series[n]).scale(2) - p2 * series[n + 1])
+                           sys.D2(series[n]).scale(2) - p2 * series[n + 1])
     return rep
 
 
@@ -354,7 +352,7 @@ def verify_redundancy(sys: BTSystem) -> Report:
     rep = Report(f"redundancy[{sys.orientation}]")
     phis = sys.series_sum
     seed = sys.seed_field
-    lhs = ss.apply(sys.D1, phis) - ss.apply(sys.D1, seed.expr)
+    lhs = sys.D1(phis) - sys.D1(seed.expr)
     rhs = sys.sine_coef1 * al.trig_of("s", phis + seed.expr, QUARTER)
     residual = md.reduce_on_shell(lhs - rhs, seed)
     for n in range(0, sys.order + 1):
@@ -470,8 +468,8 @@ def _audit(sys: BTSystem, K: int) -> Report:
     w1, w2, _ = _SIDES[sys.orientation]
     cos_u = al.trig_of("c", u_arg, QUARTER)
     cos_v = al.trig_of("c", v_arg, QUARTER)
-    lhs = p1 * ss.apply(sys.D1, cos_u)
-    rhs = (al.apow(-2, ctx) * p2 * ss.apply(sys.D2, cos_v)).scale(-1)
+    lhs = p1 * sys.D1(cos_u)
+    rhs = (al.apow(-2, ctx) * p2 * sys.D2(cos_v)).scale(-1)
     # independent path: sector-wise recomputation of both derivatives
     lhs_comp = p1 * component_apply_cov(w1, cos_u)
     rhs_comp = (al.apow(-2, ctx) * p2 * component_apply_cov(w2, cos_v)).scale(-1)
@@ -487,12 +485,12 @@ def _audit(sys: BTSystem, K: int) -> Report:
     # claimed closed-form laws: D1(cos(seed/2)) and
     # D1(sin(seed/2) * D2^k seed), k = 1..K, on shell.
     rep.add_finding("claimed law k=0", md.reduce_on_shell(
-        ss.apply(sys.D1, al.trig_of("c", seed.expr, HALF)), seed))
+        sys.D1(al.trig_of("c", seed.expr, HALF)), seed))
     dk = seed.expr
     for k in range(1, K + 1):
-        dk = ss.apply(sys.D2, dk)
+        dk = sys.D2(dk)
         rep.add_finding(f"claimed law k={k}", md.reduce_on_shell(
-            ss.apply(sys.D1, al.trig_of("s", seed.expr, HALF) * dk), seed))
+            sys.D1(al.trig_of("s", seed.expr, HALF) * dk), seed))
 
     # nilpotency audit of the series coefficients
     for n, coef in enumerate(sys.series[1:7], start=1):

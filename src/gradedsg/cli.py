@@ -89,7 +89,7 @@ def check_verify_algebra(cfg: RunConfig) -> Report:
     # Z-+ annihilates everything built in the z-independent mode
     flat = ss.generic_superfield("Phi", nz=0)
     rep.add("z-independent fields are translation-invariant in z",
-            "pass" if ss.apply(ss.Z_MINUSPLUS, flat.expr).is_zero() else "fail")
+            "pass" if ss.Z_MINUSPLUS(flat.expr).is_zero() else "fail")
     return rep
 
 
@@ -101,8 +101,7 @@ def check_derive_eom(cfg: RunConfig) -> Report:
     rep.add_zero_check("Euler-Lagrange output equals the field-equation residual",
                        el - res, equation=al.to_text(res))
     free = md.euler_lagrange(md.LagrangianExpr.make(1, []), phi)
-    kinetic_only = (ss.apply(ss.D_MINUS, ss.apply(ss.D_PLUS, phi.expr))
-                    + ss.apply(ss.D_PLUS, ss.apply(ss.D_MINUS, phi.expr)))
+    kinetic_only = ss.D_MINUS(ss.D_PLUS(phi.expr)) + ss.D_PLUS(ss.D_MINUS(phi.expr))
     rep.add_zero_check("free Lagrangian has no potential term", free - kinetic_only)
     return rep
 
@@ -156,12 +155,12 @@ def check_expand_bt(cfg: RunConfig) -> Report:
     low = bt.BTSystem(order=2)
     ctx = low.ctx
     series = low.series
-    dplus_phi = ss.apply(ss.D_PLUS, low.seed_field.expr)
+    dplus_phi = ss.D_PLUS(low.seed_field.expr)
     rep.add_zero_check("order 0 equals the seed", series[0] - low.seed_field.expr)
     exp1 = (al.vpow(1, ctx) * al.gen("lambda-", ctx) * dplus_phi).scale(-4)
     rep.add_zero_check("order 1 value", series[1] - exp1,
                        value=al.to_text(series[1]))
-    exp2 = (al.vpow(1, ctx) * ss.apply(ss.D_PLUS, dplus_phi)).scale(8)
+    exp2 = (al.vpow(1, ctx) * ss.D_PLUS(dplus_phi)).scale(8)
     rep.add_zero_check("order 2 value", series[2] - exp2,
                        value=al.to_text(series[2]))
     sysm = bt.BTSystem(order=cfg.order)

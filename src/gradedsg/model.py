@@ -79,20 +79,19 @@ def potential_derivative(L: LagrangianExpr, field: ss.SuperField) -> GradedExpr:
 
 def euler_lagrange(L: LagrangianExpr, field: ss.SuperField) -> GradedExpr:
     """D-(dL/dPhi-) + D+(dL/dPhi+) - dW/dPhi for first-order Lagrangians."""
-    phi_minus = ss.apply(ss.D_MINUS, field.expr)
-    phi_plus = ss.apply(ss.D_PLUS, field.expr)
+    phi_minus = ss.D_MINUS(field.expr)
+    phi_plus = ss.D_PLUS(field.expr)
     # dL/dPhi- = kinetic * Phi+, dL/dPhi+ = kinetic * Phi- (left derivatives;
     # Phi- and Phi+ have degrees (0,1) and (1,0), which commute)
-    term1 = ss.apply(ss.D_MINUS, phi_plus.scale(L.kinetic))
-    term2 = ss.apply(ss.D_PLUS, phi_minus.scale(L.kinetic))
+    term1 = ss.D_MINUS(phi_plus.scale(L.kinetic))
+    term2 = ss.D_PLUS(phi_minus.scale(L.kinetic))
     return term1 + term2 - potential_derivative(L, field)
 
 
 def sg_residual(field: ss.SuperField) -> GradedExpr:
     """D-D+Phi + D+D-Phi + alpha sin(Phi/2), fully normalized."""
     e = field.expr
-    mixed = (ss.apply(ss.D_MINUS, ss.apply(ss.D_PLUS, e))
-             + ss.apply(ss.D_PLUS, ss.apply(ss.D_MINUS, e)))
+    mixed = ss.D_MINUS(ss.D_PLUS(e)) + ss.D_PLUS(ss.D_MINUS(e))
     return mixed + al.gen("alpha", field.ctx) * al.trig_of("s", e, HALF)
 
 
@@ -158,7 +157,7 @@ def on_shell_rewriter(field: ss.SuperField) -> al.JetRewriter:
     cos_half = al.trig("c", {body: HALF}, ctx=ctx)
     sin_full = al.trig("s", {body: Q(1)}, ctx=ctx)
     return al.JetRewriter((
-        ((field.component("F"), 0, 0), (alpha * sin_half).scale(Q(-1, 2))),
+        ((field.component("F"), 0, 0), auxiliary_solution(field)),
         ((body, 1, 1), (sin_full.scale(Q(1, 4))
                         + (alpha * al.jet(psim, ctx=ctx) * al.jet(psip, ctx=ctx)
                            * sin_half).scale(HALF))),

@@ -98,14 +98,12 @@ def kink(x, t: float = 0.0, v: float = 0.0, x0: float = 0.0):
     return 4.0 * np.arctan(np.exp(gamma * (np.asarray(x, dtype=float) - v * t - x0)))
 
 
-def kink_state(L: float = 20.0, h: float = 2.0 ** -7, v: float = 0.0,
-               x0: float = 0.0) -> FieldState:
+def kink_state(L: float = 20.0, h: float = 2.0 ** -7, v: float = 0.0) -> FieldState:
     s = FieldState.empty(L, h)
-    s.X = kink(s.x, 0.0, v, x0)  # checks v before gamma divides by 1 - v^2
+    s.X = kink(s.x, 0.0, v)  # checks v before gamma divides by 1 - v^2
     gamma = 1.0 / math.sqrt(1.0 - v * v)
     # d/dt of the travelling profile
-    arg = gamma * (s.x - x0)
-    s.Xdot = -2.0 * gamma * v / np.cosh(arg)
+    s.Xdot = -2.0 * gamma * v / np.cosh(gamma * s.x)
     return s
 
 
@@ -401,13 +399,14 @@ def bt_target_time_march(seed_bt: BodyBT, state: FieldState, dt: float,
 # ---------------------------------------------------------------------------
 # fermion integration on the light-cone grid
 
-def bessel_series(s: np.ndarray, terms: int = 40) -> np.ndarray:
-    """Sum_k (s/4)^k / (k!)^2, the closed-form kernel of the zero background."""
+def bessel_series(s: np.ndarray) -> np.ndarray:
+    """Sum_k (s/4)^k / (k!)^2 for k < 40, the closed-form kernel of the zero
+    background."""
     out = np.zeros_like(s, dtype=float)
     term = np.ones_like(out)
     out += term
     s4 = s / 4.0
-    for k in range(1, terms):
+    for k in range(1, 40):
         term *= s4
         term /= k * k
         out += term

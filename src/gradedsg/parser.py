@@ -164,7 +164,7 @@ class _Parser:
             self.next()
             inner = self.factor()
             op = {"D-": ss.D_MINUS, "D+": ss.D_PLUS, "Z": ss.Z_MINUSPLUS}[tok.text]
-            return ss.apply(op, inner)
+            return op(inner)
         if tok.kind == "PUNCT" and tok.text == "(":
             self.next()
             inner = self.expr()

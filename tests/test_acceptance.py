@@ -78,12 +78,12 @@ def test_criterion_5_series():
     sysm = bt.BTSystem(order=6)
     ctx = sysm.ctx
     series = sysm.series
-    dplus = ss.apply(ss.D_PLUS, sysm.seed_field.expr)
+    dplus = ss.D_PLUS(sysm.seed_field.expr)
     ok = (series[0] - sysm.seed_field.expr).is_zero()
     ok &= (series[1] - (al.vpow(1, ctx) * al.gen("lambda-", ctx)
                         * dplus).scale(-4)).is_zero()
     ok &= (series[2] - (al.vpow(1, ctx)
-                        * ss.apply(ss.D_PLUS, dplus)).scale(8)).is_zero()
+                        * ss.D_PLUS(dplus)).scale(8)).is_zero()
     ok &= bt.verify_closed_form(sysm).passed()
     ok &= bt.verify_recursion(sysm).passed()  # n = 0 anchor + n = 1..5
     elapsed = time.perf_counter() - t0

@@ -261,7 +261,7 @@ def test_precision_of_sums_products_and_projections():
     with pytest.raises(OutsideWindow):
         al.series_coefficient(lifted, 2)
     # derivatives, splits and projections keep or lower it
-    assert al.d_plus(loose).prec == al.d_theta(loose, "-").prec == 9
+    assert al.d_x(loose, "+").prec == al.d_theta(loose, "-").prec == 9
     assert project(loose + al.apow(4, CTX), al.Context(0, -2, 3)).prec == 4
     assert project(al.jet("X", ctx=CTX), al.Context(0, -2, 3)).prec is None
 
@@ -290,7 +290,7 @@ def test_equal_trig_atoms_are_one_object():
     built = _key(al.trig("s", u, Q(1, 3), CTX))[8]
     _, canon = al._canon_trig("s", u, Q(1, 3))
     # d- cos(u) = -u_- sin(u): the chain rule makes its sine atom itself
-    chained = [key[8] for key in al.d_minus(al.trig("c", u, Q(1, 3), CTX)).terms]
+    chained = [key[8] for key in al.d_x(al.trig("c", u, Q(1, 3), CTX), "-").terms]
     assert type(built) is int and canon == built
     assert len(chained) == 2 and all(atom == built for atom in chained)
     # the id stands for its canonical triple, which interns back to it, and
@@ -327,6 +327,16 @@ def test_keys_sort_by_contents_not_by_id():
     assert _key(sin)[8] < _key(cos)[8] and _key(high)[7] < _key(low)[7]
     assert al.to_text(sin + cos) == "cos(5/7*X + 3/11*X~) + sin(5/7*X + 3/11*X~)"
     assert al.to_text(high + low) == "Y~_{++++++} + Y~_{+++++++}"
+
+
+def test_an_expression_is_not_hashable():
+    # equality ignores the precision, so a hash would make X and X + O(a^3)
+    # one key of a dict or a cache
+    X = al.jet("X", ctx=CTX)
+    loose = X + al.GradedExpr(CTX, prec=3)
+    assert X == loose and loose.prec == 3
+    with pytest.raises(TypeError):
+        hash(X)
 
 
 def test_hashing_a_key_makes_no_python_call():
@@ -386,7 +396,7 @@ def test_integral_coefficients_are_stored_as_ints(monkeypatch):
         # 3/2 + 1/2 and 2 * 1/2 leave a common factor to divide out
         a.scale(Q(3, 2)) + a.scale(Q(1, 2))
         a.scale(2) * b.scale(Q(1, 2))
-        al.d_plus(a * b * half)
+        al.d_x(a * b * half, "+")
         al.substitute(a, {"X": X.scale(Q(1, 2)) + X})
         half * half
     bt.conservation_audit(bt.BTSystem(order=6, ctx=al.Context(0, -2, 8)), 4)
@@ -433,7 +443,7 @@ def test_operations_store_no_zero_coefficient():
     for _ in range(10):
         a = _random_expr(rng, CTX, ["X", "psi+", "F"], 3)
         b = _random_expr(rng, CTX, ["Y", "psi-", "X"], 3)
-        for e in (a + b, a - a, a * b, a * b - b * a, al.d_plus(a * b),
+        for e in (a + b, a - a, a * b, a * b - b * a, al.d_x(a * b, "+"),
                   al.mirror_pm(a) + al.mirror_pm(b)):
             assert all(c != 0 for _, c in e.coefficients())
 
@@ -718,9 +728,9 @@ def test_jet_rewriter_picks_most_specific_base():
     r = al.JetRewriter([(("X", 1, 0), A), (("X", 0, 1), B), (("X", 0, 2), A)])
     assert r.rule("X", 0, 0) is None
     assert r.rule("Y", 1, 0) is None
-    assert expr_eq(r.rule("X", 1, 1), al.d_plus(A))  # tie: listed first wins
-    assert expr_eq(r.rule("X", 0, 3), al.d_plus(A))  # (0,2) beats (0,1)
-    assert expr_eq(r.rule("X", 2, 1), al.d_minus(al.d_plus(A)))
+    assert expr_eq(r.rule("X", 1, 1), al.d_x(A, "+"))  # tie: listed first wins
+    assert expr_eq(r.rule("X", 0, 3), al.d_x(A, "+"))  # (0,2) beats (0,1)
+    assert expr_eq(r.rule("X", 2, 1), al.d_x(al.d_x(A, "+"), "-"))
 
 
 def test_jet_rewriter_non_termination():
@@ -763,6 +773,22 @@ def test_substitute_may_mention_the_bound_field():
         al.JetRewriter([(("X", 0, 0), X.scale(Q(3, 2)))]).reduce(X)
 
 
+def test_substitute_derives_each_bound_jet_once(monkeypatch):
+    # X_{-} occurs three times; its replacement is derived once per call
+    X, Xm = al.jet("X", ctx=CTX), al.jet("X", 1, 0, CTX)
+    e = Xm * al.jet("psi+", ctx=CTX) + Xm * al.jet("psi-", ctx=CTX) + Xm
+    directions = []
+    d_x = al.d_x
+
+    def counting(expr, direction):
+        directions.append(direction)
+        return d_x(expr, direction)
+
+    monkeypatch.setattr(al, "d_x", counting)
+    assert al.substitute(e, {"X": X.scale(Q(3, 2))}) == e.scale(Q(3, 2))
+    assert directions == ["-"]
+
+
 def test_reduce_is_one_substitution_pass(monkeypatch):
     psi = al.jet("psi+", ctx=CTX)
     r = al.JetRewriter([(("F", 0, 0), psi * al.jet("X", 0, 1, CTX)),
@@ -783,7 +809,7 @@ def test_reduce_is_one_substitution_pass(monkeypatch):
     inputs.clear()
     assert r.reduce(e) == got and inputs == [e]
     Y = al.jet("Y", ctx=CTX)
-    assert got == al.d_minus(psi * Y) + psi * Y * al.d_minus(Y)
+    assert got == al.d_x(psi * Y, "-") + psi * Y * al.d_x(Y, "-")
 
 
 def test_series_coefficient():

@@ -42,14 +42,14 @@ def sector_rewriter(sys, *order):
 def test_bt_reduce_first_derivative(sysm):
     # one rewriting pass turns D-(target) into the first right-hand side;
     # the fixed point reduces the target components inside the sine as well
-    lhs = ss.apply(ss.D_MINUS, sysm.target_field.expr)
+    lhs = ss.D_MINUS(sysm.target_field.expr)
     rewriter = sector_rewriter(sysm, "eq1", "eq2")
     assert expr_eq(al.substitute_jets(lhs, rewriter.rule), sysm.rhs1)
     assert expr_eq(rewriter.reduce(lhs), rewriter.reduce(sysm.rhs1))
 
 
 def test_bt_reduce_second_derivative(sysm):
-    lhs = ss.apply(ss.D_PLUS, sysm.target_field.expr)
+    lhs = ss.D_PLUS(sysm.target_field.expr)
     rewriter = sector_rewriter(sysm, "eq2", "eq1")
     assert expr_eq(al.substitute_jets(lhs, rewriter.rule), sysm.rhs2)
     assert expr_eq(rewriter.reduce(lhs), rewriter.reduce(sysm.rhs2))
@@ -70,13 +70,13 @@ def test_rewriter_caches_stay_flat_across_runs():
 
 def test_bt_reduce_z_condition(sysm):
     # in the z-independent mode the z-translation of the target is zero
-    assert ss.apply(ss.Z_MINUSPLUS, sysm.target_field.expr).is_zero()
+    assert ss.Z_MINUSPLUS(sysm.target_field.expr).is_zero()
 
 
 def test_rhs_structure(sysm):
     # D- target = D- seed + 2 a lambda+ sin((target+seed)/4)
     ctx = sysm.ctx
-    term = sysm.rhs1 - ss.apply(ss.D_MINUS, sysm.seed_field.expr)
+    term = sysm.rhs1 - ss.D_MINUS(sysm.seed_field.expr)
     expect = (al.gen("a", ctx) * al.gen("lambda+", ctx)
               * al.trig_of("s", sysm.sum_arg, Q(1, 4))).scale(2)
     assert expr_eq(term, expect)
@@ -137,10 +137,10 @@ def test_series_first_values(sysm):
     ctx = sysm.ctx
     series = sysm.series
     assert expr_eq(series[0], sysm.seed_field.expr)
-    dplus = ss.apply(ss.D_PLUS, sysm.seed_field.expr)
+    dplus = ss.D_PLUS(sysm.seed_field.expr)
     expect1 = (al.vpow(1, ctx) * al.gen("lambda-", ctx) * dplus).scale(-4)
     assert expr_eq(series[1], expect1)
-    expect2 = (al.vpow(1, ctx) * ss.apply(ss.D_PLUS, dplus)).scale(8)
+    expect2 = (al.vpow(1, ctx) * ss.D_PLUS(dplus)).scale(8)
     assert expr_eq(series[2], expect2)
     # order 2 collapses to the x-derivative through D+^2 = -(1/2) d+
     assert expr_eq(series[2],
@@ -153,8 +153,8 @@ def test_recursion(sysm):
     # the order-0 anchor carries the doubled seed derivative
     series = sysm.series
     p2 = al.gen("lambda-", sysm.ctx)
-    assert expr_eq(ss.apply(ss.D_PLUS, series[0]).scale(4), p2 * series[1])
-    assert not expr_eq(ss.apply(ss.D_PLUS, series[0]).scale(2), p2 * series[1])
+    assert expr_eq(ss.D_PLUS(series[0]).scale(4), p2 * series[1])
+    assert not expr_eq(ss.D_PLUS(series[0]).scale(2), p2 * series[1])
 
 
 def test_closed_form_engine_signs(sysm):
@@ -171,7 +171,7 @@ def test_nilpotency_table(sysm):
     odd_zero = {n: (series[n] * series[n]).is_zero() for n in range(1, 7)}
     assert odd_zero == {1: True, 2: False, 3: True, 4: False, 5: True, 6: False}
     # (D+ seed)^2 = 0
-    dplus = ss.apply(ss.D_PLUS, sysm.seed_field.expr)
+    dplus = ss.D_PLUS(sysm.seed_field.expr)
     assert (dplus * dplus).is_zero()
 
 
@@ -198,7 +198,7 @@ def test_redundancy_orders():
 def test_redundancy_order_one_value(sysm):
     # D-(coef 1) equals 2 lambda+ sin(seed/2) on shell
     ctx = sysm.ctx
-    lhs = md.reduce_on_shell(ss.apply(ss.D_MINUS, sysm.series[1]), sysm.seed_field)
+    lhs = md.reduce_on_shell(ss.D_MINUS(sysm.series[1]), sysm.seed_field)
     rhs = md.reduce_on_shell(
         (al.gen("lambda+", ctx)
          * al.trig_of("s", sysm.seed_field.expr, Q(1, 2))).scale(2),

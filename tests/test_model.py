@@ -25,8 +25,8 @@ def test_euler_lagrange_reproduces_field_equation(phi):
 
 def test_euler_lagrange_free_and_potential_only(phi):
     free = md.euler_lagrange(md.LagrangianExpr.make(1, []), phi)
-    kinetic = (ss.apply(ss.D_MINUS, ss.apply(ss.D_PLUS, phi.expr))
-               + ss.apply(ss.D_PLUS, ss.apply(ss.D_MINUS, phi.expr)))
+    kinetic = (ss.D_MINUS(ss.D_PLUS(phi.expr))
+               + ss.D_PLUS(ss.D_MINUS(phi.expr)))
     assert expr_eq(free, kinetic)
     pot_only = md.euler_lagrange(
         md.LagrangianExpr.make(0, [md.PotentialTerm(Q(2), True, ("c", Q(1, 2)))]),
@@ -120,7 +120,7 @@ def test_on_shell_reduction_properties(phi):
 def test_superspace_on_shell_rule(phi):
     # D-D+Phi reduces on shell to -(alpha/2) sin(Phi/2), component-wise
     lhs = md.reduce_on_shell(
-        ss.apply(ss.D_MINUS, ss.apply(ss.D_PLUS, phi.expr)), phi)
+        ss.D_MINUS(ss.D_PLUS(phi.expr)), phi)
     rhs = md.reduce_on_shell(
         (al.gen("alpha", phi.expr.ctx)
          * al.trig_of("s", phi.expr, Q(1, 2))).scale(Q(-1, 2)), phi)

@@ -7,6 +7,9 @@ v- = 1/v+, and takes the pair's cross-derivative with the seed on shell,
 X_{-+} = sin(X)/4, by its own differentiation and simplification.  The raw
 pair must leave the engine's ``mismatch_raw``, sin(X), and the completed
 pair nothing.
+
+SymPy also differentiates and integrates the travelling kink, the profile
+that the numeric companion's kink check starts from.
 """
 
 import re
@@ -15,6 +18,7 @@ import pytest
 import sympy as sp
 
 from gradedsg import backlund as bt
+from gradedsg import numeric as nm
 
 XM, XP, V, A = sp.symbols("xm xp v a", positive=True)
 COORD = {"-": XM, "+": XP}
@@ -61,3 +65,33 @@ def test_sympy_finds_the_raw_mismatch_and_the_completed_pair_compatible(orientat
     assert spec.mismatch_raw == "sin(X)" and spec.mismatch_completed == "0"
     assert vanishes(raw - sp.sin(SEED)) and not vanishes(raw)
     assert vanishes(completed)
+
+
+def kink(v):
+    """The kink 4 atan(exp(gamma (x - v t))) with its Lorentz factor gamma."""
+    x, t = sp.symbols("x t", real=True)
+    gamma = 1 / sp.sqrt(1 - v ** 2)
+    return x, t, gamma, 4 * sp.atan(sp.exp(gamma * (x - v * t)))
+
+
+@pytest.mark.parametrize("v", [sp.Integer(0), sp.Rational(1, 2)])
+def test_sympy_kink_energy_is_8_gamma(v):
+    # 1/2 X_t^2 + 1/2 X_x^2 + (1 - cos X) at t = 0; with u = e^(gamma x) the
+    # density is rational in u, and dx = du / (gamma u)
+    x, t, gamma, X = kink(v)
+    u = sp.symbols("u", positive=True)
+    dens = (X.diff(t) ** 2 / 2 + X.diff(x) ** 2 / 2 + 1 - sp.cos(X)).subs(t, 0)
+    rational = sp.cancel(sp.expand_trig(dens.subs(sp.exp(gamma * x), u)) / (gamma * u))
+    assert not rational.has(x)
+    energy = sp.integrate(rational, (u, 0, sp.oo))
+    assert sp.simplify(energy - 8 * gamma) == 0
+
+
+@pytest.mark.parametrize("v", [sp.Integer(0), sp.Rational(1, 2)])
+def test_kink_state_matches_sympy(v):
+    # the analytic profile and the hand-written Xdot = -2 gamma v sech(gamma x)
+    x, t, _, X = kink(v)
+    s = nm.kink_state(2.0, 0.5, v=float(v))
+    for expr, values in ((X.subs(t, 0), s.X), (X.diff(t).subs(t, 0), s.Xdot)):
+        want = [float(expr.subs(x, sp.Float(xi, 30))) for xi in s.x]
+        assert max(abs(w - got) for w, got in zip(want, values)) < 1e-12

@@ -137,8 +137,8 @@ def test_mirror_is_a_multiplicative_involution(ab):
 @given(e=FAMILIES.flatmap(SUMS.get))
 def test_mirror_exchanges_the_x_derivatives(e):
     mirror, text = al.mirror_pm, al.to_text
-    assert text(al.d_plus(mirror(e))) == text(mirror(al.d_minus(e)))
-    assert text(al.d_minus(mirror(e))) == text(mirror(al.d_plus(e)))
+    assert text(al.d_x(mirror(e), "+")) == text(mirror(al.d_x(e, "-")))
+    assert text(al.d_x(mirror(e), "-")) == text(mirror(al.d_x(e, "+")))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +449,7 @@ def fold_in(ctx, steps):
         elif op == "a":
             e = e * al.apow(k, ctx)
         else:
-            e = al.d_plus(e)
+            e = al.d_x(e, "+")
     return e
 
 

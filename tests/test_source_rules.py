@@ -130,6 +130,31 @@ def test_product_is_the_only_normal_ordering():
         assert sites == [f"algebra.py: {caller}"], callee
 
 
+def test_guard_finds_second_entry_points():
+    source = ("def f(D, e):\n"
+              "    return ss.apply(D, e) + al.d_minus(e) + D.fn(e)\n"
+              "apply = Derivation.__call__\n")
+    assert call_sites(source, "apply") == call_sites(source, "d_minus") == ["f"]
+    assert attribute_uses(source, "fn") == [2]
+
+
+def test_a_derivation_has_one_entry_point():
+    # a derivation is applied by calling it, D(e), and a jet is shifted by
+    # d_x(e, side); superspace.apply stays only as a name that the benchmark
+    # hooks, so a second entry point would hide calls from Derivation.__call__
+    calls = [f"{path.name}: {where} calls {callee}" for path in package_sources()
+             for callee in ("apply", "d_minus", "d_plus")
+             for where in call_sites(path.read_text(), callee)]
+    assert calls == []
+    readers = [f"{path.name}:{line}" for path in package_sources()
+               for line in attribute_uses(path.read_text(), "fn")]
+    superspace = ast.parse((Path(gradedsg.__file__).parent / "superspace.py").read_text())
+    call, = [fn for cls in superspace.body if isinstance(cls, ast.ClassDef)
+             and cls.name == "Derivation" for fn in cls.body
+             if isinstance(fn, ast.FunctionDef) and fn.name == "__call__"]
+    assert readers == [f"superspace.py:{call.body[-1].lineno}"]
+
+
 def module_level_imports(source: str) -> list[str]:
     """Modules imported outside any function or class body, as written:
     ``import a.b`` gives ``a.b``; ``from .m import x`` gives ``.m.x``."""

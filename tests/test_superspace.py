@@ -61,35 +61,35 @@ def test_phi_and_its_partner_are_the_only_superfields():
 def test_coordinate_actions():
     ctx = al.BT_CTX
     one = al.GradedExpr.rational(1, ctx)
-    assert expr_eq(ss.apply(ss.D_MINUS, al.gen("theta-", ctx)), one)
-    assert expr_eq(ss.apply(ss.D_PLUS, al.gen("theta+", ctx)), one)
-    assert ss.apply(ss.D_MINUS, al.gen("theta+", ctx)).is_zero()
+    assert expr_eq(ss.D_MINUS(al.gen("theta-", ctx)), one)
+    assert expr_eq(ss.D_PLUS(al.gen("theta+", ctx)), one)
+    assert ss.D_MINUS(al.gen("theta+", ctx)).is_zero()
     # z actions need the z-order-1 context
     z = al.gen("z", al.DEFAULT_CTX)
-    assert expr_eq(ss.apply(ss.Z_MINUSPLUS, z),
+    assert expr_eq(ss.Z_MINUSPLUS(z),
                    al.GradedExpr.rational(1, al.DEFAULT_CTX))
-    assert expr_eq(ss.apply(ss.Q_MINUS, z),
+    assert expr_eq(ss.Q_MINUS(z),
                    al.gen("theta+", al.DEFAULT_CTX).scale(Q(-1, 2)))
-    assert expr_eq(ss.apply(ss.D_MINUS, z),
+    assert expr_eq(ss.D_MINUS(z),
                    al.gen("theta+", al.DEFAULT_CTX).scale(Q(1, 2)))
 
 
 def test_covariant_derivative_squares():
     phi = ss.generic_superfield("Phi", nz=0)
-    dd = ss.apply(ss.D_PLUS, ss.apply(ss.D_PLUS, phi.expr))
+    dd = ss.D_PLUS(ss.D_PLUS(phi.expr))
     assert expr_eq(dd, al.d_x(phi.expr, "+").scale(Q(-1, 2)))
-    dd = ss.apply(ss.D_MINUS, ss.apply(ss.D_MINUS, phi.expr))
+    dd = ss.D_MINUS(ss.D_MINUS(phi.expr))
     assert expr_eq(dd, al.d_x(phi.expr, "-").scale(Q(-1, 2)))
 
 
 def test_bracket_examples():
     phi = ss.generic_superfield("Phi", nz=1).expr
     assert expr_eq(ss.bracket(ss.Q_MINUS, ss.Q_MINUS, phi),
-                   ss.apply(ss.P_MINUS, phi))
+                   ss.P_MINUS(phi))
     assert expr_eq(ss.bracket(ss.Q_MINUS, ss.Q_PLUS, phi),
-                   ss.apply(ss.Z_MINUSPLUS, phi))
+                   ss.Z_MINUSPLUS(phi))
     assert expr_eq(ss.bracket(ss.D_MINUS, ss.D_PLUS, phi),
-                   -ss.apply(ss.Z_MINUSPLUS, phi))
+                   -ss.Z_MINUSPLUS(phi))
     assert ss.bracket(ss.Q_MINUS, ss.D_PLUS, phi).is_zero()
     assert ss.bracket(ss.P_MINUS, ss.Q_PLUS, phi).is_zero()
 
@@ -155,7 +155,7 @@ def _relations_by_definition(probe):
 def test_suite_matches_definitions_under_sabotage(monkeypatch):
     q = ss._BY_NAME["Q-"]
     broken = ss.Derivation("Q-", q.degree, q.weight,
-                           lambda e: q(e) + al.d_minus(e))
+                           lambda e: q(e) + al.d_x(e, "-"))
     monkeypatch.setitem(ss._BY_NAME, "Q-", broken)
     probe = ss.generic_superfield("Phi", nz=1).expr
     got = [(label, al.to_text(res))
@@ -183,7 +183,7 @@ def test_derivation_covariance(monkeypatch):
 def test_weight_examples():
     phi = ss.generic_superfield("Phi", nz=0)
     ctx = phi.expr.ctx
-    assert ss.apply(ss.D_PLUS, phi.expr).weight() == -1  # -1/2 in units
+    assert ss.D_PLUS(phi.expr).weight() == -1  # -1/2 in units
     theta_psi = al.gen("theta-", ctx) * al.jet("psi+", ctx=ctx)
     assert theta_psi.weight() == 0
     assert (al.gen("lambda+", ctx) * al.gen("lambda-", ctx)).weight() == 0
@@ -201,7 +201,7 @@ def test_unknown_component_raises_a_typed_error():
 
 def test_z_mode_annihilation():
     flat = ss.generic_superfield("Phi", nz=0)
-    assert ss.apply(ss.Z_MINUSPLUS, flat.expr).is_zero()
+    assert ss.Z_MINUSPLUS(flat.expr).is_zero()
 
 
 def test_degree_additivity_under_derivations():
@@ -209,7 +209,7 @@ def test_degree_additivity_under_derivations():
     phi = ss.generic_superfield("Phi", nz=0)
     psi_term = al.gen("theta-", phi.expr.ctx) * al.jet("psi+", ctx=phi.expr.ctx)
     for D in (ss.D_MINUS, ss.D_PLUS, ss.Q_MINUS, ss.Q_PLUS):
-        out = ss.apply(D, psi_term)
+        out = D(psi_term)
         if out.is_zero():
             continue
         assert out.degree() == degree_add(D.degree, psi_term.degree())
