@@ -12,26 +12,11 @@ numpy.  It is loaded on first access to ``gradedsg.numeric`` (a module
 """
 
 from . import algebra, backlund, grading, model, parser, superspace
-from .algebra import Context, GradedExpr, gen, jet, to_text, trig_of
-from .backlund import BTSystem
-from .grading import Degree, commutation_sign, degree_add, pairing
-from .parser import parse_expr
-from .report import Report
-from .superspace import (D_MINUS, D_PLUS, P_MINUS, P_PLUS, Q_MINUS, Q_PLUS,
-                         Z_MINUSPLUS, SuperField, bracket,
-                         generic_superfield)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BTSystem", "Context", "Degree", "GradedExpr", "Report", "SuperField",
-    "algebra", "backlund", "bracket", "commutation_sign",
-    "degree_add", "gen", "generic_superfield", "grading", "jet", "model",
-    "numeric", "pairing", "parse_expr", "parser", "superspace", "to_text",
-    "trig_of",
-    "D_MINUS", "D_PLUS", "P_MINUS", "P_PLUS", "Q_MINUS", "Q_PLUS",
-    "Z_MINUSPLUS",
-]
+# each name is imported from its module, as ``from gradedsg.algebra import gen``
+__all__ = ["algebra", "backlund", "grading", "model", "numeric", "parser", "superspace"]
 
 
 def __getattr__(name: str):

@@ -143,27 +143,19 @@ def classical_residual(field: ss.SuperField) -> GradedExpr:
 def on_shell_rewriter(field: ss.SuperField) -> al.JetRewriter:
     """Oriented rewriting with the component equations of motion.
 
-    Rules eliminate the auxiliary component, mixed x-derivatives of the body
-    and the 'wrong-handed' derivatives of the fermions; the normal form of
+    Rules eliminate the auxiliary component and solve each component
+    equation for its mixed x-derivative of the body or 'wrong-handed'
+    derivative of a fermion (coefficient 1 in each).  The normal form of
     each prolonged jet is built on first use and memoized in the rewriter,
     one per superfield, so a reduction is one substitution pass.
     The canonical remainder mentions only pure d- strings of X and psi+,
     pure d+ strings of X and psi-, and trig atoms.
     """
-    ctx = field.ctx
-    body, psip, psim = field.body, field.component("psi+"), field.component("psi-")
-    alpha = al.gen("alpha", ctx)
-    sin_half = al.trig("s", {body: HALF}, ctx=ctx)
-    cos_half = al.trig("c", {body: HALF}, ctx=ctx)
-    sin_full = al.trig("s", {body: Q(1)}, ctx=ctx)
-    return al.JetRewriter((
-        ((field.component("F"), 0, 0), auxiliary_solution(field)),
-        ((body, 1, 1), (sin_full.scale(Q(1, 4))
-                        + (alpha * al.jet(psim, ctx=ctx) * al.jet(psip, ctx=ctx)
-                           * sin_half).scale(HALF))),
-        ((psip, 0, 1), (alpha * al.jet(psim, ctx=ctx) * cos_half).scale(Q(-1, 2))),
-        ((psim, 1, 0), (alpha * al.jet(psip, ctx=ctx) * cos_half).scale(Q(-1, 2))),
-    ))
+    eqs = component_equations(eliminate_auxiliary=True, field=field)
+    jets = {"X": (field.body, 1, 1), "psi+": (field.component("psi+"), 0, 1),
+            "psi-": (field.component("psi-"), 1, 0)}
+    rules = [(jet_, al.jet(*jet_, ctx=field.ctx) - eqs[key]) for key, jet_ in jets.items()]
+    return al.JetRewriter([((field.component("F"), 0, 0), auxiliary_solution(field)), *rules])
 
 
 def reduce_on_shell(e: GradedExpr, field: ss.SuperField) -> GradedExpr:

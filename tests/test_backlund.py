@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import re
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +283,23 @@ def test_conservation_audit_findings(sysm):
         assert val is False, name
 
 
+def test_two_path_agreement_compares_orders_through_K():
+    # the audit's two-path rule compares the certified orders amin..K of a
+    # difference; a term above K is not compared, one at K is
+    ctx = al.Context(0, -2, 6)
+    x = al.jet("X", ctx=ctx)
+    above = al.GradedExpr(ctx, prec=6) + al.apow(5, ctx) * x
+    at = al.GradedExpr(ctx, prec=6) + al.apow(4, ctx) * x
+    assert bt._agree_through(above, 4)
+    assert not bt._agree_through(at, 4)
+    assert not bt._agree_through(al.apow(-2, ctx) * x, 4)
+    # each compared order is certified: a difference exact below a^6 only
+    # has no verdict at order 6
+    assert bt._agree_through(al.GradedExpr(ctx, prec=6), 5)
+    with pytest.raises(OutsideWindow):
+        bt._agree_through(al.GradedExpr(ctx, prec=6), 6)
+
+
 def test_conservation_audit_deterministic(sysm):
     a = bt.conservation_audit(sysm, K=2).to_text()
     b = bt.conservation_audit(bt.BTSystem(), K=2).to_text()
@@ -413,8 +432,9 @@ def test_series_sum_carries_the_precision_of_its_order():
 
 def test_conservation_audit_multiplies_only_in_its_window(monkeypatch):
     # a work count, not a wall clock: at (amax, K) = (12, 8) the narrowed
-    # audit makes 1,554 products from cold, and the same audit in the
-    # caller's window [-2, 12] makes 2,382
+    # audit makes 1,573 products from cold (its on-shell rewriter derives
+    # the component equations in the audit's window), and the same audit in
+    # the caller's window [-2, 12] makes 2,401
     products = []
     mul = al.GradedExpr.__mul__
 
@@ -456,7 +476,10 @@ def test_system_is_orientation_order_and_window():
 
 
 def test_system_fields_raise_config_errors():
-    for kwargs in ({"orientation": "sideways"}, {"ctx": al.Context(1, -2, 8)}):
+    # an order that is not an int >= 1 is refused, not read as an empty or
+    # broken series
+    for kwargs in ({"orientation": "sideways"}, {"ctx": al.Context(1, -2, 8)},
+                   {"order": 0}, {"order": -1}, {"order": 1.5}):
         with pytest.raises(ConfigError):
             bt.BTSystem(**kwargs)
 
@@ -533,3 +556,88 @@ def test_auto_bt_verdict_refuses_an_inexact_residual(monkeypatch):
                         + al.GradedExpr(e.ctx, prec=3))
     with pytest.raises(OutsideWindow):
         bt.verify_auto_bt(bt.BTSystem())
+
+
+# ---------------------------------------------------------------------------
+# the orientation mirror: the plus system is the lightcone mirror image of
+# the minus one, so a fault in one orientation breaks the relation
+
+def claimed_law(sys, k):
+    seed = sys.seed_field
+    if k == 0:
+        return md.reduce_on_shell(sys.D1(al.trig_of("c", seed.expr, Q(1, 2))), seed)
+    dk = seed.expr
+    for _ in range(k):
+        dk = sys.D2(dk)
+    return md.reduce_on_shell(sys.D1(al.trig_of("s", seed.expr, Q(1, 2)) * dk), seed)
+
+
+def redundancy_residual(sys):
+    seed = sys.seed_field.expr
+    lhs = sys.D1(sys.series_sum) - sys.D1(seed)
+    rhs = sys.sine_coef1 * al.trig_of("s", sys.series_sum + seed, Q(1, 4))
+    return md.reduce_on_shell(lhs - rhs, sys.seed_field)
+
+
+def placement_difference(sys):
+    # the audit's printed placement on shell, in its window for K = 4
+    sys = dataclasses.replace(sys, ctx=al.Context(0, -2, 6))
+    ctx, seed = sys.ctx, sys.seed_field.expr
+    p1, p2 = al.gen(sys.param1, ctx), al.gen(sys.param2, ctx)
+    lhs = p1 * sys.D1(al.trig_of("c", sys.series_sum + seed, Q(1, 4)))
+    rhs = -(al.apow(-2, ctx) * p2 * sys.D2(al.trig_of("c", sys.series_sum - seed, Q(1, 4))))
+    return md.reduce_on_shell(lhs - rhs, sys.seed_field)
+
+
+def export_relations(sys):
+    spec = bt.export_body_system(sys)
+    return tuple(ps.parse_expr(text, sys.ctx) for text in (
+        spec.relation_first, spec.relation_second, spec.relation_second_raw,
+        spec.induced_fermion_first, spec.induced_fermion_second))
+
+
+# name -> the object of a system, behind verify-bt, currents, the audit and
+# the body export
+MIRRORED_OBJECTS = {
+    "term1": lambda s: s.term1,
+    "term2": lambda s: s.term2,
+    "rhs1": lambda s: s.rhs1,
+    "rhs2": lambda s: s.rhs2,
+    "series_sum": lambda s: s.series_sum,
+    "currents": bt.currents,
+    **{f"claimed law k={k}": functools.partial(claimed_law, k=k) for k in range(5)},
+    "redundancy residual": redundancy_residual,
+    "printed placement": placement_difference,
+    "body export": export_relations,
+}
+
+
+def test_plus_objects_are_the_mirror_images_of_the_minus_ones(sysm, sysp):
+    for name, build in MIRRORED_OBJECTS.items():
+        minus, plus = build(sysm), build(sysp)
+        pairs = zip(minus, plus) if isinstance(minus, tuple) else ((minus, plus),)
+        for m, p in pairs:
+            assert al.mirror_pm(m) == p, name
+
+
+def golden_residuals(text):
+    """(orientation, entry) -> residual line of a golden report."""
+    found, entry = {}, None
+    for line in text.splitlines():
+        head = re.match(r"  [A-Z]+ (minus|plus): (.*)", line)
+        if head:
+            entry = head.groups()
+        elif line.strip().startswith("residual: "):
+            found[entry] = line.strip()[len("residual: "):]
+    return found
+
+
+def test_golden_audit_plus_residuals_mirror_the_minus_ones():
+    # a golden file regenerated after a fault in one orientation breaks it
+    golden = Path(__file__).parents[1] / "golden" / "conservation-audit.txt"
+    residuals = golden_residuals(golden.read_text())
+    minus = {name: text for (side, name), text in residuals.items() if side == "minus"}
+    assert len(minus) == 10
+    for name, text in minus.items():
+        mirrored = al.mirror_pm(ps.parse_expr(text, al.BT_CTX))
+        assert al.to_text(mirrored) == residuals["plus", name], name

@@ -98,6 +98,8 @@ def test_on_shell_rules(phi):
     r = md.on_shell_rewriter(phi)
     got = r.reduce(al.jet("psi+", 0, 1, ctx))
     assert expr_eq(got, ps.parse_expr("-1/2*alpha*psi-*cos(1/2*X)", ctx))
+    got = r.reduce(al.jet("psi-", 1, 0, ctx))
+    assert expr_eq(got, ps.parse_expr("-1/2*alpha*psi+*cos(1/2*X)", ctx))
     got = r.reduce(al.jet("X", 1, 1, ctx))
     assert expr_eq(got, ps.parse_expr(
         "1/4*sin(X) + 1/2*alpha*psi-*psi+*sin(1/2*X)", ctx))

@@ -8,8 +8,9 @@ X_{-+} = sin(X)/4, by its own differentiation and simplification.  The raw
 pair must leave the engine's ``mismatch_raw``, sin(X), and the completed
 pair nothing.
 
-SymPy also differentiates and integrates the travelling kink, the profile
-that the numeric companion's kink check starts from.
+SymPy also checks the classical component equation on the kink family,
+and differentiates and integrates the travelling kink, the profile that the
+numeric companion's kink check starts from.
 """
 
 import re
@@ -17,8 +18,11 @@ import re
 import pytest
 import sympy as sp
 
+from gradedsg import algebra as al
 from gradedsg import backlund as bt
+from gradedsg import model as md
 from gradedsg import numeric as nm
+from gradedsg import superspace as ss
 
 XM, XP, V, A = sp.symbols("xm xp v a", positive=True)
 COORD = {"-": XM, "+": XP}
@@ -65,6 +69,32 @@ def test_sympy_finds_the_raw_mismatch_and_the_completed_pair_compatible(orientat
     assert spec.mismatch_raw == "sin(X)" and spec.mismatch_completed == "0"
     assert vanishes(raw - sp.sin(SEED)) and not vanishes(raw)
     assert vanishes(completed)
+
+
+def classical_on_the_kink_family(text: str):
+    """The classical residual's text at X = 4 atan(e^s), s = k x+ + x-/(4k),
+    as a rational function of w = e^s."""
+    k, w = sp.symbols("k w", positive=True)
+    s = k * XP + XM / (4 * k)
+    X = 4 * sp.atan(sp.exp(s))
+    sin = sp.Function("sin")
+    src = text.replace("X_{-+}", "Xmp").replace("^", "**")
+    e = sp.sympify(src, locals={"X": X, "Xmp": X.diff(XM, XP), "sin": sin})
+    # sin(4 atan w) = 4 w (1 - w^2) / (1 + w^2)^2
+    e = e.subs(sin(X), 4 * w * (1 - w ** 2) / (1 + w ** 2) ** 2)
+    e = e.replace(sp.exp, lambda arg: w ** sp.cancel(arg / s))
+    assert not e.has(sin, XM, XP)
+    return sp.cancel(e)
+
+
+def test_sympy_kink_family_solves_the_classical_equation():
+    # the one spelling of the classical equation, which the body export's
+    # seed rule is solved from
+    phi = ss.generic_superfield("Phi", nz=0)
+    text = al.to_text(md.classical_residual(phi))
+    assert "sin(X)" in text and "X_{-+}" in text
+    assert classical_on_the_kink_family(text) == 0
+    assert classical_on_the_kink_family(text.replace("1/4", "1/2")) != 0
 
 
 def kink(v):

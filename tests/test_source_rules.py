@@ -130,6 +130,24 @@ def test_product_is_the_only_normal_ordering():
         assert sites == [f"algebra.py: {caller}"], callee
 
 
+def test_identities_are_written_once():
+    # the on-shell rules and the export's seed rule are solved from the
+    # model's equations, so only the auxiliary solution builds a trig atom
+    # by hand; every chain step goes through one helper, and verify_auto_bt
+    # builds the seed equation once for its three routes
+    def sites(callee):
+        return [f"{path.name}: {where}" for path in package_sources()
+                for where in call_sites(path.read_text(), callee)]
+
+    assert sites("trig") == ["model.py: auxiliary_solution"]
+    assert sites("chain_factor") == [
+        "backlund.py: trig_chain_residual", "backlund.py: route",
+        "backlund.py: verify_current_conservation",
+        "backlund.py: verify_current_conservation"]
+    assert [site for site in sites("sg_residual") if site.startswith("backlund.py")] == [
+        "backlund.py: verify_auto_bt"]
+
+
 def test_guard_finds_second_entry_points():
     source = ("def f(D, e):\n"
               "    return ss.apply(D, e) + al.d_minus(e) + D.fn(e)\n"
