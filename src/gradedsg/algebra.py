@@ -96,7 +96,7 @@ Q = Fraction
 HALF = Q(1, 2)
 SIXTH = Q(1, 6)
 
-# entries kept by each cache on the monomial-product path
+# entries kept by the monomial-product cache
 _CACHE_SIZE = 200000
 
 
@@ -261,6 +261,12 @@ def trig_parts(atom: int) -> tuple[str, tuple, Fraction]:
     return _TRIGS[atom][:3]
 
 
+# the quarter-turn rule sin(x + k*pi/2) = sin^(k)(x), read by _canon_trig and
+# chain_factor: the kind and sign of each kind's k-th derivative, k = 0..3
+_TRIG_CYCLE = {"s": ("s", "c", "s", "c"), "c": ("c", "s", "c", "s")}
+_TRIG_SIGNS = {"s": (1, 1, -1, -1), "c": (1, -1, -1, 1)}
+
+
 def _canon_trig(kind: str, combo: Mapping[str, Fraction],
                 pioff: Fraction) -> tuple[Fraction, Optional[int]]:
     """Canonicalize a trig atom; returns (coefficient factor, atom id or None)."""
@@ -277,15 +283,11 @@ def _canon_trig(kind: str, combo: Mapping[str, Fraction],
         ordered = [(s, -c) for s, c in ordered]
         pioff = -pioff
         coef = -1 if kind == "s" else 1
-    pioff %= 2
-    if pioff >= 1:
-        pioff -= 1
-        coef = -coef
-    if pioff >= HALF:
-        pioff -= HALF
-        if kind == "c":
-            coef = -coef
-        kind = "c" if kind == "s" else "s"
+    # whole quarter turns, in ints: pioff = k/2 + rest/(2 den)
+    k, rest = divmod(2 * pioff.numerator, pioff.denominator)
+    pioff = Q(rest, 2 * pioff.denominator)
+    coef *= _TRIG_SIGNS[kind][k % 4]
+    kind = _TRIG_CYCLE[kind][k % 4]
     if not ordered:
         if pioff == 0:
             # constant angle, a multiple of pi/2: exact value
@@ -299,36 +301,22 @@ def _canon_trig(kind: str, combo: Mapping[str, Fraction],
     return coef, _trig_atom(kind, tuple(ordered), pioff)
 
 
-def _trig_arg_add(t1: tuple, t2: tuple, sub: bool) -> tuple[dict, Fraction]:
-    combo: dict[str, Fraction] = dict(t1[1])
-    for sym, co in t2[1]:
-        combo[sym] = combo.get(sym, Q(0)) + (-co if sub else co)
-    pioff = t1[2] + (-t2[2] if sub else t2[2])
-    return combo, pioff
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+@functools.cache
 def _trig_mul(a1: int, a2: int) -> tuple[tuple[int, int, Optional[int]], ...]:
     """Product-to-sum rewrite of a pair of trig ids as ``(numerator,
     denominator, atom id)`` triples, once per pair; a tuple, so the shared
-    result cannot be changed."""
-    t1, t2 = _TRIGS[a1], _TRIGS[a2]
-    k1, k2 = t1[0], t2[0]
-    plus = _trig_arg_add(t1, t2, sub=False)
-    minus = _trig_arg_add(t1, t2, sub=True)
-    if (k1, k2) == ("s", "s"):
-        parts = [(HALF, "c", minus), (-HALF, "c", plus)]
-    elif (k1, k2) == ("s", "c"):
-        parts = [(HALF, "s", plus), (HALF, "s", minus)]
-    elif (k1, k2) == ("c", "s"):
-        parts = [(HALF, "s", plus), (-HALF, "s", minus)]
-    else:
-        parts = [(HALF, "c", plus), (HALF, "c", minus)]
+    result cannot be changed.  One rule serves every pair of kinds:
+    cos a cos b = (cos(a + b) + cos(a - b))/2, with sin x = cos(x - pi/2)."""
+    (combo1, pioff1), (combo2, pioff2) = [(combo, pioff - HALF if kind == "s" else pioff)
+                                          for kind, combo, pioff in map(trig_parts, (a1, a2))]
     out = []
-    for pre, kind, (combo, pioff) in parts:
-        factor, atom = _canon_trig(kind, combo, pioff)
+    for sign in (1, -1):
+        combo = dict(combo1)
+        for sym, co in combo2:
+            combo[sym] = combo.get(sym, 0) + sign * co
+        factor, atom = _canon_trig("c", combo, pioff1 + sign * pioff2)
         if factor != 0:
-            coef = pre * factor
+            coef = HALF * factor
             out.append((coef.numerator, coef.denominator, atom))
     return tuple(out)
 
@@ -409,14 +397,14 @@ def _interleave_parity(atoms1, atoms2) -> int:
     return s % 2
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+@functools.cache
 def _prefix_sign(p1: tuple, p2: tuple) -> tuple[int, Degree]:
     """Interleaving parity of prefix p2 into prefix p1, and p2's degree."""
     atoms2 = _prefix_atoms(p2)
     return _interleave_parity(_prefix_atoms(p1), atoms2), _atoms_degree(atoms2)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+@functools.cache
 def _merge_jets(i1: int, i2: int) -> tuple[Optional[int], int, Degree]:
     """Merge two jet slots.
 
@@ -883,10 +871,17 @@ def to_text(e: GradedExpr) -> str:
 # ---------------------------------------------------------------------------
 # derivations (primitive layer)
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _side(side: str, minus, plus):
+    """``minus`` for the side '-', ``plus`` for '+'; any other side raises."""
+    if side not in ("-", "+"):
+        raise ConfigError(f"side must be '-' or '+', not {side!r}")
+    return minus if side == "-" else plus
+
+
+@functools.cache
 def _shift_jets(slot: int, direction: str) -> tuple[tuple[int, int], ...]:
     """``d_x`` of a jet slot: ``(id, multiplicity)`` per jet that it shifts."""
-    dm, dn = (1, 0) if direction == "-" else (0, 1)
+    dm, dn = _side(direction, (1, 0), (0, 1))
     jets = _JETS[slot]
     out = []
     for atom, exp in jets:
@@ -913,7 +908,7 @@ def d_x(e: GradedExpr, direction: str) -> GradedExpr:
     table per slot id, ``_shift_jets``).  The result's denominator is
     ``e.den`` times the lcm of the trig chain-rule factors' denominators.
     """
-    dm, dn = (1, 0) if direction == "-" else (0, 1)
+    dm, dn = _side(direction, (1, 0), (0, 1))
     den = 1
     for key in e.terms:
         t = key[8]
@@ -947,7 +942,7 @@ def d_z(e: GradedExpr) -> GradedExpr:
 
 def d_theta(e: GradedExpr, which: str) -> GradedExpr:
     """Left derivative in theta- ('-') or theta+ ('+')."""
-    slot = 1 if which == "-" else 2
+    slot = _side(which, 1, 2)
     return _from_ints(e.ctx, (((*key[:slot], 0, *key[slot + 1:]),
                                -c if key[0] % 2 else c)
                               for key, c in e.terms.items() if key[slot]),
@@ -1007,10 +1002,6 @@ def _body_split(e: GradedExpr) -> tuple[dict[str, Fraction], Fraction, GradedExp
     return combo, pioff, _from_ints(e.ctx, rest, e.den, e.prec)
 
 
-_TRIG_CYCLE = {"s": ("s", "c", "s", "c"), "c": ("c", "s", "c", "s")}
-_TRIG_SIGNS = {"s": (1, 1, -1, -1), "c": (1, -1, -1, 1)}
-
-
 def trig_of(kind: str, e: GradedExpr, half=Q(1)) -> GradedExpr:
     """sin/cos of ``half * e`` for degree-(0,0) e with nilpotent non-body part.
 
@@ -1040,19 +1031,25 @@ def trig_of(kind: str, e: GradedExpr, half=Q(1)) -> GradedExpr:
             kfact *= k
             if power.is_zero():
                 break
-        coef, atom = _canon_trig(_TRIG_CYCLE[kind][k % 4], combo, pioff)
-        coef *= _TRIG_SIGNS[kind][k % 4]
+        # the k-th derivative is k quarter turns: pioff gains one per step
+        coef, atom = _canon_trig(kind, combo, pioff)
         if coef != 0:
-            base_key = (0, 0, 0, CF_ONE, 0, 0, 0, 0, atom)
-            base = GradedExpr(ctx, ((base_key, coef / kfact),))
-            result = result + base * power
-        k += 1
+            result = result + GradedExpr(ctx, ((KEY_ONE[:8] + (atom,), coef / kfact),)) * power
+        k, pioff = k + 1, pioff + HALF
         if k > 64:
             raise NonNilpotentRemainder(
                 "trig remainder has no vanishing power under the truncation")
     if power.prec is not None:
         result = result + GradedExpr(ctx, prec=power.prec if _val(nil) >= 0 else -inf)
     return result
+
+
+def chain_factor(kind: str, arg: GradedExpr, half: Fraction, darg: GradedExpr) -> GradedExpr:
+    """D(trig_of(kind, arg, half)) by the chain rule, with ``darg`` for D(arg)
+    (which must commute with the expansion): a quarter turn times half * darg."""
+    if kind not in _TRIG_CYCLE:
+        raise ConfigError("kind must be 's' or 'c'")
+    return (trig_of(_TRIG_CYCLE[kind][1], arg, half) * darg).scale(half * _TRIG_SIGNS[kind][1])
 
 
 # ---------------------------------------------------------------------------
@@ -1086,7 +1083,7 @@ def _times_run(term: Optional[GradedExpr], key: Key, c: int, run: list[list],
     return term
 
 
-def substitute_jets(e: GradedExpr, rule: JetRule) -> GradedExpr:
+def substitute_jets(e: GradedExpr, rule: JetRule, floor: "int | float" = -inf) -> GradedExpr:
     """Replace individual field jets; one simultaneous pass, no iteration.
 
     ``rule(name, m, n)`` returns a replacement expression or None to keep the
@@ -1097,11 +1094,13 @@ def substitute_jets(e: GradedExpr, rule: JetRule) -> GradedExpr:
     run of kept atoms between bound ones multiplied in as one monomial, and
     one lcm of their denominators puts the result over ``e.den`` times it.
     Its precision is the lowest of those of ``e`` and the rewritten
-    monomials.  That keeps an ``O(a^p)`` of ``e`` at ``O(a^p)`` only if no
-    replacement holds a negative power of ``a``: true of the on-shell rules;
-    the Backlund and body-export rules, which hold ``a^-1`` or ``a^-2``, are
-    only applied to exact expressions.
+    monomials.  ``floor`` bounds the powers of ``a`` in the replacements if it
+    is not negative (``JetRewriter.floor``; ``-inf`` when unknown).  Below
+    ``a^0`` they would bring the terms that an inexact ``e`` dropped, whatever
+    jets they hold, back below its precision, so that raises ``OutsideWindow``.
     """
+    if e.prec is not None and floor < 0:
+        raise OutsideWindow(f"replacements down to a^{floor} would uncover e's O(a^{e.prec})")
     ctx = e.ctx
     trigs = {t: _substituted_trig(t, rule, ctx)
              for t in dict.fromkeys(key[8] for key in e.terms) if t is not None}
@@ -1149,12 +1148,14 @@ class JetRewriter:
     ``rule(name, m, n)`` differentiates the base ``((name, bm, bn), expr)`` with ``bm <= m``,
     ``bn <= n`` and the largest ``bm + bn`` (the first listed of equal ones) ``m - bm``
     times by d- and ``n - bn`` times by d+; ``normal`` memoizes its normal form.
+    ``floor`` is the lowest power of ``a`` in a base rule; at 0 or above, no rule goes below a^0.
     """
 
     def __init__(self, base_rules: Iterable[tuple[tuple[str, int, int], GradedExpr]]):
         self._bases: dict[str, list[tuple[int, int, GradedExpr]]] = {}
         for (name, m, n), expr in base_rules:
             self._bases.setdefault(name, []).append((m, n, expr))
+        self.floor = min((_val(b[2]) for bs in self._bases.values() for b in bs), default=inf)
         self._normal: dict[tuple[str, int, int], Optional[GradedExpr]] = {}
 
     def rule(self, name: str, m: int, n: int) -> Optional[GradedExpr]:
@@ -1174,7 +1175,8 @@ class JetRewriter:
             self._normal[jet_] = _IN_PROGRESS
             try:
                 expr = self.rule(name, m, n)
-                self._normal[jet_] = expr if expr is None else substitute_jets(expr, self.normal)
+                self._normal[jet_] = (expr if expr is None
+                                      else substitute_jets(expr, self.normal, self.floor))
             except BaseException:
                 del self._normal[jet_]  # a failed jet is not left marked
                 raise
@@ -1185,7 +1187,7 @@ class JetRewriter:
     def reduce(self, e: GradedExpr) -> GradedExpr:
         """Normal form of ``e``: one pass, as a product of normal forms binds no jet."""
         try:
-            return substitute_jets(e, self.normal)
+            return substitute_jets(e, self.normal, self.floor)
         except RecursionError:
             raise NonTermination("jet rewriting climbs to ever higher jets") from None
 
@@ -1242,4 +1244,4 @@ def substitute(e: GradedExpr, bindings: Mapping[str, GradedExpr]) -> GradedExpr:
     # binding may mention its own field, as in X -> 3/2*X
     rewriter = JetRewriter(((name, 0, 0), b) for name, b in bindings.items())
     # each bound jet is derived once per call, however often it occurs
-    return substitute_jets(e, functools.cache(rewriter.rule))
+    return substitute_jets(e, functools.cache(rewriter.rule), rewriter.floor)

@@ -174,15 +174,6 @@ class BTSystem:
 # ---------------------------------------------------------------------------
 # chain-rule oracle and component-sector recomputation
 
-def chain_factor(kind: str, arg: GradedExpr, half: Fraction,
-                 darg: GradedExpr) -> GradedExpr:
-    """D(trig(half * arg)) by the chain rule, with ``darg`` for D(arg): the
-    form of every chain step, which ``trig_chain_residual`` checks."""
-    if kind == "s":
-        return (al.trig_of("c", arg, half) * darg).scale(half)
-    return (al.trig_of("s", arg, half) * darg).scale(-half)
-
-
 def trig_chain_residual(D: ss.Derivation, kind: str, arg: GradedExpr,
                         half: Fraction) -> GradedExpr:
     """Engine derivative of a trig expansion minus its chain-rule form.
@@ -192,7 +183,7 @@ def trig_chain_residual(D: ss.Derivation, kind: str, arg: GradedExpr,
     coefficients anticommute, which is why audits recompute derivatives
     sector-wise instead).
     """
-    return D(al.trig_of(kind, arg, half)) - chain_factor(kind, arg, half, D(arg))
+    return D(al.trig_of(kind, arg, half)) - al.chain_factor(kind, arg, half, D(arg))
 
 
 def component_apply_cov(which: str, e: GradedExpr) -> GradedExpr:
@@ -275,7 +266,7 @@ def verify_auto_bt(sys: BTSystem) -> Report:
             - md.sg_residual(seed))
 
     def route(outer, seed_part, coef, arg, term: GradedExpr) -> GradedExpr:
-        mixed = outer(seed_part) + coef * chain_factor("s", arg, QUARTER, term)
+        mixed = outer(seed_part) + coef * al.chain_factor("s", arg, QUARTER, term)
         return md.reduce_on_shell(mixed.scale(2) + tail, seed)
 
     inner2 = (sys.D1, -sys.D2(seed.expr), sys.sine_coef2, sys.diff_arg)
@@ -407,10 +398,10 @@ def verify_current_conservation(sys: BTSystem) -> Report:
 
     # D2 j1 = a p1 D2(cos(sum/4)), D2 target + D2 seed -> term2
     a_p1 = al.gen("a", ctx) * al.gen(sys.param1, ctx)
-    half_first = a_p1 * chain_factor("c", sys.sum_arg, QUARTER, sys.term2)
+    half_first = a_p1 * al.chain_factor("c", sys.sum_arg, QUARTER, sys.term2)
     # D1 j2 = a^-1 p2 D1(cos(diff/4)), D1 target - D1 seed -> term1
     a_p2 = al.apow(-1, ctx) * al.gen(sys.param2, ctx)
-    half_second = a_p2 * chain_factor("c", sys.diff_arg, QUARTER, sys.term1)
+    half_second = a_p2 * al.chain_factor("c", sys.diff_arg, QUARTER, sys.term1)
     residual = half_first + half_second
     rep.add_zero_check("divergence vanishes", residual,
                        half_first=al.to_text(half_first),

@@ -66,11 +66,8 @@ def potential_derivative(L: LagrangianExpr, field: ss.SuperField) -> GradedExpr:
         if t.trig is None:
             continue  # constant term
         kind, half = t.trig
-        if kind == "c":
-            # d cos(h Phi)/d Phi = -h sin(h Phi)
-            dterm = al.trig_of("s", field.expr, half).scale(-half * t.coef)
-        else:
-            dterm = al.trig_of("c", field.expr, half).scale(half * t.coef)
+        # coef * d trig(h Phi)/d Phi: the chain rule, coef in place of D(Phi)
+        dterm = al.chain_factor(kind, field.expr, half, GradedExpr.rational(t.coef, ctx))
         if t.use_alpha:
             dterm = al.gen("alpha", ctx) * dterm
         out = out + dterm

@@ -84,8 +84,8 @@ class FieldState:
         if not all(math.isfinite(v) and v > 0 for v in (L, h)):
             raise ConfigError(f"grid L = {L} and h = {h} must be finite and positive")
         n = int(round(2 * L / h)) + 1
-        if n < 2:
-            raise ConfigError(f"grid [-{L}, {L}] with step {h} has fewer than 2 points")
+        if n < 5:  # the fourth-order stencil reads five points
+            raise ConfigError(f"grid [-{L}, {L}] with step {h} has fewer than 5 points")
         x = np.linspace(-L, L, n)
         return FieldState(x, float(x[1] - x[0]), np.zeros(n), np.zeros(n), 0.0)
 

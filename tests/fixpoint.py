@@ -16,7 +16,7 @@ def reduce_to_fixed_point(rewriter, e):
     """Apply ``substitute_jets`` with the plain rules until nothing changes."""
     rule = functools.cache(rewriter.rule)  # one prolongation per jet and call
     for _ in range(64):
-        new = al.substitute_jets(e, rule)
+        new = al.substitute_jets(e, rule, rewriter.floor)
         if new is e or (new.den == e.den and new.terms == e.terms):
             return new
         e = new

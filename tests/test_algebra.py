@@ -200,7 +200,8 @@ def test_a_window_truncation_flagged():
     assert e.is_zero() and e.prec == 10
     assert (al.apow(2, CTX) * al.apow(2, CTX)).prec is None
     # substitution keeps the precision of its input
-    kept = al.substitute_jets(e + al.jet("X", ctx=CTX), al.JetRewriter([]).rule)
+    keep = al.JetRewriter([])
+    kept = al.substitute_jets(e + al.jet("X", ctx=CTX), keep.rule, keep.floor)
     assert kept.prec == 10
 
 
@@ -264,6 +265,33 @@ def test_precision_of_sums_products_and_projections():
     assert al.d_x(loose, "+").prec == al.d_theta(loose, "-").prec == 9
     assert project(loose + al.apow(4, CTX), al.Context(0, -2, 3)).prec == 4
     assert project(al.jet("X", ctx=CTX), al.Context(0, -2, 3)).prec is None
+
+
+def test_a_lowering_substitution_refuses_an_inexact_expression():
+    # X + O(a^10) with X -> a^-2 X~ would certify a^8 as 0, where the wider
+    # window Context(0, -2, 12) holds X~ there
+    X, Xt, a_2 = al.jet("X", ctx=CTX), al.jet("X~", ctx=CTX), al.apow(-2, CTX)
+    a5 = al.apow(5, CTX)
+    loose = X + a5 * a5
+    wide = al.Context(0, -2, 12)
+    want = al.substitute(project(X, wide) + al.apow(10, wide) * project(X, wide),
+                         {"X": al.apow(-2, wide) * project(Xt, wide)})
+    assert al.to_text(al.series_coefficient(want, 8)) == "X~"
+    rewriter = al.JetRewriter([(("Y", 0, 0), Xt), (("X", 0, 0), a_2 * Xt)])
+    with pytest.raises(OutsideWindow):
+        al.substitute(loose, {"X": a_2 * Xt})
+    # a rule of unknown floor is refused too
+    with pytest.raises(OutsideWindow):
+        al.substitute_jets(loose, rewriter.rule)
+    # the dropped terms may hold a bound jet that the kept ones do not: the
+    # rule's floor refuses what no replacement met would show
+    assert rewriter.floor == -2
+    with pytest.raises(OutsideWindow):
+        al.substitute_jets(al.jet("Y", ctx=CTX) + a5 * a5, rewriter.rule, rewriter.floor)
+    # an exact expression, or a rule with no negative power, is substituted
+    assert al.to_text(al.substitute(X, {"X": a_2 * Xt})) == "a^-2*X~"
+    kept = al.substitute(loose, {"X": al.gen("a", CTX) * Xt})
+    assert al.to_text(kept) == "a*X~" and kept.prec == 10
 
 
 def test_trig_precision_follows_the_vanished_power():
@@ -641,8 +669,17 @@ def test_no_trig_argument_holds_a_constant_field():
     (lambda: al.trig("s", {"Z": Q(1)}, ctx=CTX), UnknownSymbol),
     (lambda: al.substitute(al.jet("X", ctx=CTX), {"Z": al.jet("X", ctx=CTX)}), UnknownSymbol),
     (lambda: al.gen("zeta", CTX), UnknownSymbol),
+    # a side that is neither '-' nor '+'
+    (lambda: al.d_x(al.jet("X", ctx=CTX), "x"), ConfigError),
+    (lambda: al.d_x(al.GradedExpr.zero(CTX), "x"), ConfigError),
+    (lambda: al._shift_jets(0, "x"), ConfigError),
+    (lambda: al.d_theta(g("theta-") * g("theta+"), "?"), ConfigError),
+    (lambda: al.chain_factor("x", al.jet("X", ctx=CTX), Q(1, 2),
+                             al.jet("X", 1, 0, CTX)), ConfigError),
 ], ids=["sum contexts", "product contexts", "trig_of kind",
-        "trig kind", "field_info", "jet", "trig", "substitute", "gen"])
+        "trig kind", "field_info", "jet", "trig", "substitute", "gen",
+        "d_x side", "d_x side of zero", "shift table side", "d_theta side",
+        "chain_factor kind"])
 def test_bad_arguments_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
@@ -797,9 +834,9 @@ def test_reduce_is_one_substitution_pass(monkeypatch):
     inputs = []
     substitute_jets = al.substitute_jets
 
-    def recording(expr, rule):
+    def recording(expr, *rule_and_floor):
         inputs.append(expr)
-        return substitute_jets(expr, rule)
+        return substitute_jets(expr, *rule_and_floor)
 
     monkeypatch.setattr(al, "substitute_jets", recording)
     got = r.reduce(e)

@@ -96,9 +96,11 @@ def test_leapfrog_vacuum_and_cfl():
 
 
 @pytest.mark.parametrize("L, h", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
-                                  (math.nan, 1.0), (1.0, math.inf), (0.2, 1.0)])
+                                  (math.nan, 1.0), (1.0, math.inf), (0.2, 1.0),
+                                  (1.0, 1.5), (1.0, 0.6)])
 def test_empty_grid_rejects_bad_sizes(L, h):
-    # non-finite or non-positive sizes, or fewer than 2 points
+    # non-finite or non-positive sizes, or fewer than the 5 points that the
+    # fourth-order stencil reads
     with pytest.raises(ConfigError):
         nm.FieldState.empty(L, h)
 

@@ -10,6 +10,7 @@ database, so they repeat exactly.
 import functools
 import math
 import operator
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -20,7 +21,7 @@ from gradedsg import algebra as al
 from gradedsg import model as md
 from gradedsg import parser as ps
 from gradedsg import superspace as ss
-from gradedsg.errors import MixedParameterFamilies
+from gradedsg.errors import MixedParameterFamilies, OutsideWindow
 from gradedsg.grading import (DEG_01, DEG_10, DEG_11, DEG_EVEN, commutation_sign, is_self_odd,
                               pairing)
 
@@ -227,7 +228,47 @@ def test_product_of_keys_equals_the_reference(ab):
     assume(not ab[0].is_zero() and not ab[1].is_zero())
     (k1,), (k2,) = ab[0].terms, ab[1].terms
     entries = al._mul_keys_cached(k1, k2)
-    assert [(k, Q(n, d)) for k, n, d in entries] == list(ref_product(k1, k2))
+    # as a multiset: __mul__ sums the entries into a dict, so their order is
+    # no part of the product
+    assert Counter((k, Q(n, d)) for k, n, d in entries) == Counter(ref_product(k1, k2))
+
+
+# sin or cos of x*X + xt*X~ + k/12*pi; x is nonzero, so no atom is a constant
+# angle, while a product's difference angle may be one
+trig_args = st.tuples(st.sampled_from("sc"),
+                      st.sampled_from((Q(-1), Q(-1, 2), Q(1, 2), Q(1), Q(3, 2))),
+                      st.sampled_from((Q(0), Q(-1, 2), Q(1), Q(2, 3))), st.integers(-12, 24))
+real_points = st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=1, max_size=3)
+
+
+def trig_value(kind, combo, pioff, X, Xt):
+    angle = math.pi * pioff + sum(co * {"X": X, "X~": Xt}[sym] for sym, co in combo)
+    return math.sin(angle) if kind == "s" else math.cos(angle)
+
+
+def atom_value(atom, X, Xt):
+    """The value of a trig slot: 1 for none."""
+    return 1.0 if atom is None else trig_value(*al.trig_parts(atom), X, Xt)
+
+
+@PROPERTY
+@given(args=st.tuples(trig_args, trig_args), points=real_points)
+def test_trig_identities_hold_at_real_points(args, points):
+    # an evaluation that the engine does not make: the canonical form and the
+    # product to sum of two atoms, at real X and X~, against math.sin/math.cos
+    atoms = []
+    for kind, x, xt, k in args:
+        combo = (("X", x), ("X~", xt))
+        factor, atom = al._canon_trig(kind, dict(combo), Q(k, 12))
+        atoms.append(atom)
+        for X, Xt in points:
+            assert math.isclose(factor * atom_value(atom, X, Xt),
+                                trig_value(kind, combo, Q(k, 12), X, Xt), abs_tol=1e-12)
+    entries = al._mul_keys_cached(*((*al.KEY_ONE[:8], atom) for atom in atoms))
+    for X, Xt in points:
+        got = sum(n / d * atom_value(key[8], X, Xt) for key, n, d in entries)
+        want = atom_value(atoms[0], X, Xt) * atom_value(atoms[1], X, Xt)
+        assert math.isclose(got, want, abs_tol=1e-12)
 
 
 def only_key(e):
@@ -466,6 +507,34 @@ def assert_exact_below_the_precision(narrow, wide):
 @given(steps=FAMILIES.flatmap(precision_steps))
 def test_coefficients_below_the_precision_are_those_of_a_wider_window(steps):
     assert_exact_below_the_precision(fold_in(NARROW, steps), fold_in(WIDE, steps))
+
+
+# an odd field, bound field-wide to a^-k times one of its jets
+lowering_binds = st.tuples(st.sampled_from(("psi+", "psi-", "chi+", "chi-")), small,
+                           coefficients, st.integers(1, 2))
+# each of the nine jets of one odd field, at most, lowers a term by a^2
+WIDER = al.Context(nz=2, amin=-40, amax=16)
+
+
+@PROPERTY
+@given(steps=FAMILIES.flatmap(precision_steps), bind=lowering_binds)
+def test_a_lowering_substitution_never_certifies_a_wrong_coefficient(steps, bind):
+    # a dropped term times a^-k would come back below the precision, so the
+    # narrow window must refuse, or agree with one that drops nothing on
+    # every order that it certifies
+    name, j, coef, k = bind
+
+    def substituted(ctx):
+        repl = (al.apow(-k, ctx) * al.jet(name, j, j, ctx)).scale(coef)
+        return al.substitute(fold_in(ctx, steps), {name: repl})
+
+    wide = substituted(WIDER)
+    try:
+        narrow = substituted(NARROW)
+    except OutsideWindow:
+        assert fold_in(NARROW, steps).prec is not None
+        return
+    assert_exact_below_the_precision(narrow, wide)
 
 
 # even remainders of a trig argument that square to zero

@@ -143,9 +143,56 @@ def test_identities_are_written_once():
     assert sites("chain_factor") == [
         "backlund.py: trig_chain_residual", "backlund.py: route",
         "backlund.py: verify_current_conservation",
-        "backlund.py: verify_current_conservation"]
+        "backlund.py: verify_current_conservation",
+        "model.py: potential_derivative"]
     assert [site for site in sites("sg_residual") if site.startswith("backlund.py")] == [
         "backlund.py: verify_auto_bt"]
+
+
+def name_reads(source: str, name: str) -> list[str]:
+    """Innermost enclosing function ('<module>' at top level) of each read of
+    the plain name ``name``."""
+    sites = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_guard_finds_name_reads():
+    source = ("T = {}\n"
+              "def f():\n"
+              "    return T['s'][1] + g(T)\n"
+              "U = T\n")
+    assert name_reads(source, "T") == ["f", "f", "<module>"]
+
+
+def test_one_quarter_turn_table():
+    # sin(x + k pi/2) = sin^(k)(x) is one table: the canonical form reads it,
+    # and so the Taylor steps and the product to sum, which build on that
+    # form, and the chain rule, which every chain step and the model's
+    # potential derivative call; d_x keeps its own sign, so the chain-rule
+    # oracle compares the table with an independent derivative
+    def reads(name):
+        return [f"{path.name}: {where}" for path in package_sources()
+                for where in name_reads(path.read_text(), name)]
+
+    for table in ("_TRIG_CYCLE", "_TRIG_SIGNS"):
+        assert sorted(set(reads(table))) == ["algebra.py: _canon_trig", "algebra.py: chain_factor"]
+    defined = [path.name for path in package_sources()
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name == "chain_factor"]
+    assert defined == ["algebra.py"]
+    model = (Path(gradedsg.__file__).parent / "model.py").read_text()
+    assert "potential_derivative" not in call_sites(model, "trig_of")
+    assert "potential_derivative" in call_sites(model, "chain_factor")
 
 
 def test_guard_finds_second_entry_points():
