@@ -51,11 +51,11 @@ term past the z-order vanishes, and a term that leaves the Laurent window
 in ``a`` is dropped, and the result records where.  Its precision ``prec``
 is None when it is exact, and otherwise the lowest power of ``a`` that a
 dropped term could still reach, so every coefficient below ``a^prec`` is
-exact (the ``O(a^p)`` of power series arithmetic, Knuth, TAOCP vol. 2
-section 4.7).  A product takes
-``min(prec f + val g, prec g + val f)`` and the lowest power it drops, a
-sum the lower precision of its two terms, and ``series_coefficient``
-refuses an order at or past the precision.
+exact and no term at or past it is held: an inexact expression is its
+truncated series, the ``O(a^p)`` of power series arithmetic (Knuth, TAOCP
+vol. 2 section 4.7), in one form.  A product takes ``min(prec f + val g,
+prec g + val f)`` and the lowest power it drops, a sum the lower precision
+of its two terms, and ``series_coefficient`` refuses an order at or past it.
 """
 
 from __future__ import annotations
@@ -471,9 +471,9 @@ class GradedExpr:
     ``terms`` maps each monomial key to a nonzero ``int`` numerator and
     ``den`` is the one positive common denominator, so the coefficient of
     ``key`` is ``terms[key] / den``.  The form is canonical: ``gcd(den,
-    *numerators) == 1`` and zero is ``{}`` over 1, so equal expressions
-    have equal ``(ctx, den, terms)``.  Read the rational values through
-    ``coefficients()``.
+    *numerators) == 1``, zero is ``{}`` over 1 and no term lies at or past
+    the precision, so equal expressions have equal ``(ctx, den, terms)``.
+    Read the rational values through ``coefficients()``.
 
     ``GradedExpr(ctx, pairs, prec)`` sums ``(key, int | Fraction)`` pairs
     over the lcm of their denominators and keeps what ``ctx`` admits
@@ -644,8 +644,8 @@ def _from_ints(ctx: Context, pairs: Iterable[tuple[Key, int]], den: int,
 
     ``pairs`` of a repeated key are summed into ``acc`` (a fresh dict of
     nonzero numerators that the result keeps, or empty) and zero results
-    dropped; one gcd then divides the common factor out of ``den`` and
-    every numerator.
+    and terms at or past ``prec`` dropped; one gcd then divides the common
+    factor out of ``den`` and every numerator.
     """
     if acc is None:
         acc = {}
@@ -661,6 +661,8 @@ def _from_ints(ctx: Context, pairs: Iterable[tuple[Key, int]], den: int,
                 acc[k] = c
             else:
                 del acc[k]
+    if prec is not None:
+        acc = {k: c for k, c in acc.items() if k[5] < prec}
     if den != 1:
         # an empty sum gives g = den, so zero is {} over 1
         g = gcd(den, *acc.values())

@@ -447,7 +447,8 @@ def _audit(sys: BTSystem, K: int) -> Report:
     ctx = sys.ctx
     seed = sys.seed_field
     phis = sys.series_sum
-    u_arg = phis + seed.expr
+    # the left side, which no a^-2 lowers, is read through order K only
+    u_arg = phis + seed.expr + GradedExpr(ctx, prec=K + 1)
     v_arg = phis - seed.expr
     p1 = al.gen(sys.param1, ctx)
     p2 = al.gen(sys.param2, ctx)

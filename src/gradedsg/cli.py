@@ -486,6 +486,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         return run(cfg)
+    except ConfigError as exc:
+        # a configuration that a check cannot use, such as too coarse a grid
+        print(f"error: {exc}", file=_sys.stderr)
+        return 2
     except GradedSGError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 1

@@ -589,7 +589,9 @@ def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarr
     truncation term.  The half-step march returns only the nodes it shares
     with the coarse grid, and the coupling is evaluated band by band (see
     ``_fermion_march``) and, for the residuals, in blocks of rows, so no
-    full-grid coupling or fine-grid solution is ever stored.
+    full-grid coupling or fine-grid solution is ever stored.  The nodes are
+    spaced by the ``h`` that the march and the residuals use, so the grid
+    ends at ``round(Lm/h) h`` and ``round(Lp/h) h``.
     """
     if not all(math.isfinite(v) and v > 0 for v in (Lm, Lp, h)):
         raise ConfigError(f"Lm = {Lm}, Lp = {Lp} and h = {h} must be finite and positive")
@@ -597,12 +599,12 @@ def integrate_fermions(background_X: Callable[[np.ndarray, np.ndarray], np.ndarr
     np_ = int(round(Lp / h)) + 1
     if min(nm, np_) < 5:  # the fourth-order residual reads five nodes
         raise ConfigError(f"a {nm} x {np_} grid has a side of fewer than 5 nodes")
-    xm = np.linspace(0.0, Lm, nm)
-    xp = np.linspace(0.0, Lp, np_)
+    xm = h * np.arange(nm)
+    xp = h * np.arange(np_)
     u, w = _fermion_march(background_X, xm, xp, psi_plus_edge(xm),
                           psi_minus_edge(xp), h)
-    xm2 = np.linspace(0.0, Lm, 2 * (nm - 1) + 1)
-    xp2 = np.linspace(0.0, Lp, 2 * (np_ - 1) + 1)
+    xm2 = h / 2 * np.arange(2 * nm - 1)
+    xp2 = h / 2 * np.arange(2 * np_ - 1)
     u2, w2 = _fermion_march(background_X, xm2, xp2, psi_plus_edge(xm2),
                             psi_minus_edge(xp2), h / 2, step=2)
     # (4 u2 - u)/3 in place, in the same IEEE operation order

@@ -235,6 +235,7 @@ def describe(e: GradedExpr) -> dict:
         w_s = weight_str(w) if w is not None else "any (zero)"
     except InhomogeneousExpression:
         w_s = "inhomogeneous"
-    # an inexact result shows its precision, -inf when no order is certified
+    # an inexact result holds only the terms below its precision, then shows
+    # that precision; at -inf no order is certified, so it holds no term
     text = al.to_text(e) if e.prec is None else f"{al.to_text(e)} + O(a^{e.prec})"
     return {"text": text, "degree": deg_s, "weight": w_s, "terms": len(e.terms)}

@@ -251,6 +251,12 @@ def test_precision_of_sums_products_and_projections():
     assert (al.apow(9, CTX) * al.apow(10, CTX)).prec == 19
     # an exact zero factor makes the product exact
     assert (loose * al.GradedExpr.zero(CTX)).prec is None
+    # a term at or past the precision is not certified, so it is not held:
+    # a truncated series has one canonical form
+    short = al.apow(9, CTX) * al.apow(-2, CTX)
+    assert short.prec == 7
+    for tail in (al.apow(7, CTX), al.apow(8, CTX)):
+        assert short + tail == short and not (short + tail).terms
     # a drop below amin leaves nothing certified in the window, until a
     # product lifts the dropped a^-3 back into it
     low = al.apow(-1, CTX) * al.apow(-2, CTX)

@@ -432,14 +432,20 @@ def test_series_sum_carries_the_precision_of_its_order():
 
 def test_conservation_audit_multiplies_only_in_its_window(monkeypatch):
     # a work count, not a wall clock: at (amax, K) = (12, 8) the narrowed
-    # audit makes 1,573 products from cold (its on-shell rewriter derives
-    # the component equations in the audit's window), and the same audit in
-    # the caller's window [-2, 12] makes 2,401
+    # audit makes 1,139 products over 27,339 term pairs from cold (its
+    # on-shell rewriter derives the component equations in the audit's
+    # window).  It reads its left side through order K only, and holds no
+    # term past a precision: with the left side read to K + 2 it visits
+    # 38,844 pairs, with every term kept 1,573 products and 40,301 pairs,
+    # and in the caller's window [-2, 12] it makes 2,401 products
     products = []
+    pairs = []
     mul = al.GradedExpr.__mul__
 
     def counting_mul(self, other):
         products.append(1)
+        if isinstance(other, al.GradedExpr):
+            pairs.append(len(self.terms) * len(other.terms))
         return mul(self, other)
 
     # a fresh on-shell rewriter, so that no earlier test's normal forms count
@@ -447,7 +453,7 @@ def test_conservation_audit_multiplies_only_in_its_window(monkeypatch):
         md.on_shell_rewriter.__wrapped__))
     monkeypatch.setattr(al.GradedExpr, "__mul__", counting_mul)
     bt.conservation_audit(bt.BTSystem(order=6, ctx=al.Context(0, -2, 12)), 8)
-    assert 0 < len(products) <= 1900
+    assert 0 < len(products) <= 1300 and 0 < sum(pairs) <= 31000
 
 
 def test_conservation_audit_refuses_orders_past_the_window():

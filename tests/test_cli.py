@@ -141,6 +141,8 @@ def test_bad_grid_exits_two(capsys):
            ["--grid", "20,0.01,0.02", "--check", "kink"],     # dt > h
            ["--grid", "nan,0.1,0.01", "--check", "kink"],
            ["--grid", "20,0.1,inf", "--check", "kink"],
+           # RunConfig admits it, but the fermion grid has 3 nodes a side
+           ["--grid", "20,2,1", "--check", "fermions"],
            ["--bt-a", "0", "--check", "bt-numeric"],
            ["--bt-a", "nan", "--check", "bt-numeric"],
            # a path under an existing file: makedirs fails, nothing is made
@@ -200,8 +202,9 @@ def test_eval_mode(capsys):
     assert "text: 0\n" in capsys.readouterr().out
     assert cli.main(["--eval", "sin()"]) == 2
     capsys.readouterr()
-    # an inexact result shows its precision, -inf when no order is certified
-    for text, want in (("sin(a^-1)", "a^-1 + O(a^-inf)"), ("a^9", "0 + O(a^9)"),
+    # an inexact result shows its precision and only the terms below it: at
+    # -inf no order is certified, so no term is shown
+    for text, want in (("sin(a^-1)", "0 + O(a^-inf)"), ("a^9", "0 + O(a^9)"),
                        ("a^-3", "0 + O(a^-3)"),
                        # the window has z-order 0, so z is zero however it enters
                        ("z", "0"), ("z + X", "X"), ("D- z", "0"), ("Z z", "0")):

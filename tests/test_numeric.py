@@ -456,19 +456,15 @@ def _full_grid_residuals(u, w, C, h):
     return float(np.max(np.abs(rp))), float(np.max(np.abs(rm)))
 
 
-def test_kink_fermions_equal_the_cellwise_richardson_march():
-    # the whole integration against the cell-by-cell reference on the full
-    # coupling, Richardson step and residuals included, on a grid whose
-    # half-step march crosses several bands and whose residuals take
-    # several row blocks
-    Lm, Lp, h = 2.5, 0.75, 2.0 ** -5
+def assert_equals_the_cellwise_richardson_march(Lm, Lp, h):
     plus = lambda xm: np.exp(-xm)
     minus = lambda xp: np.cos(xp)
     out = nm.integrate_fermions(_KINK_BG, plus, minus, Lm=Lm, Lp=Lp, h=h)
     levels = []
     for k in (1, 2):
-        xm = np.linspace(0.0, Lm, k * int(round(Lm / h)) + 1)
-        xp = np.linspace(0.0, Lp, k * int(round(Lp / h)) + 1)
+        # the march at step h / k reads its nodes at that spacing
+        xm = h / k * np.arange(k * int(round(Lm / h)) + 1)
+        xp = h / k * np.arange(k * int(round(Lp / h)) + 1)
         XM, XP = np.meshgrid(xm, xp, indexing="ij")
         C = 0.5 * np.cos(_KINK_BG(XM, XP) / 2.0)
         levels.append((C,) + _cellwise_march(C, plus(xm), minus(xp), h / k))
@@ -478,6 +474,14 @@ def test_kink_fermions_equal_the_cellwise_richardson_march():
     assert out.u.tobytes() == u.tobytes()
     assert out.w.tobytes() == w.tobytes()
     assert (out.residual_plus, out.residual_minus) == _full_grid_residuals(u, w, C, h)
+
+
+def test_kink_fermions_equal_the_cellwise_richardson_march():
+    # the whole integration against the cell-by-cell reference on the full
+    # coupling, Richardson step and residuals included, on a grid whose
+    # half-step march crosses several bands and whose residuals take
+    # several row blocks
+    assert_equals_the_cellwise_richardson_march(2.5, 0.75, 2.0 ** -5)
 
 
 @pytest.mark.parametrize("row", [0, 31, 32, 69])
@@ -603,6 +607,19 @@ def test_fermions_zero_background_closed_form():
             w += np.where(XP > 0, term * (2.0 * k) / XP, 0.0)
     w[:, 0] = out.xm / 2.0  # limit of the series on the edge
     assert float(np.max(np.abs(out.w - w))) < 1e-6
+
+
+def test_fermion_grid_is_spaced_by_its_step():
+    # 1/0.22 is not an integer: the nodes keep the spacing h that the march
+    # and the residuals use, and the grid ends at round(L/h) h
+    h = 0.22
+    out = nm.integrate_fermions(_ZERO_BG, _ONES, lambda xp: np.zeros_like(xp),
+                                Lm=1.0, Lp=1.0, h=h)
+    assert out.xm.tobytes() == out.xp.tobytes() == (h * np.arange(6)).tobytes()
+    XM, XP = np.meshgrid(out.xm, out.xp, indexing="ij")
+    assert float(np.max(np.abs(out.u - nm.bessel_series(XM * XP)))) < 1e-6
+    # on a kink background both marches read the background at their nodes
+    assert_equals_the_cellwise_richardson_march(1.0, 1.0, h)
 
 
 def test_fermions_kink_background_residual():

@@ -496,6 +496,8 @@ def fold_in(ctx, steps):
 
 def assert_exact_below_the_precision(narrow, wide):
     assert wide.prec is None
+    # an inexact expression holds only the terms that its precision certifies
+    assert narrow.prec is None or all(key[5] < narrow.prec for key in narrow.terms)
     for n in range(NARROW.amin, NARROW.amax + 1):
         if narrow.prec is not None and n >= narrow.prec:
             break
