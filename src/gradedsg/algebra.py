@@ -54,8 +54,9 @@ dropped term could still reach, so every coefficient below ``a^prec`` is
 exact and no term at or past it is held: an inexact expression is its
 truncated series, the ``O(a^p)`` of power series arithmetic (Knuth, TAOCP
 vol. 2 section 4.7), in one form.  A product takes ``min(prec f + val g,
-prec g + val f)`` and the lowest power it drops, a sum the lower precision
-of its two terms, and ``series_coefficient`` refuses an order at or past it.
+prec g + val f)`` and the lowest power it drops, a linear combination
+(``combine``) the lowest precision of its parts with a nonzero multiplier,
+and ``series_coefficient`` refuses an order at or past it.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     ConfigError,
@@ -530,37 +531,23 @@ class GradedExpr:
     def __add__(self, other):
         if not isinstance(other, GradedExpr):
             other = GradedExpr.rational(other, self.ctx)
-        self._require_same_ctx(other)
-        den = lcm(self.den, other.den)
-        m1, m2 = den // self.den, den // other.den
-        acc = (self.terms.copy() if m1 == 1
-               else {k: c * m1 for k, c in self.terms.items()})
-        pairs = (other.terms.items() if m2 == 1
-                 else ((k, c * m2) for k, c in other.terms.items()))
-        p, q = self.prec, other.prec
-        return _from_ints(self.ctx, pairs, den, p if q is None else q if p is None else min(p, q),
-                          acc)
+        return combine(((1, self), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _from_ints(self.ctx, (), self.den, self.prec,
-                          {k: -c for k, c in self.terms.items()})
+        return combine(((-1, self),))
 
     def __sub__(self, other):
         if not isinstance(other, GradedExpr):
             other = GradedExpr.rational(other, self.ctx)
-        return self + (-other)
+        return combine(((1, self), (-1, other)))
 
     def __rsub__(self, other):
-        return GradedExpr.rational(other, self.ctx) + (-self)
+        return combine(((1, GradedExpr.rational(other, self.ctx)), (-1, self)))
 
     def scale(self, q) -> "GradedExpr":
-        if _exact(q) == 0:
-            return GradedExpr.zero(self.ctx)
-        p = q.numerator
-        acc = self.terms.copy() if p == 1 else {k: p * c for k, c in self.terms.items()}
-        return _from_ints(self.ctx, (), self.den * q.denominator, self.prec, acc)
+        return combine(((q, self),))
 
     def __mul__(self, other):
         if not isinstance(other, GradedExpr):
@@ -675,6 +662,36 @@ def _from_ints(ctx: Context, pairs: Iterable[tuple[Key, int]], den: int,
     e.den = den
     e.prec = prec
     return e
+
+
+def combine(parts: Sequence[tuple["int | Fraction", GradedExpr]]) -> GradedExpr:
+    """``sum(q * e for q, e in parts)`` over one or more parts, each ``q`` an
+    ``int`` or a ``Fraction``: the one linear combination, behind ``+``,
+    ``-`` and ``scale``.  Over one lcm of the ``e.den * q.denominator`` the
+    parts' numerators are summed into one dict, and ``_from_ints`` puts the
+    sum in canonical form once.  Its precision is the lowest among the parts
+    with a nonzero ``q``; a part with ``q == 0`` adds no terms and no
+    precision.
+    """
+    first = parts[0][1]
+    ctx, den, prec = first.ctx, 1, None
+    for q, e in parts:
+        if e.ctx != ctx:
+            first._require_same_ctx(e)  # raises ContextMismatch
+        if _exact(q):
+            den = lcm(den, e.den * q.denominator)
+            if e.prec is not None and (prec is None or e.prec < prec):
+                prec = e.prec
+    acc, pairs = None, []
+    for q, e in parts:
+        if q:
+            # the part's numerators times m are over den
+            m = q.numerator * (den // (e.den * q.denominator))
+            if acc is None:
+                acc = e.terms.copy() if m == 1 else {k: c * m for k, c in e.terms.items()}
+            else:
+                pairs += e.terms.items() if m == 1 else [(k, c * m) for k, c in e.terms.items()]
+    return _from_ints(ctx, pairs, den, prec, acc)
 
 
 def _admitted(ctx: Context, pairs: Iterable[tuple[Key, int]], den: int = 1,

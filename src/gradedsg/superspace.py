@@ -64,9 +64,9 @@ def _odd_derivation(side: str, sign: int) -> Derivation:
 
     def fn(e: GradedExpr) -> GradedExpr:
         ctx = e.ctx
-        return (al.d_theta(e, side)
-                + (al.gen(own, ctx) * al.d_x(e, side)).scale(x_factor)
-                + (al.gen(other, ctx) * al.d_z(e)).scale(z_factor))
+        return al.combine(((1, al.d_theta(e, side)),
+                           (x_factor, al.gen(own, ctx) * al.d_x(e, side)),
+                           (z_factor, al.gen(other, ctx) * al.d_z(e))))
 
     degree, weight = (DEG_01, +1) if side == "-" else (DEG_10, -1)
     return Derivation(("Q" if sign > 0 else "D") + side, degree, weight, fn)
@@ -168,20 +168,23 @@ def superalgebra_checks(probe: GradedExpr):
     covariant-derivative brackets, vanishing of the mixed Q-D brackets, and
     the graded Jacobi identity over all generator triples.
 
-    Every relation is a signed sum of operator words applied to the probe.
-    A dict local to the call maps each word to its result, starting from
-    ``{(): probe}``; ``word(n1, n2, ...)`` is ``_BY_NAME[n1](word(n2, ...))``,
-    evaluated once through ``Derivation.__call__`` and then reused.  Because
-    derivations are linear over the rationals, ``D(X - sY) = D(X) - s D(Y)``
-    exactly, so
+    Every relation is one signed sum, ``al.combine``, of operator words
+    applied to the probe.  A dict local to the call maps each word to its
+    result, starting from ``{(): probe}``; ``word(n1, n2, ...)`` is
+    ``_BY_NAME[n1](word(n2, ...))``, evaluated once through
+    ``Derivation.__call__`` and then reused.  Because derivations are linear
+    over the rationals, ``D(X - sY) = D(X) - s D(Y)`` exactly, so
 
         [A,B]     = W(A,B) - (-1)^<a,b> W(B,A)
-        [A,[B,C]] = W(A,B,C) - s_bc W(A,C,B) - s (W(B,C,A) - s_bc W(C,B,A))
+        [A,[B,C]] = W(A,B,C) - s_bc W(A,C,B) - s W(B,C,A) + s s_bc W(C,B,A)
 
-    equal ``bracket`` term for term.  The 162 relations take 169 derivation
-    applications, one per distinct word, and no result outlives the call.
+    equal ``bracket`` term for term.  A second local dict holds each double
+    bracket, summed once per call, and each Jacobi relation combines three
+    of them.  The 162 relations take 169 derivation applications, one per
+    distinct word, and no result outlives the call.
     """
     words: dict[tuple[str, ...], GradedExpr] = {(): probe}
+    nested: dict[tuple[str, str, str], GradedExpr] = {}
 
     def word(*names: str) -> GradedExpr:
         if names not in words:
@@ -194,35 +197,36 @@ def superalgebra_checks(probe: GradedExpr):
             total = degree_add(total, _BY_NAME[n].degree)
         return total
 
-    def pair(n1: str, n2: str) -> GradedExpr:
-        # [n1, n2] on the probe
+    def relation(n1: str, n2: str) -> GradedExpr:
+        # [n1, n2] on the probe, minus its expected value
         s = commutation_sign(degree(n1), degree(n2))
-        return word(n1, n2) - word(n2, n1).scale(s)
+        parts = [(1, word(n1, n2)), (-s, word(n2, n1))]
+        if (n1, n2) in _EXPECTED_BRACKETS:
+            tgt, sgn = _EXPECTED_BRACKETS[(n1, n2)]
+            parts.append((-sgn, word(tgt)))
+        return al.combine(parts)
 
     def triple(na: str, nb: str, nc: str) -> GradedExpr:
         # [na, [nb, nc]] on the probe; the inner bracket has degree b + c
-        s_bc = commutation_sign(degree(nb), degree(nc))
-        s = commutation_sign(degree(na), degree(nb, nc))
-        return (word(na, nb, nc) - word(na, nc, nb).scale(s_bc)
-                - (word(nb, nc, na) - word(nc, nb, na).scale(s_bc)).scale(s))
-
-    def expected(n1: str, n2: str) -> GradedExpr:
-        if (n1, n2) in _EXPECTED_BRACKETS:
-            tgt, sgn = _EXPECTED_BRACKETS[(n1, n2)]
-            return word(tgt).scale(sgn)
-        return GradedExpr.zero(probe.ctx)
+        if (na, nb, nc) not in nested:
+            s_bc = commutation_sign(degree(nb), degree(nc))
+            s = commutation_sign(degree(na), degree(nb, nc))
+            nested[na, nb, nc] = al.combine((
+                (1, word(na, nb, nc)), (-s_bc, word(na, nc, nb)),
+                (-s, word(nb, nc, na)), (s * s_bc, word(nc, nb, na))))
+        return nested[na, nb, nc]
 
     names_st = [D.name for D in SUPERTRANSLATIONS]
     for n1 in names_st:
         for n2 in names_st:
-            yield f"[{n1},{n2}]", pair(n1, n2) - expected(n1, n2)
+            yield f"[{n1},{n2}]", relation(n1, n2)
     for n1 in ("D-", "D+"):
         for n2 in ("D-", "D+"):
-            yield f"[{n1},{n2}]", pair(n1, n2) - expected(n1, n2)
+            yield f"[{n1},{n2}]", relation(n1, n2)
     for q in ("Q-", "Q+"):
         for d in ("D-", "D+"):
-            yield f"[{q},{d}]", pair(q, d)
-            yield f"[{d},{q}]", pair(d, q)
+            yield f"[{q},{d}]", relation(q, d)
+            yield f"[{d},{q}]", relation(d, q)
     # graded Jacobi: [A,[B,C]] - [[A,B],C] - (-1)^<a,b> [B,[A,C]], with
     # [[A,B],C] = -(-1)^<c,a+b> [C,[A,B]]
     for na in names_st:
@@ -230,9 +234,9 @@ def superalgebra_checks(probe: GradedExpr):
             for nc in names_st:
                 s_ab = commutation_sign(degree(na), degree(nb))
                 s_c_ab = commutation_sign(degree(nc), degree(na, nb))
-                rhs1 = triple(nc, na, nb).scale(-s_c_ab)
-                rhs2 = triple(nb, na, nc).scale(s_ab)
-                yield f"jacobi[{na},[{nb},{nc}]]", triple(na, nb, nc) - rhs1 - rhs2
+                yield f"jacobi[{na},[{nb},{nc}]]", al.combine((
+                    (1, triple(na, nb, nc)), (s_c_ab, triple(nc, na, nb)),
+                    (-s_ab, triple(nb, na, nc))))
 
 
 def derivation_covariance_checks(probe: GradedExpr):

@@ -257,6 +257,23 @@ def test_precision_of_sums_products_and_projections():
     assert short.prec == 7
     for tail in (al.apow(7, CTX), al.apow(8, CTX)):
         assert short + tail == short and not (short + tail).terms
+    # a linear combination keeps the lowest precision among its parts with a
+    # nonzero multiplier; a part multiplied by 0 adds no terms and no
+    # precision, as scale(0) does
+    X = al.jet("X", ctx=CTX)
+    mix = al.combine([(Q(1, 2), loose), (-3, short), (0, al.apow(-1, CTX) * al.apow(-2, CTX))])
+    assert mix.prec == 7 and mix == (loose.scale(Q(1, 2)) - short.scale(3))
+    assert al.combine([(Q(5, 6), loose), (2, X)]).prec == 9
+    exact = al.combine([(0, loose), (Q(-1, 6), X), (0, short)])
+    assert exact.prec is None and exact == X.scale(Q(-1, 6))
+    assert loose.scale(0).prec is None and al.combine([(0, loose)]) == al.GradedExpr.zero(CTX)
+    with pytest.raises(ContextMismatch):
+        al.combine([(1, X), (1, al.jet("X", ctx=al.DEFAULT_CTX))])
+    with pytest.raises(ContextMismatch):  # also for a part multiplied by 0
+        al.combine([(1, X), (0, al.jet("X", ctx=al.DEFAULT_CTX))])
+    for q in (1.5, 0.0):
+        with pytest.raises(ConfigError):
+            al.combine([(1, X), (q, loose)])
     # a drop below amin leaves nothing certified in the window, until a
     # product lifts the dropped a^-3 back into it
     low = al.apow(-1, CTX) * al.apow(-2, CTX)

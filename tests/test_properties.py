@@ -303,7 +303,9 @@ scales = st.builds(Q, st.integers(-6, 6), st.sampled_from((1, 2, 3, 6)))
 
 
 def fold_steps(family):
-    step = st.tuples(st.sampled_from("+-*s"), MONOMIALS[family], scales)
+    # a combine step ("c") sums the scaled expression and 0-3 more parts
+    parts = st.lists(st.tuples(scales, MONOMIALS[family]), max_size=3)
+    step = st.tuples(st.sampled_from("+-*sc"), MONOMIALS[family], scales, parts)
     return st.tuples(MONOMIALS[family], st.lists(step, min_size=1, max_size=4))
 
 
@@ -346,7 +348,7 @@ def test_operations_keep_the_canonical_form(steps):
     e, rest = steps
     ref = dict(e.coefficients())
     assert_canonical(e)
-    for op, m, q in rest:
+    for op, m, q, parts in rest:
         m_ref = dict(m.coefficients())
         if op == "+":
             e, ref = e + m, ref_add(ref, m_ref)
@@ -354,8 +356,12 @@ def test_operations_keep_the_canonical_form(steps):
             e, ref = e - m, ref_add(ref, m_ref, -1)
         elif op == "*":
             e, ref = e * m, ref_mul(ref, m_ref)
-        else:
+        elif op == "s":
             e, ref = e.scale(q), {k: c * q for k, c in ref.items()}
+        else:
+            e, ref = al.combine([(q, e), *parts]), {k: c * q for k, c in ref.items()}
+            for q2, m2 in parts:
+                ref = ref_add(ref, dict(m2.coefficients()), q2)
         assert_canonical(e)
         assert dict(e.coefficients()) == {k: c for k, c in ref.items() if c}
     diff = e - e
