@@ -7,8 +7,9 @@ monomial over one positive common denominator ``den``, with
 ``gcd(den, *numerators) == 1`` and zero as ``{}`` over 1.  Sums, products
 and derivatives do integer arithmetic per term and touch the denominators
 once per operation; ``GradedExpr.coefficients()`` is the one reader of the
-rational values (an ``int`` when integral, a ``Fraction`` otherwise).  A
-monomial factors into fixed slots, in this global order:
+rational values (an ``int`` when integral, a ``Fraction`` otherwise), and
+``to_text`` writes each from its numerator.  A monomial factors into fixed
+slots, in this global order:
 
     z^k  *  theta-  *  theta+  *  clifford  *  v+^j  *  a^n  *  graded jets
          *  scalar jets  *  (at most one trig atom)
@@ -452,17 +453,6 @@ def key_weight(key: Key) -> BoostWeight:
     return w
 
 
-def _key_sortable(key: Key):
-    """A sort key by contents: ids follow the order of first use."""
-    z, tm, tp, cf, v, a, gj, bj, trig = key
-    trig_s = ()
-    if trig is not None:
-        kind, combo, pioff = trig_parts(trig)
-        trig_s = (kind, tuple((s, c.numerator, c.denominator) for s, c in combo),
-                  pioff.numerator, pioff.denominator)
-    return (z, tm, tp, cf, v, a, _JETS[gj], _JETS[bj], trig_s)
-
-
 # ---------------------------------------------------------------------------
 # expressions
 
@@ -614,8 +604,8 @@ class GradedExpr:
             if len(ws) > 1:
                 (w1, k1), (w2, k2) = sorted(ws.items())[:2]
                 raise InhomogeneousExpression(
-                    f"mixed weights {w1}/2 ({term_str(k1, Q(1))}) vs "
-                    f"{w2}/2 ({term_str(k2, Q(1))})")
+                    f"mixed weights {w1}/2 ({term_str(k1, 1)}) vs "
+                    f"{w2}/2 ({term_str(k2, 1)})")
         return next(iter(ws)) if ws else None
 
     def __repr__(self):
@@ -814,77 +804,84 @@ def trig(kind: str, combo: Mapping[str, Fraction], pioff=Q(0),
 
 # ---------------------------------------------------------------------------
 # text form
-
-def _jet_str(name: str, m: int, n: int) -> str:
-    if m == 0 and n == 0:
-        return name
-    return f"{name}_{{{'-' * m}{'+' * n}}}"
-
+#
+# A term is rendered from its key and its int numerator over the expression's
+# denominator, reduced by one gcd.  The factors of a key's prefix and jet
+# slots and a trig atom's factor and sort part depend only on interned
+# contents, never on an id's value, so each is made once per slot value.
 
 def _pow_str(base: str, k: int) -> str:
     return base if k == 1 else f"{base}^{k}"
 
 
-def _trig_str(t: int) -> str:
+@functools.cache
+def _prefix_text(prefix: tuple) -> tuple[str, ...]:
+    """The factors of a key's ``(z, theta-, theta+, clifford, v+^j, a^n)``."""
+    z, tm, tp, cf, v, a = prefix
+    return tuple(f for f, present in (
+        (_pow_str("z", z), z), ("theta-", tm), ("theta+", tp), (_CLIFFORD[cf][0], cf != CF_ONE),
+        (_pow_str("v+", v), v > 0), (_pow_str("v-", -v), v < 0), (_pow_str("a", a), a)) if present)
+
+
+@functools.cache
+def _jets_text(slot: int) -> tuple[str, ...]:
+    """The factors of a jet slot, ``name_{--+}^exp`` per jet."""
+    return tuple(_pow_str(f"{name}_{{{'-' * m}{'+' * n}}}" if m or n else name, exp)
+                 for (name, m, n), exp in _JETS[slot])
+
+
+def _signed_sum(parts: list[str]) -> str:
+    """Parts ``"+ x"`` and ``"- y"`` joined with a bare leading sign; '0' for none."""
+    text = " ".join(parts)
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else f"-{text[2:]}"
+
+
+@functools.cache
+def _trig_text(t: Optional[int]) -> tuple[tuple[str, ...], tuple]:
+    """The factors of a trig slot, ``sin(...)`` or ``cos(...)`` or none, and
+    its sort part: the atom's contents in ints, ``()`` for none."""
+    if t is None:
+        return (), ()
     kind, combo, pioff = trig_parts(t)
-    pieces = list(combo)
-    if pioff:
-        pieces.append(("pi", pioff))
-    out = ""
-    for sym, co in pieces:
-        mag = -co if co < 0 else co
-        body = sym if mag == 1 else f"{mag}*{sym}"
-        if not out:
-            out = f"-{body}" if co < 0 else body
-        else:
-            out += f" - {body}" if co < 0 else f" + {body}"
-    name = "sin" if kind == "s" else "cos"
-    return f"{name}({out if out else '0'})"
+    arg = _signed_sum([("- " if co < 0 else "+ ") + (sym if abs(co) == 1 else f"{abs(co)}*{sym}")
+                       for sym, co in combo + ((("pi", pioff),) if pioff else ())])
+    return ((f"{'sin' if kind == 's' else 'cos'}({arg})",),
+            (kind, tuple((s, c.numerator, c.denominator) for s, c in combo),
+             pioff.numerator, pioff.denominator))
 
 
-def term_str(key: Key, coef: Fraction) -> str:
-    z, tm, tp, cf, v, a, gj, bj, t = key
-    factors = []
-    if z:
-        factors.append(_pow_str("z", z))
-    if tm:
-        factors.append("theta-")
-    if tp:
-        factors.append("theta+")
-    if cf != CF_ONE:
-        factors.append(_CLIFFORD[cf][0])
-    if v > 0:
-        factors.append(_pow_str("v+", v))
-    elif v < 0:
-        factors.append(_pow_str("v-", -v))
-    if a:
-        factors.append("a" if a == 1 else f"a^{a}")
-    for (name, m, n), exp in _JETS[gj] + _JETS[bj]:
-        factors.append(_pow_str(_jet_str(name, m, n), exp))
-    if t is not None:
-        factors.append(_trig_str(t))
-    if not factors:
-        return str(coef)
-    body = "*".join(factors)
-    if coef == 1:
+def _key_sortable(key: Key):
+    """A sort key by contents: ids follow the order of first use."""
+    return key[:6] + (_JETS[key[6]], _JETS[key[7]], _trig_text(key[8])[1])
+
+
+def _term_text(key: Key, n: int, d: int) -> str:
+    """The text of ``n/d`` times the monomial ``key``, ``n/d`` in lowest terms."""
+    body = "*".join(_prefix_text(key[:6]) + _jets_text(key[6]) + _jets_text(key[7])
+                    + _trig_text(key[8])[0])
+    coef = str(n) if d == 1 else f"{n}/{d}"
+    if not body:
+        return coef
+    if coef == "1":
         return body
-    if coef == -1:
-        return f"-{body}"
-    return f"{coef}*{body}"
+    return f"-{body}" if coef == "-1" else f"{coef}*{body}"
+
+
+def term_str(key: Key, coef: "int | Fraction") -> str:
+    return _term_text(key, coef.numerator, coef.denominator)
 
 
 def to_text(e: GradedExpr) -> str:
     """Stable, sorted plain-text form; '0' for the zero expression."""
-    if not e.terms:
-        return "0"
+    terms, den = e.terms, e.den
     out = []
-    for k, c in sorted(e.coefficients(), key=lambda kc: _key_sortable(kc[0])):
-        s = term_str(k, c)
-        if out:
-            out.append(f"- {s[1:]}" if s.startswith("-") else f"+ {s}")
-        else:
-            out.append(s)
-    return " ".join(out)
+    for k in sorted(terms, key=_key_sortable):
+        c = terms[k]
+        g = gcd(c, den)
+        out.append(("- " if c < 0 else "+ ") + _term_text(k, abs(c) // g, den // g))
+    return _signed_sum(out)
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,12 @@ def energy(s: FieldState) -> float:
 # ---------------------------------------------------------------------------
 # numeric Backlund map
 
+def _sin(x):
+    """``math.sin`` for a float (an ``np.float64`` is one), so a scalar march
+    stays in Python floats, and ``np.sin`` for an array."""
+    return math.sin(x) if isinstance(x, float) else np.sin(x)
+
+
 @dataclass(frozen=True)
 class BodyBT:
     """Numeric body Backlund relations for a given parameter value.
@@ -269,10 +275,10 @@ class BodyBT:
         return out
 
     def rel_first(self, Xt, X, dX_minus):
-        return dX_minus + self.p * np.sin(self._arg(self.arg_p, Xt, X))
+        return dX_minus + self.p * _sin(self._arg(self.arg_p, Xt, X))
 
     def rel_second(self, Xt, X, dX_plus):
-        return -dX_plus + self.q * np.sin(self._arg(self.arg_q, Xt, X))
+        return -dX_plus + self.q * _sin(self._arg(self.arg_q, Xt, X))
 
     @property
     def kink_speed(self) -> float:
@@ -327,16 +333,17 @@ def integrate_bt_body(seed: FieldState, bt: BodyBT) -> FieldState:
         return bt.rel_first(Xt, Xi, mi) + bt.rel_second(Xt, Xi, pi_)
 
     def march(rows: np.ndarray, step: float) -> None:
-        # RK4 steps from x[i] towards x[i] + step, for i = mid, mid +- 1, ...
+        # RK4 steps from x[i] towards x[i] + step, for i = mid, mid +- 1, ...,
+        # on Python floats, written into Xt at once
         xs = x[rows]
         k1_at, k23_at, k4_at = (
             list(zip(*(np.interp(at, x, f).tolist() for f in (X, dXm, dXp))))
             for at in (xs, xs + step / 2, xs + step))
-        nxt = 1 if step > 0 else -1
-        y = Xt[mid]
-        for k, i in enumerate(rows.tolist()):
-            y = _rk4_step(slope, y, step, (k1_at[k], k23_at[k], k4_at[k]))
-            Xt[i + nxt] = y
+        y, ys = float(Xt[mid]), []
+        for at in zip(k1_at, k23_at, k4_at):
+            y = _rk4_step(slope, y, step, at)
+            ys.append(y)
+        Xt[rows + (1 if step > 0 else -1)] = ys
 
     n = len(x)
     mid = n // 2

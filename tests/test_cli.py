@@ -278,6 +278,15 @@ def test_symbolic_checks_stdout_is_pinned(capsys):
     assert capsys.readouterr().out == want
 
 
+def test_numeric_checks_stdout_is_pinned(capsys):
+    # the three numeric checks at the default grid in text format, byte for
+    # byte, printed values too: a change to an integrator or its report must
+    # come with a change to tests/numeric_checks.txt
+    assert cli.main(["--check", "kink", "--check", "bt-numeric", "--check", "fermions"]) == 0
+    want = (Path(__file__).parent / "numeric_checks.txt").read_text()
+    assert capsys.readouterr().out == want
+
+
 def test_symbolic_checks_survive_python_O():
     # python -O strips assert statements; the engine's invariants raise
     # typed errors instead, so the optimized run prints the same report

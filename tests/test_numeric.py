@@ -291,10 +291,18 @@ def test_integrate_bt_body_matches_scalar_interp_rk4(body_spec):
     dXm = 0.5 * (Xx - seed.Xdot)
     dXp = 0.5 * (Xx + seed.Xdot)
 
+    # the relations written out with np.sin on numpy scalars, so the
+    # reference shares nothing with the march's Python-float path
+    def sine(coef, combo, Xt, Xi):
+        arg = 0.0
+        for sym, c in combo:
+            arg = arg + c * (Xi if sym == body.seed_body else Xt)
+        return coef * np.sin(arg)
+
     def slope(xi, Xt):
         Xi = np.interp(xi, x, X)
-        return (body.rel_first(Xt, Xi, np.interp(xi, x, dXm))
-                + body.rel_second(Xt, Xi, np.interp(xi, x, dXp)))
+        return ((np.interp(xi, x, dXm) + sine(body.p, body.arg_p, Xt, Xi))
+                + (-np.interp(xi, x, dXp) + sine(body.q, body.arg_q, Xt, Xi)))
 
     n = len(x)
     mid = n // 2
@@ -305,6 +313,16 @@ def test_integrate_bt_body_matches_scalar_interp_rk4(body_spec):
     for i in range(mid, 0, -1):
         ref[i - 1] = nm._rk4_step(slope, ref[i], -h, (x[i], x[i] - h / 2, x[i] - h))
     assert nm.integrate_bt_body(seed, body).X.tobytes() == ref.tobytes()
+
+
+def test_math_sin_equals_numpy_sin_bitwise():
+    # the one platform assumption of the Python-float march: math.sin gives
+    # np.sin's double on a numpy scalar, bit for bit, over the range of the
+    # march's sine arguments
+    xs = np.random.default_rng(3).uniform(-10.0, 10.0, 10_000)
+    got = np.array([math.sin(v) for v in xs.tolist()])
+    want = np.array([np.sin(v) for v in xs])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_seed_residual_bound(body_spec):

@@ -27,6 +27,7 @@ from gradedsg.grading import (DEG_01, DEG_10, DEG_11, DEG_EVEN, commutation_sign
 
 from factor_chain import substitute_by_factors
 from fixpoint import reduce_to_fixed_point
+import text_reference
 
 # z-order <= 1 per factor keeps every product of two factors inside nz = 2,
 # and a^-1 .. a^2 keeps it inside the a-window: nothing is dropped silently.
@@ -562,3 +563,41 @@ def test_trig_is_exact_below_its_precision(parts, kind, shift):
         return al.trig_of(kind, arg, Q(1, 2)) * al.apow(shift, ctx)
 
     assert_exact_below_the_precision(expand(NARROW), expand(WIDE))
+
+
+# ---------------------------------------------------------------------------
+# text form: the per-slot tables against the Fraction-based renderer
+
+TEXT_CTX = al.Context(nz=2, amin=-3, amax=3)
+
+
+def _jet_slot(names, max_exp):
+    # distinct jets, each with an exponent; rendering reads any slot value
+    atoms = st.dictionaries(st.tuples(st.sampled_from(names), small, small),
+                            st.integers(1, max_exp), max_size=3)
+    return atoms.map(lambda jets: al._jet_id(tuple(sorted(jets.items()))))
+
+
+# sin or cos of n/d*X + m/d*X~ + k/12*pi, canonical; None when it has an
+# exact value (a constant angle) and for no trig atom
+text_trigs = st.none() | st.builds(
+    lambda kind, x, xt, den, pi: al._canon_trig(kind, {"X": Q(x, den), "X~": Q(xt, den)},
+                                                Q(pi, 12))[1],
+    st.sampled_from("sc"), st.integers(-3, 3), st.integers(-3, 3),
+    st.sampled_from((1, 2, 3, 4)), st.integers(-13, 25))
+text_keys = st.just(al.KEY_ONE) | st.tuples(
+    st.integers(0, 2), st.integers(0, 1), st.integers(0, 1), st.sampled_from(sorted(al._CLIFFORD)),
+    st.integers(-2, 2), st.integers(-3, 3),
+    _jet_slot(GRADED + ("psi+~", "F~"), 2), _jet_slot(SCALAR + ("Y~",), 3), text_trigs)
+signed = st.builds(Q, st.integers(-20, 20).filter(bool), st.sampled_from((1, 2, 3, 4, 6, 7)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(terms=st.lists(st.tuples(text_keys, signed), max_size=5))
+def test_text_equals_the_fraction_renderer(terms):
+    # every term over the lcm of the denominators, reduced by one gcd per term
+    e = al.GradedExpr(TEXT_CTX, terms)
+    assert al.to_text(e) == text_reference.to_text(e)
+    for key, c in terms:
+        for coef in (c, c.numerator):
+            assert al.term_str(key, coef) == text_reference.term_str(key, coef)
