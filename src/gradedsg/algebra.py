@@ -45,7 +45,8 @@ pair of ``(z, theta-, theta+, clifford)`` prefixes.  The pairing is bilinear
 mod 2 and every jet ranks after the prefix, so these give the whole sign
 (``_cross_sign``).  A cached product is ``(key, numerator, denominator)``
 entries: the denominator is 1, or 2 for a trig half-sum (4 where a Niven
-1/2 joins it).
+1/2 joins it).  ``trig_of`` stores each expansion on the expression it
+expands, by kind and half, so it lives and dies with its argument.
 
 An expression holds only what its context admits, however it is built: a
 term past the z-order vanishes, and a term that leaves the Laurent window
@@ -481,7 +482,7 @@ class GradedExpr:
     one.
     """
 
-    __slots__ = ("ctx", "terms", "den", "prec")
+    __slots__ = ("ctx", "terms", "den", "prec", "_trig")
 
     def __init__(self, ctx: Context, terms: Iterable[tuple[Key, "int | Fraction"]] = (),
                  prec: "int | float | None" = None):
@@ -1027,10 +1028,15 @@ def trig_of(kind: str, e: GradedExpr, half=Q(1)) -> GradedExpr:
     the active truncation.  A power of the remainder that vanishes only
     under the truncation, at precision p, leaves a tail of precision
     p + j val(remainder), j >= 0: p itself, or no bound when the remainder
-    holds a negative power of a.
+    holds a negative power of a.  The expansion is stored on ``e`` by kind
+    and half, and a later call returns it; a call that raises stores nothing.
     """
     if kind not in ("s", "c"):
         raise ConfigError("kind must be 's' or 'c'")
+    key = (kind, _exact(half))
+    memo = getattr(e, "_trig", None)
+    if memo is not None and key in memo:
+        return memo[key]
     deg = e.degree()
     if deg not in (None, DEG_EVEN):
         raise NotScalarDegree(f"trig argument has degree {deg}")
@@ -1057,6 +1063,9 @@ def trig_of(kind: str, e: GradedExpr, half=Q(1)) -> GradedExpr:
                 "trig remainder has no vanishing power under the truncation")
     if power.prec is not None:
         result = result + GradedExpr(ctx, prec=power.prec if _val(nil) >= 0 else -inf)
+    if memo is None:
+        memo = e._trig = {}
+    memo[key] = result
     return result
 
 

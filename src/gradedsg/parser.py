@@ -14,9 +14,10 @@ derivative, one ``+`` per right derivative) and the two generic superfields
 ``Phi`` / ``Phi~`` which expand to their component form.  The optional
 integer power is an extension over the bare grammar so Laurent powers of
 ``a`` and powers of the vector parameters have a printable, parseable form.
-A rational must have a nonzero denominator, and a power's exponent k must
-satisfy |k| <= MAX_POWER (64) on every base; anything else is a syntax
-error.
+A rational must have a nonzero denominator, a power's exponent k must
+satisfy |k| <= MAX_POWER (64) on every base, and at most MAX_DEPTH (100)
+levels may nest, each ``(``, ``sin(``, ``cos(``, ``D-``, ``D+`` and ``Z``
+opening one; anything else is a syntax error.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .algebra import Context, GradedExpr
 from .errors import InhomogeneousExpression, MiniLangSyntaxError, UnknownSymbol
 
 MAX_POWER = 64
+# the descent takes at most four frames per level, so 100 levels stay far
+# below the interpreter's recursion limit, under a test runner too
+MAX_DEPTH = 100
 
 
 def _alternation(names) -> str:
@@ -99,6 +103,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ctx = ctx
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -148,28 +153,20 @@ class _Parser:
 
     def factor(self) -> GradedExpr:
         tok = self.peek()
+        if tok.kind in ("FUNC", "DOP") or (tok.kind == "PUNCT" and tok.text == "("):
+            if self.depth == MAX_DEPTH:
+                raise MiniLangSyntaxError(f"nesting deeper than {MAX_DEPTH} levels",
+                                          tok.line, tok.col)
+            self.depth += 1
+            inner = self._nested(tok)
+            self.depth -= 1
+            return inner
         if tok.kind == "NUMBER":
             self.next()
             den = tok.text.partition("/")[2]
             if den and int(den) == 0:
                 raise MiniLangSyntaxError("zero denominator", tok.line, tok.col)
             return GradedExpr.rational(Fraction(tok.text), self.ctx)
-        if tok.kind == "FUNC":
-            self.next()
-            self.expect("PUNCT", "(")
-            inner = self.expr()
-            self.expect("PUNCT", ")")
-            return al.trig_of("s" if tok.text == "sin" else "c", inner)
-        if tok.kind == "DOP":
-            self.next()
-            inner = self.factor()
-            op = {"D-": ss.D_MINUS, "D+": ss.D_PLUS, "Z": ss.Z_MINUSPLUS}[tok.text]
-            return op(inner)
-        if tok.kind == "PUNCT" and tok.text == "(":
-            self.next()
-            inner = self.expr()
-            self.expect("PUNCT", ")")
-            return inner
         if tok.kind in ("FIELD", "PARAM", "SUPER"):
             self.next()
             base = self._symbol(tok)
@@ -191,6 +188,20 @@ class _Parser:
             return base
         raise MiniLangSyntaxError(f"expected a factor, found {tok.text!r}",
                                   tok.line, tok.col)
+
+    def _nested(self, tok: _Token) -> GradedExpr:
+        """The factor that ``tok`` opens one nesting level for."""
+        self.next()
+        if tok.kind == "DOP":
+            op = {"D-": ss.D_MINUS, "D+": ss.D_PLUS, "Z": ss.Z_MINUSPLUS}[tok.text]
+            return op(self.factor())
+        if tok.kind == "FUNC":
+            self.expect("PUNCT", "(")
+        inner = self.expr()
+        self.expect("PUNCT", ")")
+        if tok.kind == "FUNC":
+            return al.trig_of("s" if tok.text == "sin" else "c", inner)
+        return inner
 
     def _symbol(self, tok: _Token) -> GradedExpr:
         if tok.kind == "SUPER":

@@ -6,7 +6,9 @@ parameter tables, scoped to a ``with`` block, so the two parameters of a
 family (wrongly) commute.  The eta table is built from the lambda table at
 import, so both are patched.  The monomial-product cache is cleared on
 entry and on exit, so no product of the real table is reused inside the
-block and no sabotaged product outlives it.
+block and no sabotaged product outlives it.  That clearing does not reach
+the sine/cosine expansion that ``trig_of`` stores on an expression built
+before the block, so a control builds its system inside the block.
 
 ``flipped_relation`` returns a Backlund system whose one relation carries
 the wrong sign, which is no auto-Backlund transformation.

@@ -657,6 +657,45 @@ def test_trig_of_errors():
         al.trig_of("s", al.jet("X", ctx=CTX) + 1)  # bare rational offset
 
 
+def test_a_stored_expansion_equals_a_fresh_one():
+    # trig_of keeps each expansion on the expression it expands; a second
+    # read must be what an equal-valued copy, which holds nothing stored,
+    # expands to, exact or not
+    tm, tp = g("theta-"), g("theta+")
+    X = al.jet("X", ctx=CTX)
+    exact = X + tm * al.jet("psi+", ctx=CTX) + tm * (tp * al.jet("F", ctx=CTX))
+    inexact = X + al.apow(2, CTX) * al.jet("Y", ctx=CTX) + al.GradedExpr(CTX, prec=7)
+    assert exact.prec is None and inexact.prec == 7
+    for arg in (exact, inexact):
+        copy = al.GradedExpr(CTX, arg.coefficients(), arg.prec)
+        for kind in ("s", "c"):
+            for half in (1, Q(1, 2), Q(1, 4)):
+                first = al.trig_of(kind, arg, half)
+                fresh = al.trig_of(kind, copy, half)
+                want = (al.to_text(fresh), fresh.den, fresh.prec)
+                for got in (first, al.trig_of(kind, arg, half)):
+                    assert (al.to_text(got), got.den, got.prec) == want, (kind, half)
+
+
+def test_a_failed_expansion_is_not_stored():
+    X, psi = al.jet("X", ctx=CTX), al.jet("psi+", ctx=CTX)
+    odd, loose, offset = psi, al.jet("X", 0, 1, CTX), X + 1
+    al.trig_of("s", X, Q(1, 4))  # X holds an expansion from here on
+    for _ in range(2):
+        with pytest.raises(NotScalarDegree):
+            al.trig_of("s", odd)
+        with pytest.raises(NonNilpotentRemainder):
+            al.trig_of("c", loose)
+        with pytest.raises(UnsupportedAtom):
+            al.trig_of("s", offset, Q(1, 2))
+        # a bad kind, or a half that is no exact rational, raises on an
+        # argument with a stored expansion too
+        with pytest.raises(ConfigError):
+            al.trig_of("t", X, Q(1, 4))
+        with pytest.raises(ConfigError):
+            al.trig_of("s", X, 0.25)
+
+
 def test_only_the_bodies_and_pi_enter_trig_arguments():
     # each superfield's body, with no z and no theta, is its one
     # trig-capable component

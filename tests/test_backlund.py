@@ -250,6 +250,36 @@ def test_current_conservation_exact(sysm, sysp):
         assert not half.is_zero()
 
 
+@pytest.mark.parametrize("check", [
+    lambda: bt.conservation_audit(bt.BTSystem(order=6), K=4),
+    lambda: bt.verify_current_conservation(bt.BTSystem()),
+    lambda: bt.verify_auto_bt(bt.BTSystem()),
+], ids=["conservation-audit", "currents", "verify-bt"])
+def test_each_trig_argument_is_expanded_once(monkeypatch, check):
+    # trig_of keeps each expansion on the expression it expands, so a check
+    # runs one Taylor expansion (one _body_split) per distinct request, the
+    # same argument object asked again for the same kind and half
+    trig_of, body_split = al.trig_of, al._body_split
+    args, requests = [], set()
+    expansions = 0
+
+    def counted_trig_of(kind, e, half=Q(1)):
+        args.append(e)  # held to the end, so no id is reused
+        requests.add((kind, id(e), half))
+        return trig_of(kind, e, half)
+
+    def counted_body_split(e):
+        nonlocal expansions
+        expansions += 1
+        return body_split(e)
+
+    monkeypatch.setattr(al, "trig_of", counted_trig_of)
+    monkeypatch.setattr(al, "_body_split", counted_body_split)
+    check()
+    assert len(args) > len(requests)  # the check repeats requests
+    assert expansions == len(requests)
+
+
 def test_current_conservation_needs_anticommutation():
     # under the real tables the control (the residual that commuting
     # parameters would leave) is nonzero; under commuting ones the

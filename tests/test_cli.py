@@ -11,6 +11,7 @@ from gradedsg import algebra as al
 from gradedsg import backlund as bt
 from gradedsg import cli
 from gradedsg import parser as ps
+from gradedsg import superspace as ss
 from gradedsg.errors import MiniLangSyntaxError, OutsideWindow, UnknownSymbol
 from gradedsg.report import Report
 
@@ -54,8 +55,31 @@ def test_parse_error_positions():
         ps.parse_expr("frobnicate")
 
 
+def test_nesting_is_bounded():
+    # each opener counts one level: MAX_DEPTH levels parse, of one opener or
+    # mixed, and the first level past them is a syntax error at its opener
+    depth = ps.MAX_DEPTH
+    X = al.jet("X", ctx=al.BT_CTX)
+    assert ps.parse_expr("(" * depth + "X" + ")" * depth) == X
+    d_minus, d_plus = X, X
+    for _ in range(depth):
+        d_minus = ss.D_MINUS(d_minus)
+    for _ in range(depth // 2):
+        d_plus = ss.D_PLUS(d_plus)
+    assert ps.parse_expr("D- " * depth + "X") == d_minus
+    mixed = "D+ (" * (depth // 2)
+    assert ps.parse_expr(mixed + "X" + ")" * (depth // 2)) == d_plus
+    for opener, closer in (("(", ")"), ("D- ", ""), ("cos(", ")"), ("Z ", "")):
+        with pytest.raises(MiniLangSyntaxError, match="nesting deeper than 100") as err:
+            ps.parse_expr(opener * (depth + 1) + "X" + closer * (depth + 1))
+        assert err.value.col == depth * len(opener) + 1, opener
+    with pytest.raises(MiniLangSyntaxError, match="nesting") as err:
+        ps.parse_expr(mixed + "sin(X)" + ")" * (depth // 2))
+    assert err.value.col == len(mixed) + 1
+
+
 def test_parse_print_roundtrip_on_engine_output():
-    from gradedsg import model as md, superspace as ss
+    from gradedsg import model as md
     res = md.sg_residual(ss.generic_superfield("Phi", 0))
     txt = al.to_text(res)
     assert (ps.parse_expr(txt) - res).is_zero()
@@ -213,11 +237,14 @@ def test_eval_mode(capsys):
     # expressions the engine rejects are expression errors too, and so are
     # a zero denominator and a power beyond the bound (on any base), which
     # must fail at once
+    # nesting past the bound is a syntax error too, raised before the parser
+    # runs out of stack
     for text in ("sin(psi+)", "sin(1)", "lambda+*eta+", "sin(X*X)", "1/0",
-                 "X^99999999", "a^-65"):
+                 "X^99999999", "a^-65", "(" * 500 + "X" + ")" * 500,
+                 "D- " * 3000 + "Phi", "sin(" * 400 + "X" + ")" * 400):
         assert cli.main(["--eval", text]) == 2, text
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, (text, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (text[:20], err)
 
 
 def test_json_schema(capsys):
